@@ -134,16 +134,7 @@ def test_shm_dataplane_ab():
 
     RESULTS_DIR.mkdir(exist_ok=True)
     out_path = RESULTS_DIR / "shm_dataplane.json"
-    # The METG smoke test (tests/test_metg_smoke.py) records its A/B into
-    # the same file; preserve sections other than ours.
-    payload = {}
-    if out_path.exists():
-        try:
-            payload = json.loads(out_path.read_text())
-        except ValueError:
-            payload = {}
     payload = {
-        **payload,
         "schema_version": 1,
         "scenario": {
             "dependence": "stencil_1d",

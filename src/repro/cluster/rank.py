@@ -39,7 +39,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import fastpath as _fastpath
 from ..core.task_graph import TaskGraph
 from ..faults import FaultSpec, apply_fault
 from ..trace import recorder as trace
@@ -171,14 +170,14 @@ class RankDriver:
         remote = _RefStore("remote")
         captured: Dict[Key, bytes] = {}
         max_t = max(g.timesteps for g in graphs)
-        # Fast path: coalesce this timestep's sends to each peer into one
-        # DATA_BATCH frame, posted at the timestep boundary.  Safe because
+        # Coalesce this timestep's sends to each peer into one DATA_BATCH
+        # frame, posted at the timestep boundary.  Safe because
         # dependencies only span consecutive timesteps — a consumer rank
         # first needs a timestep-t output while running timestep t+1, by
         # which time the producer has flushed t.  Deadlock-free for the
         # same reason: no rank waits on a message its peer is still
         # buffering for the timestep both are currently in.
-        outbatch: Optional[Outbatch] = {} if _fastpath.enabled() else None
+        outbatch: Outbatch = {}
         for t in range(max_t):
             if fault is not None and t == fault.round_index:
                 apply_fault(fault)  # crash/wedge never return
@@ -195,10 +194,9 @@ class RankDriver:
                         g, t, i, epoch, local, remote, captured, outbatch,
                         validate=validate, capture=capture,
                     )
-            if outbatch:
-                for dest, items in outbatch.items():
-                    self.endpoint.post_batch(dest, epoch, items)
-                outbatch.clear()
+            for dest, items in outbatch.items():
+                self.endpoint.post_batch(dest, epoch, items)
+            outbatch.clear()
         local.assert_drained()
         remote.assert_drained()
         stray = self.endpoint.pending(epoch)
@@ -218,7 +216,7 @@ class RankDriver:
         local: _RefStore,
         remote: _RefStore,
         captured: Dict[Key, bytes],
-        outbatch: Optional[Outbatch],
+        outbatch: Outbatch,
         *,
         validate: bool,
         capture: bool,
@@ -277,7 +275,7 @@ class RankDriver:
         out: np.ndarray,
         local: _RefStore,
         captured: Dict[Key, bytes],
-        outbatch: Optional[Outbatch],
+        outbatch: Outbatch,
         *,
         capture: bool,
     ) -> None:
@@ -294,12 +292,10 @@ class RankDriver:
         for dest, consumers in per_rank.items():
             if dest == self.rank:
                 local.put(key, out, consumers)
-            elif outbatch is not None:
-                # Fast path: park the send; run_epoch flushes every peer's
-                # batch in one frame at the end of the timestep.
-                outbatch.setdefault(dest, []).append((key, out))
             else:
-                self.endpoint.post(dest, (epoch, *key), out)
+                # Park the send; run_epoch flushes every peer's batch in
+                # one frame at the end of the timestep.
+                outbatch.setdefault(dest, []).append((key, out))
         if t0:
             trace.complete("publish", trace.CAT_PUBLISH, t0, {"task": key})
 

@@ -34,7 +34,7 @@ Every message between two rank processes is one *frame*::
     Several task outputs travelling to the same consumer rank in one
     frame.  After the batch header come ``count`` item headers
     (``<iiiI``: graph_index, timestep, column, payload_bytes) and then the
-    payloads, concatenated in item order.  The fast path coalesces all of
+    payloads, concatenated in item order.  A rank coalesces all of
     a timestep's sends to one peer into a single batch frame, amortizing
     the per-frame syscall and length-prefix costs across the timestep's
     payloads; decoding hands back zero-copy ``np.frombuffer`` slices of

@@ -97,9 +97,9 @@ class Executor(abc.ABC):
         stats = getattr(self, "_data_plane", None)
         faults = getattr(self, "_fault_stats", None)
         if stats is not None and (hits1 != hits0 or compiles1 != compiles0):
-            # Fold this run's fast-path activity (parent-process view) into
-            # the data-plane record; executors without an instrumented data
-            # plane keep reporting "not instrumented".
+            # Fold this run's dependence-table activity (parent-process
+            # view) into the data-plane record; executors without an
+            # instrumented data plane keep reporting "not instrumented".
             stats = dataclasses.replace(
                 stats,
                 fastpath_hits=stats.fastpath_hits + (hits1 - hits0),

@@ -1,13 +1,14 @@
-"""Precompiled dependence tables: the fast path of the core library.
+"""Precompiled dependence tables: how the core library answers dependence
+queries.
 
-Python interval math is the hottest non-kernel code in the harness: every
-``run_point`` call asks the :class:`~repro.core.dependence.DependenceSpec`
-for its forward dependencies (gather + validation), every
-``OutputStore.put`` asks for its reverse dependencies (consumer counting),
-and schedulers ask again when wiring completion notifications.  The paper's
-C++ core library pays none of this because dependence relations are
-*periodic*: ``dependence_set_at_timestep(t)`` assigns every timestep an
-equivalence-class id, and two timesteps with the same id have identical
+Computed per call, Python interval math would be the hottest non-kernel
+code in the harness: every ``run_point`` needs a task's forward
+dependencies (gather + validation), every ``OutputStore.put`` its reverse
+dependencies (consumer counting), and schedulers need both again when
+wiring completion notifications.  The paper's C++ core library pays
+little for this, and here the cost is avoided because dependence relations
+are *periodic*: ``dependence_set_at_timestep(t)`` assigns every timestep
+an equivalence-class id, and two timesteps with the same id have identical
 dependence intervals for every column and the same active window (see
 ``DependenceSpec.max_dependence_sets``).  There are at most
 ``max_dependence_sets()`` distinct structures — one for most patterns, a
@@ -29,13 +30,12 @@ Subsequent queries for any ``(t, i)`` are O(1) dictionary + array lookups;
 flattened column tuples are materialized lazily per (set id, column) and
 shared by every timestep in the equivalence class.
 
-The fast path is enabled by default and controlled by the
-``TASKBENCH_FASTPATH`` environment variable (``0`` disables it).  When
-disabled, :meth:`TaskGraph.dependencies` and friends fall back to the
-original per-call interval math — the slow path stays fully functional (and
-CI runs the conformance suite against it).  Forward/reverse queries on the
-*forward* table are only consulted for ``1 <= t``; the reverse table for
-``t < height - 1``; boundary timesteps keep their trivial answers inline.
+Every :class:`~repro.core.task_graph.TaskGraph` dependence query is served
+from its table; :mod:`repro.core.dependence` is what tables are compiled
+*from* and the oracle the property tests compare them against.  The
+*forward* table is only consulted for ``1 <= t``, the reverse table for
+``t < height - 1``; boundary timesteps (and out-of-range points, for the
+canonical error) go to the spec directly.
 
 Module-level ``counters()`` expose how many lookups were served from
 compiled structures (*hits*) and how many structures were compiled
@@ -53,15 +53,11 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .dependence import DependenceSpec, Interval
-from .envvars import env_int
+from .dependence import DependenceSpec, Interval, count_points
 
 __all__ = [
     "DependenceTable",
     "table_for",
-    "enabled",
-    "set_enabled",
-    "reload_from_env",
     "counters",
     "reset_counters",
 ]
@@ -72,31 +68,8 @@ __all__ = [
 #: (plain FIFO) so unbounded graphs cannot exhaust memory.
 _MAX_SETS = 1024
 
-#: Process-wide fast-path switch, read once at import.  ``set_enabled`` /
-#: ``reload_from_env`` exist for tests and A/B benchmarks; forked workers
-#: inherit the flag (and the environment variable) from their parent.
-_ENABLED: bool = (env_int("TASKBENCH_FASTPATH", 1) or 0) != 0
-
 _hits: int = 0
 _compiles: int = 0
-
-
-def enabled() -> bool:
-    """Whether the fast path is active for this process."""
-    return _ENABLED
-
-
-def set_enabled(flag: bool) -> bool:
-    """Set the fast-path switch; returns the previous value."""
-    global _ENABLED
-    prev = _ENABLED
-    _ENABLED = bool(flag)
-    return prev
-
-
-def reload_from_env() -> bool:
-    """Re-read ``TASKBENCH_FASTPATH`` (for tests that mutate ``os.environ``)."""
-    return set_enabled((env_int("TASKBENCH_FASTPATH", 1) or 0) != 0)
 
 
 def counters() -> Tuple[int, int]:
@@ -147,7 +120,7 @@ class _Rel:
 
 def _compile_rel(spec: DependenceSpec, t: int, *, reverse: bool) -> _Rel:
     """Compile the dependence structure exhibited at timestep ``t`` by
-    querying the spec itself — bit-exact with the slow path by construction."""
+    querying the spec itself — bit-exact with the spec by construction."""
     off = spec.offset_at_timestep(t)
     width = spec.width_at_timestep(t)
     fn = spec.reverse_dependencies if reverse else spec.dependencies
@@ -191,7 +164,8 @@ class DependenceTable:
         # Timestep-keyed front caches: map t directly to its compiled
         # structure so steady-state queries skip the set-id computation
         # entirely (one dict probe instead of interval math + classing).
-        # Entries reference the sid-keyed structures; bounded by height.
+        # Entries reference the sid-keyed structures; both levels are
+        # bounded by _MAX_SETS and mutated only under ``_lock``.
         self._fwd_t: Dict[int, _Rel] = {}
         self._rev_t: Dict[int, _Rel] = {}
         self._lock = threading.Lock()
@@ -208,12 +182,18 @@ class DependenceTable:
     # ------------------------------------------------------------------
     # Structure lookup / lazy compilation
     # ------------------------------------------------------------------
-    def _rel(self, cache: Dict[int, _Rel], sid: int, t: int, reverse: bool) -> _Rel:
-        rel = cache.get(sid)
-        if rel is not None:
-            global _hits
-            _hits += 1
-            return rel
+    def _miss(self, front: Dict[int, _Rel], cache: Dict[int, _Rel], t: int,
+              reverse: bool) -> _Rel:
+        """Front-cache miss for timestep ``t``: find (or compile) the
+        structure of its dependence set and install it in ``front``.
+
+        Every mutation of either cache — insert and FIFO eviction — happens
+        under the table's lock, so concurrent misses cannot evict the same
+        key twice or resize a dict another thread is iterating; hits stay
+        lock-free ``dict.get`` probes.
+        """
+        global _hits, _compiles
+        sid = self.spec.dependence_set_at_timestep(t + 1 if reverse else t)
         with self._lock:
             rel = cache.get(sid)
             if rel is None:
@@ -221,8 +201,13 @@ class DependenceTable:
                 while len(cache) >= _MAX_SETS:
                     cache.pop(next(iter(cache)))
                 cache[sid] = rel
-                global _compiles
                 _compiles += 1
+            else:
+                _hits += 1
+            if t not in front:
+                while len(front) >= _MAX_SETS:
+                    front.pop(next(iter(front)))
+                front[t] = rel
         return rel
 
     def _fwd_rel(self, t: int) -> _Rel:
@@ -232,12 +217,7 @@ class DependenceTable:
             global _hits
             _hits += 1
             return rel
-        rel = self._rel(self._fwd, self.spec.dependence_set_at_timestep(t), t,
-                        False)
-        if len(self._fwd_t) >= _MAX_SETS:
-            self._fwd_t.pop(next(iter(self._fwd_t)))
-        self._fwd_t[t] = rel
-        return rel
+        return self._miss(self._fwd_t, self._fwd, t, False)
 
     def _rev_rel(self, t: int) -> _Rel:
         """Compiled reverse structure for timestep ``t``
@@ -247,12 +227,7 @@ class DependenceTable:
             global _hits
             _hits += 1
             return rel
-        rel = self._rel(self._rev,
-                        self.spec.dependence_set_at_timestep(t + 1), t, True)
-        if len(self._rev_t) >= _MAX_SETS:
-            self._rev_t.pop(next(iter(self._rev_t)))
-        self._rev_t[t] = rel
-        return rel
+        return self._miss(self._rev_t, self._rev, t, True)
 
     def _local(self, rel: _Rel, t: int, i: int) -> int:
         k = i - rel.off
@@ -355,7 +330,6 @@ class DependenceTable:
         if rel is None:
             spec = self.spec
             if t == spec.height - 1 or not 0 <= t < spec.height:
-                from .dependence import count_points
                 return count_points(spec.reverse_dependencies(t, i))
             rel = self._rev_rel(t)
         else:

@@ -39,7 +39,7 @@ class WireStats:
     serialize_seconds: float = 0.0
     deserialize_seconds: float = 0.0
     #: Payloads that travelled inside multi-payload DATA_BATCH frames (the
-    #: fast path coalesces a timestep's per-peer sends into one frame; each
+    #: ranks coalesce a timestep's per-peer sends into one frame; each
     #: batch frame still counts once in ``messages_sent``/``_received``).
     batched_payloads_sent: int = 0
     batched_payloads_received: int = 0
@@ -100,7 +100,7 @@ class DataPlaneStats:
     pool_hits: int = 0
     pool_misses: int = 0
     wire: Optional[WireStats] = None
-    #: Dependence-table fast path activity (repro.core.fastpath): lookups
+    #: Dependence-table activity (repro.core.fastpath): lookups
     #: served from a compiled structure, and structures compiled, during
     #: the run (parent-process view).
     fastpath_hits: int = 0

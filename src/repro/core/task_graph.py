@@ -19,7 +19,7 @@ import numpy as np
 from . import bufpool as _bufpool
 from . import fastpath as _fastpath
 from . import validation as _validation
-from .dependence import DependenceSpec, Interval, count_points
+from .dependence import DependenceSpec, Interval
 
 if TYPE_CHECKING:  # pragma: no cover
     from . import bufpool
@@ -111,13 +111,8 @@ class TaskGraph:
 
     @cached_property
     def _table(self) -> "_fastpath.DependenceTable":
-        """Compiled dependence table (shared process-wide per parameter set).
-
-        Built unconditionally but consulted only while
-        :func:`repro.core.fastpath.enabled` is true, so flipping the
-        ``TASKBENCH_FASTPATH`` switch mid-process (tests, A/B benchmarks)
-        takes effect immediately.
-        """
+        """Compiled dependence table (shared process-wide per parameter
+        set): every dependence query below is answered from it."""
         return _fastpath.table_for(self.spec)
 
     def offset_at_timestep(self, t: int) -> int:
@@ -134,74 +129,51 @@ class TaskGraph:
 
     def dependencies(self, t: int, i: int) -> List[Interval]:
         """Intervals of columns at ``t - 1`` that task ``(t, i)`` reads."""
-        if _fastpath._ENABLED:
-            return self._table.dependencies(t, i)
-        return self.spec.dependencies(t, i)
+        return self._table.dependencies(t, i)
 
     def reverse_dependencies(self, t: int, i: int) -> List[Interval]:
         """Intervals of columns at ``t + 1`` that read task ``(t, i)``."""
-        if _fastpath._ENABLED:
-            return self._table.reverse_dependencies(t, i)
-        return self.spec.reverse_dependencies(t, i)
+        return self._table.reverse_dependencies(t, i)
 
     def dependency_points(self, t: int, i: int) -> Iterator[int]:
         """Columns at ``t - 1`` read by ``(t, i)``, ascending.  This is the
         canonical input order expected by :meth:`execute_point`."""
-        if _fastpath._ENABLED:
-            return iter(self._table.dependency_columns(t, i))
-        return self.spec.dependency_points(t, i)
+        return iter(self._table.dependency_columns(t, i))
 
     def reverse_dependency_points(self, t: int, i: int) -> Iterator[int]:
         """Columns at ``t + 1`` that read ``(t, i)``, ascending."""
-        if _fastpath._ENABLED:
-            return iter(self._table.reverse_dependency_columns(t, i))
-        return self.spec.reverse_dependency_points(t, i)
+        return iter(self._table.reverse_dependency_columns(t, i))
 
     def dependency_columns(self, t: int, i: int) -> Tuple[int, ...]:
         """Columns at ``t - 1`` read by ``(t, i)`` as an ascending tuple.
 
-        On the fast path the tuple is compiled once per (dependence-set id,
-        column) and shared by every timestep in the equivalence class, so
-        hot gather/validation loops avoid re-walking intervals per task.
+        The tuple is compiled once per (dependence-set id, column) and
+        shared by every timestep in the equivalence class, so hot
+        gather/validation loops avoid re-walking intervals per task.
         """
-        if _fastpath._ENABLED:
-            return self._table.dependency_columns(t, i)
-        return tuple(self.spec.dependency_points(t, i))
+        return self._table.dependency_columns(t, i)
 
     def reverse_dependency_columns(self, t: int, i: int) -> Tuple[int, ...]:
         """Columns at ``t + 1`` that read ``(t, i)`` as an ascending tuple."""
-        if _fastpath._ENABLED:
-            return self._table.reverse_dependency_columns(t, i)
-        return tuple(self.spec.reverse_dependency_points(t, i))
+        return self._table.reverse_dependency_columns(t, i)
 
     def num_dependencies(self, t: int, i: int) -> int:
         """Number of inputs of task ``(t, i)``."""
-        if _fastpath._ENABLED:
-            return self._table.num_dependencies(t, i)
-        return self.spec.num_dependencies(t, i)
+        return self._table.num_dependencies(t, i)
 
     def dependency_count_row(self, t: int) -> Tuple[int, Sequence[int]]:
         """``(offset, per-column input counts)`` for all tasks at ``t``.
 
         The bulk twin of :meth:`num_dependencies` used by scheduler
-        initialization: on the fast path the whole row is served from one
-        compiled structure; off it, each column is computed from the spec
-        exactly as the per-task query would.  The returned sequence may be
-        shared — callers must not mutate it.
+        initialization: the whole row is served from one compiled
+        structure.  The returned sequence may be shared — callers must not
+        mutate it.
         """
-        if _fastpath._ENABLED:
-            return self._table.row_task_counts(t)
-        off = self.spec.offset_at_timestep(t)
-        return off, [
-            self.spec.num_dependencies(t, i)
-            for i in range(off, off + self.spec.width_at_timestep(t))
-        ]
+        return self._table.row_task_counts(t)
 
     def consumer_count(self, t: int, i: int) -> int:
         """Number of tasks at ``t + 1`` that read the output of ``(t, i)``."""
-        if _fastpath._ENABLED:
-            return self._table.consumer_count(t, i)
-        return count_points(self.spec.reverse_dependencies(t, i))
+        return self._table.consumer_count(t, i)
 
     def max_dependencies(self) -> int:
         """Upper bound on inputs of any task (receive-buffer sizing)."""

@@ -14,13 +14,13 @@ a stale buffer, a dropped or reordered message — trips a
 :class:`ValidationError` naming the offending task and input.
 
 Validation happens on every input of every task, so this is the hottest
-path of the core library (the paper bounds validation overhead at 3%).  On
-the fast path (:mod:`repro.core.fastpath` enabled) expected patterns are
-memoized as read-only NumPy arrays built from a per-column int64 template
-with the timestep stamped in place, and ``validate_inputs`` compares a
-task's inputs against one cached concatenated block in a single bulk
-comparison instead of copying every buffer to ``bytes`` per input.  With
-the fast path disabled the original per-input loop runs unchanged.
+path of the core library (the paper bounds validation overhead at 3%).
+Expected patterns are memoized as read-only NumPy arrays built from a
+per-column int64 template with the timestep stamped in place, and
+``validate_inputs`` compares a task's small inputs against one cached
+concatenated block in a single bulk comparison; only a mismatch (or inputs
+too large to be worth concatenating) walks the buffers one by one to name
+the offending slot.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
-
-from . import fastpath as _fastpath
 
 if TYPE_CHECKING:  # pragma: no cover
     from .task_graph import TaskGraph
@@ -115,10 +113,7 @@ def task_output(graph: "TaskGraph", t: int, i: int) -> np.ndarray:
     nbytes = graph.output_bytes_per_task
     if nbytes == 0:
         return np.empty(0, dtype=np.uint8)
-    if _fastpath._ENABLED:
-        return _expected_array(graph.seed, graph.graph_index, t, i, nbytes).copy()
-    pattern = _output_bytes(graph.seed, graph.graph_index, t, i, nbytes)
-    return np.frombuffer(pattern, dtype=np.uint8).copy()
+    return _expected_array(graph.seed, graph.graph_index, t, i, nbytes).copy()
 
 
 def write_task_output(graph: "TaskGraph", t: int, i: int, dest: np.ndarray) -> None:
@@ -135,11 +130,7 @@ def write_task_output(graph: "TaskGraph", t: int, i: int, dest: np.ndarray) -> N
         )
     if nbytes == 0:
         return
-    if _fastpath._ENABLED:
-        dest[:] = _expected_array(graph.seed, graph.graph_index, t, i, nbytes)
-        return
-    pattern = _output_bytes(graph.seed, graph.graph_index, t, i, nbytes)
-    dest[:] = np.frombuffer(pattern, dtype=np.uint8)
+    dest[:] = _expected_array(graph.seed, graph.graph_index, t, i, nbytes)
 
 
 def _as_flat_uint8(buf) -> np.ndarray:
@@ -160,9 +151,6 @@ def validate_inputs(
         If the number of inputs is wrong or any buffer differs from the
         expected producer output.
     """
-    if not _fastpath._ENABLED:
-        _validate_inputs_slow(graph, t, i, inputs)
-        return
     cols = graph.dependency_columns(t, i) if t > 0 else ()
     if len(inputs) != len(cols):
         raise ValidationError(
@@ -191,38 +179,12 @@ def validate_inputs(
             seed, gidx, t - 1, cols, nbytes
         ):
             return
-        # Mismatch somewhere: fall through to the per-input walk, which
-        # pinpoints the offending slot for the error message.
-        for slot, (col, buf) in enumerate(zip(cols, inputs)):
-            arr = _as_flat_uint8(buf)
-            expected = _expected_array(seed, gidx, t - 1, col, nbytes)
-            if not np.array_equal(arr, expected):
-                _raise_bad_input(graph, t, i, slot, col, arr)
-        return
+        # Mismatch somewhere: the per-input walk below pinpoints the
+        # offending slot for the error message.
     for slot, (col, buf) in enumerate(zip(cols, inputs)):
         arr = _as_flat_uint8(buf)
         expected = _expected_array(seed, gidx, t - 1, col, nbytes)
         if not np.array_equal(arr, expected):
-            _raise_bad_input(graph, t, i, slot, col, arr)
-
-
-def _validate_inputs_slow(
-    graph: "TaskGraph", t: int, i: int, inputs: Sequence[np.ndarray]
-) -> None:
-    """The original per-input loop (kept as the ``TASKBENCH_FASTPATH=0``
-    reference path, exercised by CI)."""
-    expected_cols = list(graph.dependency_points(t, i)) if t > 0 else []
-    if len(inputs) != len(expected_cols):
-        raise ValidationError(
-            f"task (t={t}, i={i}) of graph {graph.graph_index}: expected "
-            f"{len(expected_cols)} inputs from columns {expected_cols}, "
-            f"got {len(inputs)}"
-        )
-    nbytes = graph.output_bytes_per_task
-    for slot, (col, buf) in enumerate(zip(expected_cols, inputs)):
-        arr = np.asarray(buf, dtype=np.uint8).reshape(-1)
-        expected = _output_bytes(graph.seed, graph.graph_index, t - 1, col, nbytes)
-        if arr.nbytes != nbytes or arr.tobytes() != expected:
             _raise_bad_input(graph, t, i, slot, col, arr)
 
 

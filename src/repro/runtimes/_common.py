@@ -16,7 +16,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core import bufpool
-from ..core import fastpath as _fastpath
 from ..core.bufpool import PayloadRef, PoolStats, SlabPool
 from ..core.metrics import DataPlaneStats
 from ..core.task_graph import TaskGraph
@@ -222,10 +221,9 @@ def consumer_count(g: TaskGraph, t: int, i: int) -> int:
     """How many tasks read the output of ``(t, i)``.
 
     Delegates to :meth:`TaskGraph.consumer_count`, which serves the answer
-    from the compiled dependence table when the fast path is enabled —
-    historically this recomputed ``reverse_dependencies`` on every
-    ``OutputStore.put``, which dominated publish cost for fine-grained
-    graphs.
+    from the compiled dependence table: recomputing
+    ``reverse_dependencies`` on every ``OutputStore.put`` would dominate
+    publish cost for fine-grained graphs.
     """
     return g.consumer_count(t, i)
 
@@ -298,67 +296,48 @@ class OutputStore:
                 self._data[key] = (value, remaining - 1)
             return value
 
+    def _take_locked(
+        self, gi: int, t: int, cols: Sequence[int]
+    ) -> List["bufpool.Payload"]:
+        """One consumer's read of each output ``(gi, t, col)``, in ``cols``
+        order.  The caller holds ``self._lock``."""
+        data = self._data
+        values: List["bufpool.Payload"] = []
+        for j in cols:
+            source = (gi, t, j)
+            entry = data.get(source)
+            if entry is None:
+                raise RuntimeError(
+                    f"output for task {source} requested but not produced"
+                )
+            value, remaining = entry
+            if remaining == 1:
+                del data[source]
+            else:
+                data[source] = (value, remaining - 1)
+            values.append(value)
+        return values
+
     def gather(
         self, g: TaskGraph, t: int, i: int, *, quiet: bool = False
     ) -> List["bufpool.Payload"]:
         """Collect the inputs of task ``(t, i)`` in canonical order.
 
-        On the fast path all takes happen under one lock hold (a per-input
-        lock round-trip is measurable at empty-kernel granularity); with
-        the fast path off the original per-input ``take`` loop runs
-        unchanged as the reference.  ``quiet=True`` suppresses the acquire
-        events (see :meth:`put`): the shm window planner gathers handles
-        ahead of execution and emits the events in program order at retire.
+        All takes happen under one lock hold (a per-input lock round-trip
+        is measurable at empty-kernel granularity); the acquire events
+        follow, outside the lock.  ``quiet=True`` suppresses them (see
+        :meth:`put`): the shm window planner gathers handles ahead of
+        execution and emits the events in program order at retire.
         """
         if t == 0:
             return []
-        if quiet:
-            gi = g.graph_index
-            data = self._data
-            inputs: List["bufpool.Payload"] = []
-            with self._lock:
-                for j in g.dependency_columns(t, i):
-                    source = (gi, t - 1, j)
-                    entry = data.get(source)
-                    if entry is None:
-                        raise RuntimeError(
-                            f"output for task {source} requested but not "
-                            "produced"
-                        )
-                    value, remaining = entry
-                    if remaining == 1:
-                        del data[source]
-                    else:
-                        data[source] = (value, remaining - 1)
-                    inputs.append(value)
-            return inputs
-        if not _fastpath._ENABLED:
-            consumer = (g.graph_index, t, i)
-            inputs = []
-            for j in g.dependency_columns(t, i):
-                source = (g.graph_index, t - 1, j)
-                inputs.append(self.take(source))
-                record_event(EV_ACQUIRE, consumer, source)
-            return inputs
         gi = g.graph_index
         cols = g.dependency_columns(t, i)
-        data = self._data
-        inputs = []
         with self._lock:
-            for j in cols:
-                source = (gi, t - 1, j)
-                entry = data.get(source)
-                if entry is None:
-                    raise RuntimeError(
-                        f"output for task {source} requested but not produced"
-                    )
-                value, remaining = entry
-                if remaining == 1:
-                    del data[source]
-                else:
-                    data[source] = (value, remaining - 1)
-                inputs.append(value)
-        if _active_recorder is not None or _event_observer is not None:
+            inputs = self._take_locked(gi, t - 1, cols)
+        if not quiet and (
+            _active_recorder is not None or _event_observer is not None
+        ):
             consumer = (gi, t, i)
             for j in cols:
                 record_event(EV_ACQUIRE, consumer, (gi, t - 1, j))
@@ -369,38 +348,21 @@ class OutputStore:
     ) -> List[List["bufpool.Payload"]]:
         """Collect the inputs of several *ready* tasks under one lock hold.
 
-        The fast-path batch twin of :meth:`gather`: every key's producers
-        have already published (the scheduler only batches ready tasks), so
-        no take can fail to find its source mid-batch.  Start/acquire
-        events are emitted after the lock, in per-task program order.
+        The batch twin of :meth:`gather`: every key's producers have
+        already published (the scheduler only batches ready tasks), so no
+        take can fail to find its source mid-batch.  Start/acquire events
+        are emitted after the lock, in per-task program order.
         """
-        results: List[List["bufpool.Payload"]] = []
         with self._lock:
-            data = self._data
-            for gi, t, i in keys:
-                if t == 0:
-                    results.append([])
-                    continue
-                g = graphs[gi]
-                inputs = []
-                for j in g.dependency_columns(t, i):
-                    source = (gi, t - 1, j)
-                    entry = data.get(source)
-                    if entry is None:
-                        raise RuntimeError(
-                            f"output for task {source} requested but not "
-                            "produced"
-                        )
-                    value, remaining = entry
-                    if remaining == 1:
-                        del data[source]
-                    else:
-                        data[source] = (value, remaining - 1)
-                    inputs.append(value)
-                results.append(inputs)
+            results = [
+                self._take_locked(
+                    gi, t - 1, graphs[gi].dependency_columns(t, i)
+                ) if t > 0 else []
+                for gi, t, i in keys
+            ]
         if _active_recorder is not None or _event_observer is not None:
-            for (gi, t, i), inputs in zip(keys, results):
-                key = (gi, t, i)
+            for key in keys:
+                gi, t, i = key
                 record_event(EV_START, key)
                 if t > 0:
                     for j in graphs[gi].dependency_columns(t, i):
@@ -535,16 +497,10 @@ def run_point(
     else:
         pool.decref(ref)
     # Reading is done: drop this consumer's reference on every pooled input
-    # so fully-read slots recycle (one lock hold for all of them on the
-    # fast path; the per-input loop is the reference behavior).
-    if _fastpath._ENABLED:
-        drops = [value for value in inputs if type(value) is PayloadRef]
-        if drops:
-            pool.decref_batch(drops)
-        return
-    for value in inputs:
-        if isinstance(value, PayloadRef):
-            pool.decref(value)
+    # (one pool lock hold for all of them) so fully-read slots recycle.
+    drops = [value for value in inputs if type(value) is PayloadRef]
+    if drops:
+        pool.decref_batch(drops)
 
 
 def run_point_batch(
@@ -556,7 +512,7 @@ def run_point_batch(
     validate: bool,
     pool: SlabPool,
 ) -> List[Tuple[TaskGraph, int, int]]:
-    """Fast-path fusion of :func:`run_point` over a batch of ready tasks.
+    """Fusion of :func:`run_point` over a batch of ready tasks.
 
     Every task in ``keys`` is ready (all inputs published), so the batch's
     data-plane traffic can be coalesced: one pool lock hold acquires all

@@ -330,52 +330,39 @@ class ForkWorkerPool:
     # ------------------------------------------------------------------
     # Rounds and broadcasts
     # ------------------------------------------------------------------
-    def run_round(self, chunks: Sequence[Any]) -> List[Any]:
-        """Execute ``chunks`` across the workers; a barrier — returns once
-        every chunk of the round completed, in input order.
+    def _exchange(
+        self, targets: Sequence[int], messages: List[Any]
+    ) -> Tuple[List[Optional[Any]], BaseException | None]:
+        """Send each target worker its message and collect one reply from
+        each, under the round deadline; a barrier.
 
-        A worker that crashes or misses the round deadline raises
-        :class:`WorkerCrashError` / :class:`WorkerTimeoutError`; the
-        surviving workers are drained (never left with replies in flight)
-        and the pool remains usable after :meth:`heal`.
+        Returns one slot per worker index (``None`` where a worker was not
+        targeted or reported an error) and the error to raise, if any
+        worker reported one.  A worker that crashes or misses the deadline
+        raises :class:`WorkerCrashError` / :class:`WorkerTimeoutError`
+        instead; the surviving workers are drained first (never left with
+        replies in flight) and the pool remains usable after :meth:`heal`.
         """
         self._ensure_open()
-        t0 = trace.begin() if trace.enabled else 0
-        n = self.workers
-        assigned: List[List[Any]] = [[] for _ in range(n)]
-        order: List[List[int]] = [[] for _ in range(n)]
-        for k, chunk in enumerate(chunks):
-            assigned[k % n].append(chunk)
-            order[k % n].append(k)
-        active = [w for w in range(n) if assigned[w]]
-        self._send(active, assigned)
+        self._send(targets, messages)
         deadline = (
             None if self.timeout is None else time.monotonic() + self.timeout
         )
-        results: List[Any] = [None] * len(chunks)
+        out: List[Optional[Any]] = [None] * self.workers
         failure: BaseException | None = None
-        for pos, w in enumerate(active):
+        for pos, w in enumerate(targets):
             try:
                 status, *payload = self._recv(w, deadline)
             except (WorkerCrashError, WorkerTimeoutError):
-                self._drain(active[pos + 1:], deadline)
+                self._drain(targets[pos + 1:], deadline)
                 raise
             if status == "error":
                 exc, tb = payload
                 exc.add_note(f"worker {w} traceback:\n{tb}")
                 failure = self._prefer_failure(failure, exc)
             else:
-                for k, value in zip(order[w], payload[0]):
-                    results[k] = value
-        if failure is not None:
-            raise failure
-        if t0:
-            # One span per round: dispatch + barrier, the per-timestep
-            # cost METG probes pay on the process executors.
-            trace.complete(
-                "pool.round", trace.CAT_DISPATCH, t0, {"chunks": len(chunks)}
-            )
-        return results
+                out[w] = payload[0]
+        return out, failure
 
     @staticmethod
     def _prefer_failure(
@@ -402,18 +389,11 @@ class ForkWorkerPool:
 
         ``frames[w]`` is the chunk list shipped to worker ``w`` (an empty
         list skips the worker this round); the return value is one result
-        list per worker, aligned with ``frames``.  This is the batched
-        round dispatch used by the hot path: the executor builds each
+        list per worker, aligned with ``frames``.  The executors build each
         worker's whole round up front, so a round costs exactly one send
-        and one receive per participating worker and no result remapping —
-        :meth:`run_round` keeps the chunk-interleaved protocol for callers
-        that want the pool to do the assignment.
-
-        Failure semantics match :meth:`run_round`: a crash or missed
-        deadline drains the surviving workers and raises a typed error,
-        leaving the pool healable.
+        and one receive per participating worker and no result remapping.
+        Failures surface as described in :meth:`_exchange`.
         """
-        self._ensure_open()
         if len(frames) != self.workers:
             raise ValueError(
                 f"expected {self.workers} frames, got {len(frames)}"
@@ -421,31 +401,30 @@ class ForkWorkerPool:
         t0 = trace.begin() if trace.enabled else 0
         frames = [list(f) for f in frames]
         active = [w for w in range(self.workers) if frames[w]]
-        self._send(active, frames)
-        deadline = (
-            None if self.timeout is None else time.monotonic() + self.timeout
-        )
-        results: List[List[Any]] = [[] for _ in range(self.workers)]
-        failure: BaseException | None = None
-        for pos, w in enumerate(active):
-            try:
-                status, *payload = self._recv(w, deadline)
-            except (WorkerCrashError, WorkerTimeoutError):
-                self._drain(active[pos + 1:], deadline)
-                raise
-            if status == "error":
-                exc, tb = payload
-                exc.add_note(f"worker {w} traceback:\n{tb}")
-                failure = self._prefer_failure(failure, exc)
-            else:
-                results[w] = payload[0]
+        replies, failure = self._exchange(active, frames)
         if failure is not None:
             raise failure
         if t0:
+            # One span per round: dispatch + barrier, the per-timestep
+            # cost METG probes pay on the process executors.
             trace.complete(
                 "pool.round", trace.CAT_DISPATCH, t0,
                 {"chunks": sum(len(f) for f in frames)},
             )
+        return [[] if reply is None else reply for reply in replies]
+
+    def run_round(self, chunks: Sequence[Any]) -> List[Any]:
+        """Execute ``chunks`` across the workers; a barrier — returns once
+        every chunk of the round completed, in input order.
+
+        The pool does the assignment (chunk ``k`` runs on worker
+        ``k % workers``); everything else is :meth:`run_assigned`.
+        """
+        n = self.workers
+        per_worker = self.run_assigned([chunks[w::n] for w in range(n)])
+        results: List[Any] = [None] * len(chunks)
+        for w, values in enumerate(per_worker):
+            results[w::n] = values
         return results
 
     def broadcast(self, func: Callable[..., Any], *args: Any) -> List[Optional[Any]]:
@@ -460,25 +439,9 @@ class ForkWorkerPool:
         the erroring workers) attached as ``partial_results`` — results
         never silently shift to different worker indices.
         """
-        self._ensure_open()
-        self._send(range(self.workers), [(func, args)] * self.workers)
-        deadline = (
-            None if self.timeout is None else time.monotonic() + self.timeout
+        out, failure = self._exchange(
+            range(self.workers), [(func, args)] * self.workers
         )
-        out: List[Optional[Any]] = [None] * self.workers
-        failure: BaseException | None = None
-        for w in range(self.workers):
-            try:
-                status, *payload = self._recv(w, deadline)
-            except (WorkerCrashError, WorkerTimeoutError):
-                self._drain(range(w + 1, self.workers), deadline)
-                raise
-            if status == "error":
-                exc, tb = payload
-                exc.add_note(f"worker {w} traceback:\n{tb}")
-                failure = self._prefer_failure(failure, exc)
-            else:
-                out[w] = payload[0]
         if failure is not None:
             failure.partial_results = out  # type: ignore[attr-defined]
             raise failure

@@ -33,7 +33,6 @@ from typing import Any, Callable, ClassVar, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..core import fastpath as _fastpath
 from ..core.executor_base import Executor
 from ..core.metrics import DataPlaneStats, FaultStats
 from ..core.task_graph import TaskGraph
@@ -140,6 +139,9 @@ class _PhasedProcessExecutor(Executor):
 
     #: Module-level chunk function the pool's workers run (set by subclass).
     chunk_fn: ClassVar[Callable[[Any], Any]]
+    #: ``_execute(graphs, validate)``: one run over the synced pool (defined
+    #: by subclass; ``execute_graphs`` wraps it in crash supervision).
+    _execute: Callable[[Sequence[TaskGraph], bool], None]
 
     def __init__(
         self,
@@ -292,9 +294,6 @@ class _PhasedProcessExecutor(Executor):
     def _recover(self) -> None:
         """Hook: release per-run resources after a supervised failure."""
 
-    def _execute(self, graphs: Sequence[TaskGraph], validate: bool) -> None:
-        raise NotImplementedError
-
 
 class ProcessPoolExecutor(_PhasedProcessExecutor):
     """Timestep-phased execution over a pool of forked workers."""
@@ -303,52 +302,8 @@ class ProcessPoolExecutor(_PhasedProcessExecutor):
     chunk_fn = staticmethod(_worker_chunk)
 
     def _execute(self, graphs: Sequence[TaskGraph], validate: bool) -> None:
-        if _fastpath.enabled():
-            self._execute_batched(graphs, validate)
-            return
-        store = OutputStore()
-        bytes_copied = 0
-        payloads_copied = 0
-        max_t = max(g.timesteps for g in graphs)
-        procs = self._sync_workers(graphs)
-        for t in range(max_t):
-            chunks = []
-            chunk_graphs = []
-            for g in graphs:
-                if t >= g.timesteps:
-                    continue
-                off = g.offset_at_timestep(t)
-                active = list(range(off, off + g.width_at_timestep(t)))
-                for cols in _split(active, self.workers):
-                    inputs = [store.gather(g, t, i) for i in cols]
-                    for bufs in inputs:
-                        for buf in bufs:
-                            bytes_copied += buf.nbytes
-                            payloads_copied += 1
-                    chunks.append((g.graph_index, t, cols, inputs, validate))
-                    chunk_graphs.append(g)
-            for g, results in zip(chunk_graphs, procs.run_round(chunks)):
-                gi = g.graph_index
-                for i, out in results:
-                    # Kernels ran in worker processes; their start/finish
-                    # are surfaced here, once the result has crossed back
-                    # — the earliest point the trace can order them.
-                    record_event(EV_START, (gi, t, i))
-                    record_event(EV_FINISH, (gi, t, i))
-                    bytes_copied += out.nbytes
-                    payloads_copied += 1
-                    store.put((gi, t, i), out, consumer_count(g, t, i))
-        self._drain_worker_traces(procs)
-        store.assert_drained()
-        self._data_plane = DataPlaneStats(
-            bytes_copied=bytes_copied, payloads_copied=payloads_copied
-        )
-
-    def _execute_batched(
-        self, graphs: Sequence[TaskGraph], validate: bool
-    ) -> None:
-        """Fast-path round dispatch: each worker's whole round is built as
-        one frame (all of its chunks across every graph), shipped with
+        """Round dispatch: each worker's whole round is built as one frame
+        (all of its chunks across every graph), shipped with
         :meth:`ForkWorkerPool.run_assigned` — one send and one receive per
         worker per timestep with no result remapping."""
         store = OutputStore()
@@ -377,6 +332,10 @@ class ProcessPoolExecutor(_PhasedProcessExecutor):
                 for g, results in zip(frame_graphs[w], frame_results):
                     gi = g.graph_index
                     for i, out in results:
+                        # Kernels ran in worker processes; their start/
+                        # finish are surfaced here, once the result has
+                        # crossed back — the earliest point the trace can
+                        # order them.
                         record_event(EV_START, (gi, t, i))
                         record_event(EV_FINISH, (gi, t, i))
                         bytes_copied += out.nbytes

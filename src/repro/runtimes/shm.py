@@ -1,8 +1,9 @@
 """Zero-copy process-pool executor over a shared-memory data plane.
 
-Structurally the twin of :mod:`repro.runtimes.processes` — the same
-timestep-phased chunking over a persistent fork-worker pool — but payloads
-never cross the process boundary.  The executor owns a
+The same timestep-phased column chunking over a persistent fork-worker pool
+as :mod:`repro.runtimes.processes`, but payloads never cross the process
+boundary and several timesteps are dispatched per round trip (a *window*,
+see :meth:`ShmProcessPoolExecutor._execute`).  The executor owns a
 :class:`~repro.core.bufpool.SharedMemorySlabPool`; every task output is
 written by its worker directly into a pooled slab slot, and dependencies
 are shipped to consumers as :class:`~repro.core.bufpool.PayloadRef`
@@ -19,7 +20,7 @@ Allocation protocol (single-owner, no cross-process locks):
   readers/writers of slots the parent handed them;
 * an output slot is acquired with one reference per consumer before its
   chunk is dispatched; consumers' references are dropped after the
-  timestep's barrier, when every worker read is provably complete;
+  window's barrier, when every worker read is provably complete;
 * slabs are pre-reserved *before* the pool forks, so workers inherit every
   segment mapping (late growth falls back to attach-by-name);
 * generation tags live in the shared segments themselves, so a worker
@@ -44,7 +45,6 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..core import fastpath as _fastpath
 from ..core.bufpool import (
     PayloadRef,
     SharedMemorySlabPool,
@@ -76,10 +76,6 @@ from .processes import (
 #: handles, per-column output handles, validate).
 _Chunk = Tuple[int, int, List[int], List[List[PayloadRef]], List[PayloadRef], bool]
 
-#: Window-frame tag: distinguishes a multi-timestep fast-path frame from a
-#: legacy chunk (whose first element is an int graph index).
-_WINDOW = "__window__"
-
 #: Barrier sentinel a worker publishes when its part of a window fails, so
 #: peers waiting on it abort within one poll instead of spinning forever.
 _ABORT = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -110,14 +106,6 @@ def _run_chunk(args: _Chunk) -> int:
         if t0:
             trace.complete("task", trace.CAT_KERNEL, t0, {"task": (gi, t, i)})
     return len(columns)
-
-
-def _shm_worker_chunk(args) -> int:
-    """Worker entry point: a legacy single-timestep chunk, or a fast-path
-    window frame (several timesteps separated by shared-memory barriers)."""
-    if args[0] == _WINDOW:
-        return _run_window(args)
-    return _run_chunk(args)
 
 
 #: Worker-side cache of attached barrier segments: name -> [segment, view].
@@ -204,7 +192,7 @@ def _await_peers(counters: np.ndarray, others, target: int) -> None:
 
 
 def _run_window(args) -> int:
-    """Execute one worker's share of a multi-timestep window.
+    """Worker entry point: execute one worker's share of a window.
 
     ``steps`` holds this worker's chunks for each timestep of the window.
     After each timestep the worker publishes its progress in the shared
@@ -212,7 +200,7 @@ def _run_window(args) -> int:
     timestep's inputs may be slots a *peer* just wrote.  Only the final
     timestep skips the wait — the reply to the parent is that barrier.
     """
-    _tag, name, my_w, participants, steps = args
+    name, my_w, participants, steps = args
     counters = _barrier_view(name)
     others = [(w, pid) for w, pid in participants if w != my_w]
     done = 0
@@ -245,7 +233,7 @@ class ShmProcessPoolExecutor(_PhasedProcessExecutor):
     """Timestep-phased multiprocessing with payloads in shared-memory slabs."""
 
     name = "shm_processes"
-    chunk_fn = staticmethod(_shm_worker_chunk)
+    chunk_fn = staticmethod(_run_window)
 
     def __init__(self, workers: int = 2, **kwargs) -> None:
         super().__init__(workers, **kwargs)
@@ -284,8 +272,8 @@ class ShmProcessPoolExecutor(_PhasedProcessExecutor):
         # Window-barrier segment: one uint64 progress counter per worker,
         # reset by the parent between windows (workers are quiescent then).
         # The parent only ever writes through short-lived views (see
-        # ``_execute_batched``) so the segment can close without a
-        # dangling buffer export.
+        # ``_execute``) so the segment can close without a dangling
+        # buffer export.
         # Not a payload buffer: 8 bytes of control plane per worker, so a
         # slab pool (slot refcounts, generation tags) would be pure
         # overhead here.
@@ -296,84 +284,27 @@ class ShmProcessPoolExecutor(_PhasedProcessExecutor):
         np.frombuffer(seg.buf, dtype="<u8")[:] = 0
         weakref.finalize(self, _unlink_barrier, seg)
 
-    def _execute(self, graphs: Sequence[TaskGraph], validate: bool) -> None:
-        # Window dispatch is off while a fault is armed: injected faults
-        # address (worker, round) under the one-round-per-timestep
-        # protocol, and the supervision contract they test — one wedged
-        # worker costs one probe — assumes rounds are independent, which
-        # barrier-coupled window peers are not.
-        if _fastpath.enabled() and self.fault is None:
-            self._execute_batched(graphs, validate)
-            return
-        store = OutputStore()
-        max_t = max(g.timesteps for g in graphs)
-        procs = self._sync_workers(graphs)
-        pool = self._buffers
-        assert pool is not None
-        stats_base = dataclasses.replace(pool.stats)
-        for t in range(max_t):
-            chunks: List[_Chunk] = []
-            chunk_graphs = []
-            for g in graphs:
-                if t >= g.timesteps:
-                    continue
-                off = g.offset_at_timestep(t)
-                active = list(range(off, off + g.width_at_timestep(t)))
-                for cols in _split(active, self.workers):
-                    in_refs = [store.gather(g, t, i) for i in cols]
-                    consumers = [consumer_count(g, t, i) for i in cols]
-                    out_refs = pool.acquire_batch(
-                        g.output_bytes_per_task,
-                        [max(c, 1) for c in consumers],
-                    )
-                    chunks.append(
-                        (g.graph_index, t, cols, in_refs, out_refs, validate)
-                    )
-                    chunk_graphs.append((g, consumers))
-            procs.run_round(chunks)
-            for (g, consumers), (_gi, _t, cols, in_refs, out_refs, _v) in zip(
-                chunk_graphs, chunks
-            ):
-                gi = g.graph_index
-                for i, out, ncons in zip(cols, out_refs, consumers):
-                    # Kernels ran in worker processes; their start/finish
-                    # are surfaced here, after the barrier — the earliest
-                    # point the trace can order them.
-                    record_event(EV_START, (gi, t, i))
-                    record_event(EV_FINISH, (gi, t, i))
-                    if ncons > 0:
-                        store.put((gi, t, i), out, ncons)
-                    else:
-                        pool.decref(out)
-                # Barrier passed: every worker read of this timestep's
-                # inputs is complete, so the consumers' references drop
-                # and fully-read slots recycle.
-                pool.decref_batch(ref for refs in in_refs for ref in refs)
-        self._drain_worker_traces(procs)
-        store.assert_drained()
-        if pool.live_slots:
-            raise RuntimeError(
-                f"data-plane leak: {pool.live_slots} slots still live after "
-                "the run drained"
-            )
-        self._data_plane = pool_data_plane(pool, base=stats_base)
-
     def _window_steps(self, graphs: Sequence[TaskGraph]) -> int:
         """Timesteps per dispatch window.
 
         Bounded by :data:`_WINDOW_MAX_BYTES` of live output slots (the
         parent can recycle nothing while workers are inside a window) and
-        :data:`_WINDOW_MAX_STEPS`.
+        :data:`_WINDOW_MAX_STEPS`.  One timestep while a fault is armed:
+        injected faults address (worker, round) with round = timestep, and
+        the supervision contract they test — one wedged worker costs one
+        probe — assumes rounds are independent, which barrier-coupled
+        window peers are not.  A one-step window has no mid-window barrier
+        wait, so each round is again one timestep.
         """
+        if self.fault is not None:
+            return 1
         per_step = sum(
             max(g.output_bytes_per_task, 1) * g.max_width for g in graphs
         )
         return max(1, min(_WINDOW_MAX_STEPS, _WINDOW_MAX_BYTES // per_step))
 
-    def _execute_batched(
-        self, graphs: Sequence[TaskGraph], validate: bool
-    ) -> None:
-        """Fast-path window dispatch: several timesteps per round trip.
+    def _execute(self, graphs: Sequence[TaskGraph], validate: bool) -> None:
+        """Window dispatch: several timesteps per round trip.
 
         Because every payload lives in a parent-assigned shared-memory
         slot, the whole schedule of a window — which slots each task reads
@@ -386,10 +317,7 @@ class ShmProcessPoolExecutor(_PhasedProcessExecutor):
         trip through the parent — two pickles, two pipe writes, and at
         least four scheduler wakeups — is paid once per window instead of
         once per timestep, which is most of the empty-kernel overhead gap
-        this executor had against the thread pool.
-
-        The legacy path (:meth:`_execute`) keeps the one-round-per-timestep
-        protocol and remains the ``TASKBENCH_FASTPATH=0`` reference.
+        a round per timestep leaves against the thread pool.
         """
         store = OutputStore()
         max_t = max(g.timesteps for g in graphs)
@@ -461,7 +389,7 @@ class ShmProcessPoolExecutor(_PhasedProcessExecutor):
             # so the segment keeps no parent-side buffer export.
             np.frombuffer(barrier_seg.buf, dtype="<u8")[:] = 0
             frames: List[List] = [
-                [(_WINDOW, barrier_seg.name, w, participants, steps[w])]
+                [(barrier_seg.name, w, participants, steps[w])]
                 if busy[w] else []
                 for w in range(nw)
             ]

@@ -13,7 +13,6 @@ import collections
 import threading
 from typing import Dict, List, Sequence, Tuple
 
-from ..core import fastpath as _fastpath
 from ..core.bufpool import HeapSlabPool
 from ..core.executor_base import Executor
 from ..core.metrics import DataPlaneStats
@@ -24,7 +23,6 @@ from ._common import (
     ScratchPool,
     TaskKey,
     pool_data_plane,
-    run_point,
     run_point_batch,
 )
 
@@ -53,53 +51,26 @@ class DependencyCountingScheduler:
                     else:
                         pending[(gi, t, off + k)] = ndeps
 
-    def next_task(self) -> TaskKey | None:
-        """Block until a task is ready; ``None`` when the DAG is complete.
-
-        The wait is purely event-driven: every state change (``complete``
-        enqueueing ready tasks or retiring the last one, ``fail`` recording
-        an error) broadcasts on ``ready_cv``, so idle workers wake and exit
-        promptly on failure instead of relying on a polling timeout or
-        daemon-thread teardown."""
-        with self.ready_cv:
-            while True:
-                if self.error is not None:
-                    raise self.error
-                if self.ready:
-                    return self.ready.popleft()
-                if self.remaining == 0:
-                    return None
-                self.ready_cv.wait()
-
-    def complete(self, g: TaskGraph, t: int, i: int) -> None:
-        """Record completion and release any newly-ready consumers."""
-        with self.ready_cv:
-            self.remaining -= 1
-            for j in g.reverse_dependency_points(t, i):
-                key = (g.graph_index, t + 1, j)
-                left = self.pending[key] - 1
-                if left == 0:
-                    del self.pending[key]
-                    self.ready.append(key)
-                else:
-                    self.pending[key] = left
-            self.ready_cv.notify_all()
-
-    # -- fast-path batched variants ------------------------------------
     #: Cap on tasks claimed per lock acquisition: bounds the scheduling
     #: latency a slow batch can impose on newly-ready consumers.
     MAX_CLAIM = 8
 
     def next_batch(self, share: int) -> List[TaskKey] | None:
-        """Claim up to ``1/share`` of the ready queue in one lock
-        acquisition (at least one task); ``None`` when the DAG is done.
+        """Block until tasks are ready and claim up to ``1/share`` of the
+        ready queue in one lock acquisition (at least one task); ``None``
+        when the DAG is complete.
 
-        The fast-path worker loop uses this instead of :meth:`next_task`
-        to amortize the lock/condition overhead over several tasks — the
-        thread-pool analogue of the fork pool's batched round dispatch.
-        Claiming only a share of the queue keeps the remainder available
-        to other workers, so parallelism is preserved whenever the ready
-        set is wider than the pool.
+        Claiming several tasks amortizes the lock/condition overhead — the
+        thread-pool analogue of the fork pool's batched round dispatch —
+        while claiming only a share of the queue keeps the remainder
+        available to other workers, so parallelism is preserved whenever
+        the ready set is wider than the pool.
+
+        The wait is purely event-driven: every state change that can
+        unblock a worker (``complete_batch`` enqueueing ready tasks or
+        retiring the last one, ``fail`` recording an error) signals
+        ``ready_cv``, so idle workers wake and exit promptly on failure
+        instead of relying on a polling timeout or daemon-thread teardown.
         """
         with self.ready_cv:
             while True:
@@ -175,44 +146,26 @@ class ThreadPoolTaskExecutor(Executor):
         # recycle across timesteps instead of being reallocated per task.
         buffers = HeapSlabPool()
 
-        use_batches = _fastpath.enabled()
         share = self.workers
+        graphs_by_index = sched.graphs
 
         def worker() -> None:
+            # Claim/retire several ready tasks per lock acquisition, fuse
+            # the batch's data-plane lock traffic (run_point_batch), and let
+            # complete_batch wake only as many workers as tasks became ready.
             try:
-                if use_batches:
-                    # Fast path: claim/retire several ready tasks per lock
-                    # acquisition instead of one, fuse the batch's data-plane
-                    # lock traffic (run_point_batch), and let complete_batch
-                    # wake only as many workers as tasks became ready.  The
-                    # legacy one-task loop below stays the reference
-                    # implementation.
-                    graphs_by_index = sched.graphs
-                    while True:
-                        t0 = trace.begin() if trace.enabled else 0
-                        keys = sched.next_batch(share)
-                        if t0:
-                            trace.complete("sched.wait", trace.CAT_SCHED, t0)
-                        if keys is None:
-                            return
-                        done = run_point_batch(
-                            store, scratch, graphs_by_index, keys,
-                            validate=validate, pool=buffers,
-                        )
-                        sched.complete_batch(done)
-                    return
                 while True:
                     t0 = trace.begin() if trace.enabled else 0
-                    key = sched.next_task()
+                    keys = sched.next_batch(share)
                     if t0:
                         trace.complete("sched.wait", trace.CAT_SCHED, t0)
-                    if key is None:
+                    if keys is None:
                         return
-                    gi, t, i = key
-                    g = sched.graphs[gi]
-                    run_point(store, scratch, g, t, i, validate=validate,
-                              pool=buffers)
-                    sched.complete(g, t, i)
+                    done = run_point_batch(
+                        store, scratch, graphs_by_index, keys,
+                        validate=validate, pool=buffers,
+                    )
+                    sched.complete_batch(done)
             except BaseException as exc:  # noqa: BLE001 - propagated below
                 sched.fail(exc)
 

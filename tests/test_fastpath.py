@@ -1,15 +1,18 @@
-"""Differential tests for the fast path (:mod:`repro.core.fastpath`).
+"""Tests of the compiled hot path (:mod:`repro.core.fastpath` and friends).
 
-The fast path must be *invisible* except in speed: every compiled
-dependence-table query must agree bit-exactly with the original
-:class:`~repro.core.dependence.DependenceSpec` interval math, the memoized
-validation patterns must equal the original cached-bytes patterns, and the
-batched wire framing must deliver exactly what per-message framing would.
-These tests pin that equivalence across every dependence pattern, plus the
-two satellite regressions (put-time consumer counts, kernel buffer reuse).
+Compilation must be *invisible* except in speed: every dependence-table
+query must agree bit-exactly with the :class:`~repro.core.dependence.
+DependenceSpec` interval math it was compiled from (the oracle here), the
+memoized validation patterns must equal the tiled-header bytes, bulk
+validation must reject exactly what a per-input walk would, and the batched
+wire framing must deliver exactly what per-message framing would.  Plus the
+regressions: put-time consumer counts, kernel buffer reuse, and front-cache
+eviction under concurrent lookups.
 """
 
 import pickle
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,29 +26,17 @@ from repro.core.dependence import DependenceSpec, count_points
 from repro.core.fastpath import DependenceTable, table_for
 from repro.core.kernels import execute_kernel_compute, execute_kernel_compute2
 from repro.core.validation import (
+    _BULK_BYTES,
     ValidationError,
+    _expected_array,
     _output_bytes,
     expected_inputs,
     task_output,
     validate_inputs,
     write_task_output,
 )
+from repro.runtimes import make_executor
 from repro.runtimes._common import consumer_count
-
-
-@pytest.fixture
-def fastpath_off():
-    prev = fastpath.set_enabled(False)
-    yield
-    fastpath.set_enabled(prev)
-
-
-def _with_fastpath(flag, fn, *args, **kwargs):
-    prev = fastpath.set_enabled(flag)
-    try:
-        return fn(*args, **kwargs)
-    finally:
-        fastpath.set_enabled(prev)
 
 
 specs = st.builds(
@@ -65,6 +56,19 @@ def _all_points(s):
         off = s.offset_at_timestep(t)
         for i in range(off, off + s.width_at_timestep(t)):
             yield t, i
+
+
+def _graph_of(s, **kwargs):
+    return TaskGraph(
+        timesteps=s.height,
+        max_width=s.width,
+        dependence=s.dtype,
+        radix=s.radix,
+        period=s.period,
+        fraction_connected=s.fraction,
+        seed=s.seed,
+        **kwargs,
+    )
 
 
 class TestDependenceTableEquivalence:
@@ -97,27 +101,27 @@ class TestDependenceTableEquivalence:
 
     @settings(max_examples=30, deadline=None)
     @given(specs)
-    def test_taskgraph_delegation_matches_both_modes(self, s):
-        """TaskGraph's dependence API gives identical answers with the
-        fast path on and off."""
-        g = TaskGraph(
-            timesteps=s.height,
-            max_width=s.width,
-            dependence=s.dtype,
-            radix=s.radix,
-            period=s.period,
-            fraction_connected=s.fraction,
-            seed=s.seed,
-        )
-        for t, i in _all_points(g.spec):
-            for name in ("dependencies", "reverse_dependencies",
-                         "num_dependencies"):
-                fast = _with_fastpath(True, getattr(g, name), t, i)
-                slow = _with_fastpath(False, getattr(g, name), t, i)
-                assert fast == slow, (name, t, i)
-            assert _with_fastpath(
-                True, lambda: list(g.dependency_points(t, i))
-            ) == _with_fastpath(False, lambda: list(g.dependency_points(t, i)))
+    def test_taskgraph_delegation_matches_spec(self, s):
+        """Every TaskGraph dependence query (all served from the table)
+        gives the answer the spec's interval math gives."""
+        g = _graph_of(s)
+        o = g.spec
+        for t, i in _all_points(o):
+            assert g.dependencies(t, i) == o.dependencies(t, i)
+            assert g.reverse_dependencies(t, i) == o.reverse_dependencies(t, i)
+            assert g.num_dependencies(t, i) == o.num_dependencies(t, i)
+            deps = list(o.dependency_points(t, i))
+            rdeps = list(o.reverse_dependency_points(t, i))
+            assert list(g.dependency_points(t, i)) == deps
+            assert g.dependency_columns(t, i) == tuple(deps)
+            assert list(g.reverse_dependency_points(t, i)) == rdeps
+            assert g.reverse_dependency_columns(t, i) == tuple(rdeps)
+        for t in range(o.height):
+            off = o.offset_at_timestep(t)
+            assert g.dependency_count_row(t) == (off, [
+                o.num_dependencies(t, i)
+                for i in range(off, off + o.width_at_timestep(t))
+            ])
 
     def test_out_of_range_point_raises_like_spec(self):
         s = DependenceSpec(DependenceType.TREE, 8, 4)
@@ -169,27 +173,25 @@ class TestValidationEquivalence:
         st.sampled_from([1, 5, 16, 31, 32, 33, 64, 100, 4096]),
     )
     def test_memoized_pattern_equals_cached_bytes(self, seed, gi, t, i, nbytes):
-        """The stamped-template array is byte-identical to the original
-        tiled-header bytes for any (seed, graph, task, size)."""
-        from repro.core.validation import _expected_array
-
+        """The stamped-template array is byte-identical to the tiled-header
+        bytes for any (seed, graph, task, size)."""
         assert (_expected_array(seed, gi, t, i, nbytes).tobytes()
                 == _output_bytes(seed, gi, t, i, nbytes))
 
     def test_task_output_identical_in_both_modes(self):
+        """The allocating (``task_output``) and in-place
+        (``write_task_output``) modes produce the same bytes: the tiled
+        header of ``_output_bytes``."""
         g = TaskGraph(timesteps=5, max_width=4,
                       dependence=DependenceType.STENCIL_1D,
                       output_bytes_per_task=40, seed=99)
         for t in range(5):
             for i in range(4):
-                fast = _with_fastpath(True, task_output, g, t, i)
-                slow = _with_fastpath(False, task_output, g, t, i)
-                assert fast.tobytes() == slow.tobytes()
-                dest_f = np.zeros(40, dtype=np.uint8)
-                dest_s = np.zeros(40, dtype=np.uint8)
-                _with_fastpath(True, write_task_output, g, t, i, dest_f)
-                _with_fastpath(False, write_task_output, g, t, i, dest_s)
-                assert dest_f.tobytes() == dest_s.tobytes() == fast.tobytes()
+                want = _output_bytes(g.seed, g.graph_index, t, i, 40)
+                assert task_output(g, t, i).tobytes() == want
+                dest = np.zeros(40, dtype=np.uint8)
+                write_task_output(g, t, i, dest)
+                assert dest.tobytes() == want
 
     def test_task_output_returns_fresh_mutable_array(self):
         g = TaskGraph(timesteps=3, max_width=2,
@@ -199,42 +201,47 @@ class TestValidationEquivalence:
         a[:] = 0  # must not poison the cache
         assert task_output(g, 1, 0).tobytes() != a.tobytes()
 
+    # (2, 3) of a width-6 stencil has three inputs: 64 B each stays under
+    # _BULK_BYTES (one memcmp), 64 KiB each goes over it (per-input walk).
+    SIZES = [64, _BULK_BYTES]
+
+    def _graph(self, nbytes):
+        return TaskGraph(timesteps=4, max_width=6,
+                         dependence=DependenceType.STENCIL_1D,
+                         output_bytes_per_task=nbytes)
+
     @pytest.mark.parametrize("bulk", [True, False])
     def test_validate_inputs_accepts_and_pinpoints(self, bulk):
-        nbytes = 64 if bulk else (1 << 16)  # force bulk vs per-input path
-        g = TaskGraph(timesteps=4, max_width=6,
-                      dependence=DependenceType.STENCIL_1D,
-                      output_bytes_per_task=nbytes)
+        nbytes = self.SIZES[0 if bulk else 1]
+        g = self._graph(nbytes)
         inputs = expected_inputs(g, 2, 3)
+        assert (nbytes * len(inputs) <= _BULK_BYTES) == bulk
         validate_inputs(g, 2, 3, inputs)
-        inputs[1][nbytes // 2] ^= 0xFF
-        with pytest.raises(ValidationError) as exc:
+        inputs[1][nbytes // 2] ^= 0xFF  # one flipped byte
+        with pytest.raises(ValidationError, match="slot 1"):
             validate_inputs(g, 2, 3, inputs)
-        assert "slot 1" in str(exc.value)
 
     def test_validate_inputs_wrong_count_and_size(self):
-        g = TaskGraph(timesteps=4, max_width=6,
-                      dependence=DependenceType.STENCIL_1D,
-                      output_bytes_per_task=16)
-        with pytest.raises(ValidationError):
-            validate_inputs(g, 2, 3, expected_inputs(g, 2, 3)[:-1])
-        bad = expected_inputs(g, 2, 3)
-        bad[0] = np.zeros(7, dtype=np.uint8)
-        with pytest.raises(ValidationError):
-            validate_inputs(g, 2, 3, bad)
+        for nbytes in self.SIZES:
+            g = self._graph(nbytes)
+            with pytest.raises(ValidationError, match="expected 3 inputs"):
+                validate_inputs(g, 2, 3, expected_inputs(g, 2, 3)[:-1])
+            bad = expected_inputs(g, 2, 3)
+            bad[2] = np.zeros(7, dtype=np.uint8)
+            with pytest.raises(ValidationError, match="slot 2.*wrong size 7"):
+                validate_inputs(g, 2, 3, bad)
 
-    def test_fast_and_slow_agree_on_stale_timestep_input(self, fastpath_off):
+    def test_stale_timestep_input_rejected_naming_slot(self):
         """A stale buffer (right producer column, wrong timestep) is
-        rejected identically by both paths."""
-        g = TaskGraph(timesteps=5, max_width=4,
-                      dependence=DependenceType.STENCIL_1D,
-                      output_bytes_per_task=32)
-        stale = expected_inputs(g, 1, 1)  # outputs of timestep 0
-        with pytest.raises(ValidationError):
-            validate_inputs(g, 2, 1, stale)  # slow path
-        fastpath.set_enabled(True)
-        with pytest.raises(ValidationError):
-            validate_inputs(g, 2, 1, stale)  # fast path
+        rejected, and the error names the slot and what the buffer is."""
+        for nbytes in self.SIZES:
+            g = self._graph(nbytes)
+            stale = expected_inputs(g, 1, 1)  # outputs of timestep 0
+            with pytest.raises(ValidationError) as exc:
+                validate_inputs(g, 2, 1, stale)
+            msg = str(exc.value)
+            assert "slot 0 should be the output of (t=1, i=0)" in msg
+            assert "is the output of graph 0 task (t=0, i=0)" in msg
 
 
 class TestConsumerCountRegression:
@@ -242,21 +249,55 @@ class TestConsumerCountRegression:
     @given(specs)
     def test_put_time_count_matches_graph_level(self, s):
         """The count used by OutputStore.put / slab acquisition (via
-        ``consumer_count``) equals the graph-level reverse-dependence count
-        in both modes — the PR's satellite bugfix pin."""
-        g = TaskGraph(
-            timesteps=s.height,
-            max_width=s.width,
-            dependence=s.dtype,
-            radix=s.radix,
-            period=s.period,
-            fraction_connected=s.fraction,
-            seed=s.seed,
-        )
+        ``consumer_count``) equals the spec's reverse-dependence count."""
+        g = _graph_of(s)
         for t, i in _all_points(g.spec):
             truth = count_points(g.spec.reverse_dependencies(t, i))
-            assert _with_fastpath(True, consumer_count, g, t, i) == truth
-            assert _with_fastpath(False, consumer_count, g, t, i) == truth
+            assert consumer_count(g, t, i) == truth
+            assert g.consumer_count(t, i) == truth
+
+
+class TestFrontCacheEviction:
+    """Graphs taller than ``_MAX_SETS`` timesteps evict from the
+    timestep-keyed front caches; insert + evict must be atomic."""
+
+    def test_concurrent_lookups_over_tall_spec(self):
+        s = DependenceSpec(DependenceType.STENCIL_1D, 8, 3000)
+        table = DependenceTable(s)
+        errors = []
+
+        def hammer(start):
+            try:
+                for _ in range(2):
+                    for t in range(start, s.height - 1):
+                        assert table.dependency_columns(t, 3) == (2, 3, 4)
+                        assert table.consumer_count(t, 3) == 3
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(1 + k,))
+                       for k in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors, errors
+        assert len(table._fwd_t) <= fastpath._MAX_SETS
+        assert len(table._rev_t) <= fastpath._MAX_SETS
+
+    def test_threads_run_taller_than_front_cache(self):
+        g = TaskGraph(timesteps=1500, max_width=8,
+                      dependence=DependenceType.STENCIL_1D,
+                      output_bytes_per_task=16)
+        ex = make_executor("threads", workers=2)
+        for _ in range(3):
+            assert ex.run([g], validate=True).total_tasks == 1500 * 8
 
 
 class TestKernelBufferReuse:
@@ -337,49 +378,15 @@ class TestStatsSurface:
     def test_fastpath_counters_fold_into_data_plane(self):
         """An instrumented executor's report gains the fastpath line; the
         serial executor stays 'not instrumented' (see test_cli)."""
-        from repro.runtimes import make_executor
-
-        def body():
-            fastpath.reset_counters()
-            ex = make_executor("threads", workers=2)
-            try:
-                # A seed no other test uses: the table cache is keyed by
-                # spec value, so a shared shape could be compiled before
-                # the reset above and leave this run with zero compiles.
-                g = TaskGraph(timesteps=10, max_width=4,
-                              dependence=DependenceType.STENCIL_1D,
-                              output_bytes_per_task=16, seed=0xFA57)
-                return ex.run([g])
-            finally:
-                getattr(ex, "close", lambda: None)()
-
-        result = _with_fastpath(True, body)
-        stats = result.data_plane
+        fastpath.reset_counters()
+        # A seed no other test uses: the table cache is keyed by spec
+        # value, so a shared shape could be compiled before the reset
+        # above and leave this run with zero compiles.
+        g = TaskGraph(timesteps=10, max_width=4,
+                      dependence=DependenceType.STENCIL_1D,
+                      output_bytes_per_task=16, seed=0xFA57)
+        stats = make_executor("threads", workers=2).run([g]).data_plane
         assert stats is not None
         assert stats.fastpath_hits > 0
         assert stats.fastpath_compiles >= 1
         assert any("Fastpath" in line for line in stats.report_lines())
-
-
-class TestModeParity:
-    @pytest.mark.parametrize("runtime", ["serial", "threads", "futures"])
-    def test_executors_produce_identical_results_off_and_on(self, runtime):
-        """End-to-end differential: same graph, both modes, validated runs
-        succeed and agree on the accounting."""
-        from repro.runtimes import make_executor
-
-        def run(flag):
-            def body():
-                ex = make_executor(runtime, workers=2)
-                try:
-                    g = TaskGraph(timesteps=8, max_width=4,
-                                  dependence=DependenceType.FFT,
-                                  output_bytes_per_task=24)
-                    return ex.run([g], validate=True)
-                finally:
-                    getattr(ex, "close", lambda: None)()
-            return _with_fastpath(flag, body)
-
-        fast, slow = run(True), run(False)
-        assert fast.total_tasks == slow.total_tasks
-        assert fast.total_dependencies == slow.total_dependencies

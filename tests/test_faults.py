@@ -15,10 +15,12 @@ hanging or aborting the whole benchmark:
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import signal
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import DependenceType, Kernel, KernelType, TaskGraph
@@ -33,11 +35,13 @@ from repro.faults import FaultSpec, apply_fault, parse_fault
 from repro.metg.efficiency import measure
 from repro.metg.runners import RealRunner
 from repro.runtimes import make_executor
+from repro.runtimes._common import TraceRecorder, capturing_outputs, tracing
 from repro.runtimes._procpool import (
     ForkWorkerPool,
     WorkerCrashError,
     WorkerTimeoutError,
 )
+from repro.runtimes.shm import _ABORT, WindowAbortError, _await_peers
 
 PROCESS_RUNTIMES = ["processes", "shm_processes"]
 
@@ -272,6 +276,72 @@ def test_shm_crash_releases_slots_and_orphans_nothing():
         ex.close()
     for name in segments:
         assert not os.path.exists(f"/dev/shm/{name}")  # unlinked on close
+
+
+class TestWindowAbort:
+    """Failure path of the shm window barrier: a worker waiting on its
+    peers must abort — as a *bystander* — when one of them fails."""
+
+    def test_returns_once_every_peer_reached_target(self):
+        counters = np.array([0, 2, 3], dtype=np.uint64)
+        _await_peers(counters, [(1, os.getpid()), (2, os.getpid())], 2)
+
+    def test_peer_that_published_abort(self):
+        counters = np.zeros(2, dtype=np.uint64)
+        counters[1] = _ABORT
+        with pytest.raises(WindowAbortError, match="aborted by peer worker 1") as exc:
+            _await_peers(counters, [(1, os.getpid())], 1)
+        assert exc.value.secondary_error
+
+    def test_peer_whose_pid_is_dead(self):
+        child = mp.get_context("fork").Process(target=os._exit, args=(0,))
+        child.start()
+        child.join(timeout=HANG_BOUND)
+        assert not child.is_alive()  # reaped: the pid no longer exists
+        counters = np.zeros(2, dtype=np.uint64)
+        start = time.monotonic()
+        with pytest.raises(WindowAbortError, match=f"pid {child.pid}.*died") as exc:
+            _await_peers(counters, [(1, child.pid)], 1)
+        assert exc.value.secondary_error
+        assert time.monotonic() - start < HANG_BOUND
+
+    def test_pool_prefers_primary_error_over_bystander(self):
+        pick = ForkWorkerPool._prefer_failure
+        bystander = WindowAbortError("window aborted by peer worker 1")
+        primary = ValueError("root cause")
+        assert pick(None, bystander) is bystander
+        assert pick(bystander, primary) is primary  # later worker, real error
+        assert pick(primary, bystander) is primary
+        assert pick(primary, ValueError("second")) is primary  # first wins
+
+
+def test_shm_one_step_and_full_windows_capture_identical_outputs(monkeypatch):
+    """A fault-armed shm executor runs one-timestep windows (round =
+    timestep), an unarmed one up to 32 timesteps per window; both must
+    publish byte-identical outputs and the same program-order event
+    stream (what ``--audit`` replays)."""
+    monkeypatch.delenv("TASKBENCH_INJECT_FAULT", raising=False)
+    g = _graph(nbytes=48, timesteps=40, max_width=6)
+    captured, events = {}, {}
+    for label, fault, window in [
+        ("armed", parse_fault("delay:0:2:0.05"), 1),
+        ("unarmed", None, 32),
+    ]:
+        ex = make_executor("shm_processes", workers=2, timeout=30.0, fault=fault)
+        try:
+            assert ex._window_steps([g]) == window
+            with capturing_outputs() as sink, tracing(TraceRecorder()) as rec:
+                assert ex.run([g]).validated
+            captured[label] = dict(sink)
+            events[label] = [(e.kind, e.task, e.source) for e in rec.events]
+        finally:
+            ex.close()
+    assert len(captured["unarmed"]) == 39 * 6  # last timestep has no readers
+    assert captured["armed"] == captured["unarmed"]
+    assert events["armed"] == events["unarmed"]
+    # Program order: timesteps never interleave in the surfaced stream.
+    steps = [task[1] for _kind, task, _source in events["unarmed"]]
+    assert steps == sorted(steps)
 
 
 def test_graph_cache_replay_after_crash():

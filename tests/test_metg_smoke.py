@@ -3,9 +3,8 @@
 The acceptance guard for :mod:`repro.runtimes.shm`: on a small fixed
 scenario, ``shm_processes`` METG must stay within 2x of ``processes`` METG
 (the tolerance absorbs host noise; the benchmark in
-``benchmarks/bench_shm_dataplane.py`` measures the actual win).  The A/B
-numbers are recorded next to the benchmark's results in
-``benchmarks/results/shm_dataplane.json`` so CI archives both together.
+``benchmarks/bench_shm_dataplane.py`` measures the actual win).  The
+assertion is the test: nothing is written to the tree.
 
 Single worker on purpose: CI containers expose one core, and a two-worker
 process pool cannot reach 50% efficiency against a one-core calibrated
@@ -14,19 +13,12 @@ peak.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
 from repro.metg import RealRunner, compute_workload, metg
 from repro.runtimes import make_executor
 
 pytestmark = pytest.mark.slow
-
-RESULTS_PATH = (
-    Path(__file__).resolve().parents[1] / "benchmarks" / "results" / "shm_dataplane.json"
-)
 
 #: Small fixed scenario: payload large enough that the data plane matters.
 WIDTH = 4
@@ -59,33 +51,10 @@ def _metg_seconds(runtime: str) -> float:
         ex.close()
 
 
-def _record(base: float, shm: float, ratio: float) -> None:
-    data = {}
-    if RESULTS_PATH.exists():
-        data = json.loads(RESULTS_PATH.read_text())
-    data["metg_smoke"] = {
-        "scenario": {
-            "dependence": "stencil_1d",
-            "max_width": WIDTH,
-            "timesteps": STEPS,
-            "output_bytes_per_task": OUTPUT_BYTES,
-            "seed": SEED,
-            "workers": 1,
-        },
-        "processes_metg_seconds": base,
-        "shm_processes_metg_seconds": shm,
-        "shm_over_processes_ratio": ratio,
-        "max_allowed_ratio": MAX_RATIO,
-    }
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def test_shm_metg_within_tolerance_of_processes():
     base = _metg_seconds("processes")
     shm = _metg_seconds("shm_processes")
     ratio = shm / base
-    _record(base, shm, ratio)
     assert ratio <= MAX_RATIO, (
         f"shm_processes METG {shm * 1e6:.0f}us is {ratio:.2f}x processes "
         f"METG {base * 1e6:.0f}us (limit {MAX_RATIO}x) — the zero-copy "
