@@ -7,8 +7,9 @@ invariants statically, without importing the modules:
 * ``api-missing-member``: every ``Executor`` subclass must define ``name``,
   ``cores``, and ``execute_graphs``.
 * ``api-kernel-bypass``: kernels run only through ``run_point`` /
-  ``execute_point``; calling ``kernel.execute`` or an ``execute_kernel_*``
-  function directly would skip input validation and trace hooks.
+  ``execute_point`` / ``execute_row``; calling ``kernel.execute`` or an
+  ``execute_kernel_*`` function directly would skip input validation and
+  trace hooks.
 * ``api-timing``: no wall-clock calls inside executor code — the timing
   contract lives in ``Executor.run``, which times ``execute_graphs`` from
   the outside.  Waivable per line with ``# check: allow[timing]`` for
@@ -110,6 +111,11 @@ _POOLISH = ("pool", "buf", "slab")
 
 #: Pool-handle release calls that balance an ``acquire``.
 _RELEASE_METHODS = {"decref", "decref_batch", "close"}
+
+_KERNEL_BYPASS_HINT = (
+    "call graph.execute_point, graph.execute_row for a column block, or "
+    "_common.run_point instead"
+)
 
 
 def _call_name(func: ast.expr) -> str:
@@ -275,10 +281,10 @@ class _FileLinter:
                 error(
                     "api-kernel-bypass",
                     f"direct call to {name}(); kernels must run via "
-                    "run_point/execute_point so inputs are validated and "
-                    "events traced",
+                    "run_point/execute_point/execute_row so inputs are "
+                    "validated and events traced",
                     self._loc(call),
-                    "call graph.execute_point (or _common.run_point) instead",
+                    _KERNEL_BYPASS_HINT,
                 )
             )
         elif name == "execute" and isinstance(call.func, ast.Attribute):
@@ -288,10 +294,9 @@ class _FileLinter:
                     error(
                         "api-kernel-bypass",
                         f"direct call to {'.'.join(chain)}(); kernels must "
-                        "run via run_point/execute_point",
+                        "run via run_point/execute_point/execute_row",
                         self._loc(call),
-                        "call graph.execute_point (or _common.run_point) "
-                        "instead",
+                        _KERNEL_BYPASS_HINT,
                     )
                 )
 

@@ -43,7 +43,6 @@ from ..runtimes._common import (
     TaskKey,
     TraceEvent,
     TraceRecorder,
-    consumer_count,
     tracing,
 )
 
@@ -249,7 +248,7 @@ def audit_trace(
                         "publish only after execute_point returns",
                     )
                 )
-            if consumer_count(g, t, i) > 0 and not rec.publish_seqs:
+            if g.consumer_count(t, i) > 0 and not rec.publish_seqs:
                 out.append(
                     error(
                         "hb-missing-publish",

@@ -4,9 +4,9 @@ Each rank process owns a block of columns (the same MPI-style block
 partitioning as :mod:`repro.runtimes.p2p`) and advances timestep by
 timestep: claim the inputs its tasks need — same-rank inputs from a local
 refcounted store, remote inputs via blocking tagged receives — execute
-each task through ``TaskGraph.execute_point`` with **full input
-validation**, then deliver the output: one refcounted local copy for
-same-rank consumers and exactly one wire message per remote consumer
+its whole block of the row through ``TaskGraph.execute_row`` with **full
+input validation**, then deliver each output: one refcounted local copy
+for same-rank consumers and exactly one wire message per remote consumer
 rank.
 
 The rank talks to the launcher over a control pipe::
@@ -187,12 +187,25 @@ class RankDriver:
                 if t >= g.timesteps:
                     continue
                 off = g.offset_at_timestep(t)
-                for i in range(off, off + g.width_at_timestep(t)):
-                    if block_owner(i, g.max_width, self.nranks) != self.rank:
-                        continue
-                    self._run_task(
-                        g, t, i, epoch, local, remote, captured, outbatch,
-                        validate=validate, capture=capture,
+                owned = [
+                    i for i in range(off, off + g.width_at_timestep(t))
+                    if block_owner(i, g.max_width, self.nranks) == self.rank
+                ]
+                if not owned:
+                    continue
+                # Block partitioning: the owned columns are contiguous, so
+                # they run as one row block.
+                outputs = g.execute_row(
+                    t, owned[0], owned[-1] + 1,
+                    self._gather(g, t, owned, epoch, local, remote),
+                    scratch=[self._scratch_for(g, i) for i in owned]
+                    if g.scratch_bytes_per_task else None,
+                    validate=validate,
+                )
+                for i, out in zip(owned, outputs):
+                    self._deliver(
+                        g, t, i, epoch, out, local, captured, outbatch,
+                        capture=capture,
                     )
             for dest, items in outbatch.items():
                 self.endpoint.post_batch(dest, epoch, items)
@@ -207,39 +220,30 @@ class RankDriver:
             )
         return captured
 
-    def _run_task(
+    def _gather(
         self,
         g: TaskGraph,
         t: int,
-        i: int,
+        owned: Sequence[int],
         epoch: int,
         local: _RefStore,
         remote: _RefStore,
-        captured: Dict[Key, bytes],
-        outbatch: Outbatch,
-        *,
-        validate: bool,
-        capture: bool,
-    ) -> None:
+    ) -> List[np.ndarray]:
+        """The inputs of the ``owned`` tasks of row ``t`` laid end to end,
+        each task's in canonical order: same-rank producers from the
+        ``local`` store, the rest claimed off the wire."""
         inputs: List[np.ndarray] = []
-        if t > 0:
-            for j in g.dependency_points(t, i):
-                key = (g.graph_index, t - 1, j)
+        if t == 0:
+            return inputs
+        gi = g.graph_index
+        for i in owned:
+            for j in g.dependency_columns(t, i):
+                key = (gi, t - 1, j)
                 if block_owner(j, g.max_width, self.nranks) == self.rank:
                     inputs.append(local.take(key))
                 else:
                     inputs.append(self._claim_remote(g, epoch, key, remote))
-        t0 = trace.begin() if trace.enabled else 0
-        out = g.execute_point(
-            t, i, inputs, scratch=self._scratch_for(g, i), validate=validate
-        )
-        if t0:
-            trace.complete(
-                "task", trace.CAT_KERNEL, t0, {"task": (g.graph_index, t, i)}
-            )
-        self._deliver(
-            g, t, i, epoch, out, local, captured, outbatch, capture=capture
-        )
+        return inputs
 
     def _claim_remote(
         self, g: TaskGraph, epoch: int, key: Key, remote: _RefStore

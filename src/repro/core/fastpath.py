@@ -30,6 +30,15 @@ Subsequent queries for any ``(t, i)`` are O(1) dictionary + array lookups;
 flattened column tuples are materialized lazily per (set id, column) and
 shared by every timestep in the equivalence class.
 
+On top of the two relations sits the :class:`RowPlan`: everything an
+executor that owns a contiguous column block needs to run a whole timestep
+row — the row's window, every task's dependency columns and their CSR
+flattening, and both sides of the reference count (reads of the previous
+row, consumers in the next) — compiled once per distinct (forward, reverse)
+structure pair and front-cached by timestep like the relations themselves.
+:meth:`TaskGraph.execute_row` runs a block of a row from it with one input
+count check, one bulk comparison and one output stamp.
+
 Every :class:`~repro.core.task_graph.TaskGraph` dependence query is served
 from its table; :mod:`repro.core.dependence` is what tables are compiled
 *from* and the oracle the property tests compare them against.  The
@@ -49,7 +58,7 @@ from __future__ import annotations
 
 import threading
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -57,6 +66,7 @@ from .dependence import DependenceSpec, Interval, count_points
 
 __all__ = [
     "DependenceTable",
+    "RowPlan",
     "table_for",
     "counters",
     "reset_counters",
@@ -142,6 +152,69 @@ def _compile_rel(spec: DependenceSpec, t: int, *, reverse: bool) -> _Rel:
     return _Rel(off, width, starts, los_a, his_a, counts, ivals)
 
 
+class RowPlan:
+    """One timestep row, compiled: what a block-owning executor needs to
+    gather, validate, run and publish every task of the row at once.
+
+    ``off``/``width``
+        the row's active window.
+    ``deps[k]``
+        ascending columns at ``t - 1`` read by local column ``k`` (the
+        tuples of :meth:`DependenceTable.dependency_columns`).
+    ``flat`` / ``starts``
+        CSR flattening of ``deps``: the inputs of local columns ``[a, b)``
+        are ``flat[starts[a]:starts[b]]``.  ``flat`` holds positions *in the
+        previous row* (column minus that row's offset), so a previous row
+        kept as a plain list gathers with ``[row[j] for j in plan.flat]``.
+    ``counts[k]`` / ``consumers[k]``
+        how many inputs local column ``k`` reads, and how many tasks of row
+        ``t + 1`` read its output.
+    ``reads[j]``
+        how many tasks of this row read position ``j`` of the previous row.
+        Counted from the forward relation, where ``consumers`` comes from
+        the reverse one: ``plan(t).reads == plan(t - 1).consumers`` is the
+        drained-store invariant of a run, checked per row.
+    """
+
+    __slots__ = ("off", "width", "deps", "flat", "starts", "counts",
+                 "consumers", "reads", "_cols")
+
+    def __init__(self, off: int, width: int, deps: Tuple[Tuple[int, ...], ...],
+                 prev_off: int, prev_width: int, consumers: List[int]) -> None:
+        self.off = off
+        self.width = width
+        self.deps = deps
+        self.flat: List[int] = [j - prev_off for cols in deps for j in cols]
+        self.counts: List[int] = [len(cols) for cols in deps]
+        self.starts: List[int] = [0]
+        for n in self.counts:
+            self.starts.append(self.starts[-1] + n)
+        self.consumers = consumers
+        self.reads: List[int] = [0] * prev_width
+        for j in self.flat:
+            self.reads[j] += 1
+        self._cols: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+
+    def columns(self, lo: int, hi: int) -> Tuple[int, ...]:
+        """Producer columns of every input of columns ``[lo, hi)``, in
+        gather order, as one shared tuple (the key of the row's expected
+        block)."""
+        cols = self._cols.get((lo, hi))
+        if cols is None:
+            cols = tuple(j for k in range(lo - self.off, hi - self.off)
+                         for j in self.deps[k])
+            self._cols[(lo, hi)] = cols
+        return cols
+
+
+def _fifo_insert(cache: Dict[Any, Any], key: Any, value: Any) -> None:
+    """Insert into a cache bounded by ``_MAX_SETS``, evicting the oldest
+    entries first.  The caller holds the table's lock."""
+    while len(cache) >= _MAX_SETS:
+        cache.pop(next(iter(cache)))
+    cache[key] = value
+
+
 class DependenceTable:
     """O(1) dependence queries for one :class:`DependenceSpec`, compiled
     lazily per dependence-set id.
@@ -168,6 +241,13 @@ class DependenceTable:
         # bounded by _MAX_SETS and mutated only under ``_lock``.
         self._fwd_t: Dict[int, _Rel] = {}
         self._rev_t: Dict[int, _Rel] = {}
+        # Row plans, keyed by the (forward, reverse) structures they were
+        # built from (the objects, so an evicted structure's identity cannot
+        # be reused under a live plan) and front-cached by timestep; same
+        # bounds, same lock.
+        self._plans: Dict[Tuple[_Rel | None, _Rel | None], RowPlan] = {}
+        self._plan_t: Dict[int, RowPlan] = {}
+        self._totals: Tuple[int, int] | None = None
         self._lock = threading.Lock()
 
     def __reduce__(self):
@@ -182,6 +262,21 @@ class DependenceTable:
     # ------------------------------------------------------------------
     # Structure lookup / lazy compilation
     # ------------------------------------------------------------------
+    def _structure(self, cache: Dict[int, _Rel], t: int,
+                   reverse: bool) -> _Rel:
+        """Find (or compile) the structure of timestep ``t``'s dependence
+        set.  The caller holds the table's lock."""
+        global _hits, _compiles
+        sid = self.spec.dependence_set_at_timestep(t + 1 if reverse else t)
+        rel = cache.get(sid)
+        if rel is None:
+            rel = _compile_rel(self.spec, t, reverse=reverse)
+            _fifo_insert(cache, sid, rel)
+            _compiles += 1
+        else:
+            _hits += 1
+        return rel
+
     def _miss(self, front: Dict[int, _Rel], cache: Dict[int, _Rel], t: int,
               reverse: bool) -> _Rel:
         """Front-cache miss for timestep ``t``: find (or compile) the
@@ -192,22 +287,10 @@ class DependenceTable:
         key twice or resize a dict another thread is iterating; hits stay
         lock-free ``dict.get`` probes.
         """
-        global _hits, _compiles
-        sid = self.spec.dependence_set_at_timestep(t + 1 if reverse else t)
         with self._lock:
-            rel = cache.get(sid)
-            if rel is None:
-                rel = _compile_rel(self.spec, t, reverse=reverse)
-                while len(cache) >= _MAX_SETS:
-                    cache.pop(next(iter(cache)))
-                cache[sid] = rel
-                _compiles += 1
-            else:
-                _hits += 1
+            rel = self._structure(cache, t, reverse)
             if t not in front:
-                while len(front) >= _MAX_SETS:
-                    front.pop(next(iter(front)))
-                front[t] = rel
+                _fifo_insert(front, t, rel)
         return rel
 
     def _fwd_rel(self, t: int) -> _Rel:
@@ -228,6 +311,52 @@ class DependenceTable:
             _hits += 1
             return rel
         return self._miss(self._rev_t, self._rev, t, True)
+
+    def row_plan(self, t: int) -> RowPlan:
+        """The compiled :class:`RowPlan` of timestep ``t`` (shared by every
+        timestep with the same structure pair; callers must not mutate
+        it)."""
+        plan = self._plan_t.get(t)
+        if plan is not None:
+            global _hits
+            _hits += 1
+            return plan
+        spec = self.spec
+        spec._check_timestep(t)
+        with self._lock:
+            # The first timestep has no inputs and the last no consumers,
+            # whatever their set ids say.  One lock hold for the whole miss:
+            # a graph taller than the front cache misses once per row.
+            fwd = self._structure(self._fwd, t, False) if t > 0 else None
+            rev = (self._structure(self._rev, t, True)
+                   if t < spec.height - 1 else None)
+            plan = self._plans.get((fwd, rev))
+            if plan is None:
+                width = spec.width_at_timestep(t)
+                plan = RowPlan(
+                    spec.offset_at_timestep(t),
+                    width,
+                    tuple(fwd.columns(k) if fwd is not None else ()
+                          for k in range(width)),
+                    spec.offset_at_timestep(t - 1) if t > 0 else 0,
+                    spec.width_at_timestep(t - 1) if t > 0 else 0,
+                    rev.counts_list if rev is not None else [0] * width,
+                )
+                _fifo_insert(self._plans, (fwd, rev), plan)
+            if t not in self._plan_t:
+                _fifo_insert(self._plan_t, t, plan)
+        return plan
+
+    def totals(self) -> Tuple[int, int]:
+        """``(tasks, dependence edges)`` of the whole graph, summed over its
+        row plans once per table."""
+        totals = self._totals
+        if totals is None:
+            plans = [self.row_plan(t) for t in range(self.spec.height)]
+            totals = self._totals = (
+                sum(p.width for p in plans), sum(p.starts[-1] for p in plans)
+            )
+        return totals
 
     def _local(self, rel: _Rel, t: int, i: int) -> int:
         k = i - rel.off

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from ..trace import recorder as _trace
 from . import bufpool as _bufpool
 from . import fastpath as _fastpath
 from . import validation as _validation
@@ -175,6 +176,13 @@ class TaskGraph:
         """Number of tasks at ``t + 1`` that read the output of ``(t, i)``."""
         return self._table.consumer_count(t, i)
 
+    def row_plan(self, t: int) -> "_fastpath.RowPlan":
+        """The compiled plan of timestep ``t``: window, per-column
+        dependency tuples and their CSR flattening, dependency and consumer
+        counts (see :class:`~repro.core.fastpath.RowPlan`).  Shared — callers
+        must not mutate it."""
+        return self._table.row_plan(t)
+
     def max_dependencies(self) -> int:
         """Upper bound on inputs of any task (receive-buffer sizing)."""
         return self.spec.max_dependencies()
@@ -191,11 +199,11 @@ class TaskGraph:
     # ------------------------------------------------------------------
     def total_tasks(self) -> int:
         """Number of tasks in the graph."""
-        return sum(self.width_at_timestep(t) for t in range(self.timesteps))
+        return self._table.totals()[0]
 
     def total_dependencies(self) -> int:
         """Number of dependence edges in the graph."""
-        return sum(self.num_dependencies(t, i) for t, i in self.points())
+        return self._table.totals()[1]
 
     def total_flops(self) -> int:
         """Useful FLOPs executed by the whole graph (imbalance-aware)."""
@@ -255,9 +263,69 @@ class TaskGraph:
         if kernel.kernel_type is not KernelType.EMPTY:
             kernel.execute(t, i, scratch=scratch, seed=self.seed)
         if out is None:
-            return _validation.task_output(self, t, i)
-        _validation.write_task_output(
-            self, t, i, out if type(out) is np.ndarray else as_array(out)
+            return _validation.task_outputs(self, t, i, i + 1)[0]
+        _validation.task_outputs(
+            self, t, i, i + 1,
+            (out if type(out) is np.ndarray else as_array(out),),
+        )
+        return out
+
+    def execute_row(
+        self,
+        t: int,
+        lo: int,
+        hi: int,
+        inputs: Sequence["bufpool.Payload"],
+        *,
+        scratch: "np.ndarray | Sequence[np.ndarray | None] | None",
+        validate: bool,
+        out: Sequence["bufpool.Payload"] | None = None,
+    ) -> Sequence["bufpool.Payload"]:
+        """Execute tasks ``(t, lo) .. (t, hi - 1)`` — a contiguous column
+        block of one timestep — and return their outputs in column order.
+
+        The row form of :meth:`execute_point` for executors that own column
+        blocks: same validation, same kernels, same output bytes, paid once
+        per block instead of once per task.  ``inputs`` is the tasks'
+        canonical input lists laid end to end, i.e. the outputs of row
+        ``t - 1`` at ``row_plan(t).flat[starts[lo - off]:starts[hi - off]]``;
+        validation compares the whole block in one pass and walks it task
+        by task only to name the offender (see
+        :func:`~repro.core.validation.validate_row`).  ``scratch`` is one
+        buffer for every task, or one per task of the block.  ``out``, when
+        given, holds one destination (array or pool handle) per task and is
+        returned; otherwise the outputs are fresh arrays, which may be views
+        of one block-sized buffer.
+
+        Handles among ``inputs`` are resolved (and their generation tags
+        verified) only when validating: nothing else reads them.
+        """
+        plan = self._table.row_plan(t)
+        if not plan.off <= lo <= hi <= plan.off + plan.width:
+            self.spec._check_point(t, lo)
+            self.spec._check_point(t, hi - 1)
+            raise IndexError(f"reversed column block [{lo}, {hi})")
+        if validate:
+            _validation.validate_row(self, t, plan, lo, hi, inputs)
+        kernel = self.kernel
+        traced = _trace.enabled
+        if traced or kernel.kernel_type is not KernelType.EMPTY:
+            shared = scratch is None or type(scratch) is np.ndarray
+            for i in range(lo, hi):
+                t0 = _trace.begin() if traced else 0
+                kernel.execute(
+                    t, i, scratch=scratch if shared else scratch[i - lo],
+                    seed=self.seed,
+                )
+                if traced:
+                    _trace.complete(
+                        "task", _trace.CAT_KERNEL, t0,
+                        {"task": (self.graph_index, t, i)},
+                    )
+        if out is None:
+            return _validation.task_outputs(self, t, lo, hi)
+        _validation.task_outputs(
+            self, t, lo, hi, [_bufpool.as_array(x) for x in out]
         )
         return out
 

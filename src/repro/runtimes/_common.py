@@ -145,6 +145,23 @@ def events_active() -> bool:
     return _active_recorder is not None or _event_observer is not None
 
 
+def record_row_events(g: TaskGraph, t: int) -> None:
+    """Record the schedule events of row ``t`` of ``g``, task by task in
+    program order: start, one acquire per input, finish, and publish for
+    outputs somebody reads.  For executors that run (or replay) a whole row
+    at a time."""
+    gi = g.graph_index
+    plan = g.row_plan(t)
+    for k, deps in enumerate(plan.deps):
+        key = (gi, t, plan.off + k)
+        record_event(EV_START, key)
+        for j in deps:
+            record_event(EV_ACQUIRE, key, (gi, t - 1, j))
+        record_event(EV_FINISH, key)
+        if plan.consumers[k] > 0:
+            record_event(EV_PUBLISH, key)
+
+
 # ----------------------------------------------------------------------
 # Output capture (consumed by the executor-conformance suite)
 # ----------------------------------------------------------------------
@@ -215,17 +232,6 @@ def task_keys(graphs: Sequence[TaskGraph]) -> Iterator[TaskKey]:
             off = g.offset_at_timestep(t)
             for i in range(off, off + g.width_at_timestep(t)):
                 yield (g.graph_index, t, i)
-
-
-def consumer_count(g: TaskGraph, t: int, i: int) -> int:
-    """How many tasks read the output of ``(t, i)``.
-
-    Delegates to :meth:`TaskGraph.consumer_count`, which serves the answer
-    from the compiled dependence table: recomputing
-    ``reverse_dependencies`` on every ``OutputStore.put`` would dominate
-    publish cost for fine-grained graphs.
-    """
-    return g.consumer_count(t, i)
 
 
 class OutputStore:
@@ -471,7 +477,7 @@ def run_point(
     key = (g.graph_index, t, i)
     record_event(EV_START, key)
     inputs = store.gather(g, t, i)
-    consumers = consumer_count(g, t, i)
+    consumers = g.consumer_count(t, i)
     traced = trace.enabled
     if pool is None:
         t0 = trace.begin() if traced else 0

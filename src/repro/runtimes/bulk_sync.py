@@ -17,11 +17,16 @@ from ..core.executor_base import Executor
 from ..core.metrics import DataPlaneStats
 from ..core.task_graph import TaskGraph
 from ..trace import recorder as trace
-from ._common import OutputStore, ScratchPool, pool_data_plane, run_point
+from ._common import OutputStore, ScratchPool, pool_data_plane, run_point_batch
+from .processes import _split
 
 
 class BulkSyncExecutor(Executor):
-    """Thread-pool execution with a barrier after every timestep."""
+    """Thread-pool execution with a barrier after every timestep.
+
+    Each worker gets one static column block per timestep (the paper's MPI
+    shim owns a block per rank) and runs it as one ``run_point_batch``: one
+    future, one gather, one publish per block instead of per task."""
 
     name = "bulk_sync"
 
@@ -43,6 +48,7 @@ class BulkSyncExecutor(Executor):
         # Same address space, so a heap-backed slab pool: output buffers
         # recycle across timesteps instead of being reallocated per task.
         buffers = HeapSlabPool()
+        by_index = {g.graph_index: g for g in graphs}
         max_t = max(g.timesteps for g in graphs)
         try:
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
@@ -53,10 +59,12 @@ class BulkSyncExecutor(Executor):
                         if t >= g.timesteps:
                             continue
                         off = g.offset_at_timestep(t)
-                        for i in range(off, off + g.width_at_timestep(t)):
+                        active = list(range(off, off + g.width_at_timestep(t)))
+                        for cols in _split(active, self.workers):
                             futures.append(
                                 pool.submit(
-                                    run_point, store, scratch, g, t, i,
+                                    run_point_batch, store, scratch, by_index,
+                                    [(g.graph_index, t, i) for i in cols],
                                     validate=validate, pool=buffers,
                                 )
                             )

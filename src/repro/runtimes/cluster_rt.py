@@ -44,14 +44,9 @@ from ..core.task_graph import TaskGraph
 from ..faults import FaultSpec, default_timeout, fault_from_env
 from ..trace import recorder as trace
 from ._common import (
-    EV_ACQUIRE,
-    EV_FINISH,
-    EV_PUBLISH,
-    EV_START,
     capture_active,
     capture_output,
-    consumer_count,
-    record_event,
+    record_row_events,
     trace_recorder,
 )
 
@@ -218,20 +213,8 @@ class _ClusterExecutor(Executor):
         if trace_recorder() is not None:
             for t in range(max(g.timesteps for g in graphs)):
                 for g in graphs:
-                    if t >= g.timesteps:
-                        continue
-                    off = g.offset_at_timestep(t)
-                    for i in range(off, off + g.width_at_timestep(t)):
-                        key = (g.graph_index, t, i)
-                        record_event(EV_START, key)
-                        if t > 0:
-                            for j in g.dependency_points(t, i):
-                                record_event(
-                                    EV_ACQUIRE, key, (g.graph_index, t - 1, j)
-                                )
-                        record_event(EV_FINISH, key)
-                        if consumer_count(g, t, i) > 0:
-                            record_event(EV_PUBLISH, key)
+                    if t < g.timesteps:
+                        record_row_events(g, t)
         for key, data in sorted(captured.items()):
             capture_output(key, np.frombuffer(data, dtype=np.uint8))
 

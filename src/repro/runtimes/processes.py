@@ -38,7 +38,7 @@ from ..core.metrics import DataPlaneStats, FaultStats
 from ..core.task_graph import TaskGraph
 from ..faults import FaultSpec, default_timeout, fault_from_env
 from ..trace import recorder as trace
-from ._common import EV_FINISH, EV_START, OutputStore, consumer_count, record_event
+from ._common import EV_FINISH, EV_START, OutputStore, record_event
 from ._procpool import ForkWorkerPool, WorkerCrashError, WorkerTimeoutError
 
 # Per-process caches, initialized lazily inside workers.
@@ -101,28 +101,20 @@ def wire_graph(g: TaskGraph) -> TaskGraph:
 
 
 def _worker_chunk(
-    args: Tuple[int, int, List[int], List[List[np.ndarray]], bool],
-) -> List[Tuple[int, np.ndarray]]:
-    """Execute a chunk of columns of one (graph, timestep) in a worker
-    process.  Returns ``(column, output)`` pairs.
+    args: Tuple[int, int, int, int, List[np.ndarray], bool],
+) -> Sequence[np.ndarray]:
+    """Execute columns ``[lo, hi)`` of one (graph, timestep) in a worker
+    process as one row block.  Returns the outputs in column order.
 
     The graph is referenced by index only: the parent guarantees the
     worker's cache is coherent before any round of a run is dispatched
     (``_worker_init`` at fork, ``_worker_update`` broadcasts after that).
     """
-    gi, t, columns, inputs_per_column, validate = args
+    gi, t, lo, hi, inputs, validate = args
     g = _WORKER_GRAPHS[gi]
-    scratch = worker_scratch(g)
-    out = []
-    traced = trace.enabled
-    for i, inputs in zip(columns, inputs_per_column):
-        t0 = trace.begin() if traced else 0
-        result = g.execute_point(t, i, inputs, scratch=scratch,
-                                 validate=validate)
-        if t0:
-            trace.complete("task", trace.CAT_KERNEL, t0, {"task": (gi, t, i)})
-        out.append((i, result))
-    return out
+    return g.execute_row(
+        t, lo, hi, inputs, scratch=worker_scratch(g), validate=validate
+    )
 
 
 class _PhasedProcessExecutor(Executor):
@@ -321,17 +313,22 @@ class ProcessPoolExecutor(_PhasedProcessExecutor):
                 off = g.offset_at_timestep(t)
                 active = list(range(off, off + g.width_at_timestep(t)))
                 for w, cols in enumerate(_split(active, nw)):
-                    inputs = [store.gather(g, t, i) for i in cols]
-                    for bufs in inputs:
-                        for buf in bufs:
-                            bytes_copied += buf.nbytes
-                            payloads_copied += 1
-                    frames[w].append((g.graph_index, t, cols, inputs, validate))
+                    inputs = [
+                        buf for i in cols for buf in store.gather(g, t, i)
+                    ]
+                    bytes_copied += sum(buf.nbytes for buf in inputs)
+                    payloads_copied += len(inputs)
+                    frames[w].append(
+                        (g.graph_index, t, cols[0], cols[-1] + 1, inputs,
+                         validate)
+                    )
                     frame_graphs[w].append(g)
             for w, frame_results in enumerate(procs.run_assigned(frames)):
-                for g, results in zip(frame_graphs[w], frame_results):
+                for g, frame, outputs in zip(
+                    frame_graphs[w], frames[w], frame_results
+                ):
                     gi = g.graph_index
-                    for i, out in results:
+                    for i, out in zip(range(frame[2], frame[3]), outputs):
                         # Kernels ran in worker processes; their start/
                         # finish are surfaced here, once the result has
                         # crossed back — the earliest point the trace can
@@ -340,7 +337,7 @@ class ProcessPoolExecutor(_PhasedProcessExecutor):
                         record_event(EV_FINISH, (gi, t, i))
                         bytes_copied += out.nbytes
                         payloads_copied += 1
-                        store.put((gi, t, i), out, consumer_count(g, t, i))
+                        store.put((gi, t, i), out, g.consumer_count(t, i))
         self._drain_worker_traces(procs)
         store.assert_drained()
         self._data_plane = DataPlaneStats(

@@ -4,15 +4,28 @@ The limit case of a runtime with no scheduling machinery at all: tasks run
 one after another in timestep order on the calling thread.  Analogous to the
 paper's observation that the MPI shim "simply executes tasks one after
 another in alternation with communication phases" — minus the communication.
+
+One thread owns every column, so a whole timestep row is one block: each row
+is gathered from the previous row's outputs (kept as a plain list) with the
+row plan's flattened indices, executed by one ``TaskGraph.execute_row`` call
+and kept for the next row.  The reference counting an ``OutputStore`` would
+do is checked on the plans instead: each row must read every output of the
+previous row exactly as often as that row's consumer counts promise.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
 from ..core.executor_base import Executor
+from ..core.fastpath import RowPlan
 from ..core.task_graph import TaskGraph
-from ._common import OutputStore, ScratchPool, run_point, task_keys
+from ._common import (
+    capture_active,
+    capture_output,
+    events_active,
+    record_row_events,
+)
 
 
 class SerialExecutor(Executor):
@@ -28,9 +41,56 @@ class SerialExecutor(Executor):
     def execute_graphs(
         self, graphs: Sequence[TaskGraph], *, validate: bool = True
     ) -> None:
-        by_index = {g.graph_index: g for g in graphs}
-        store = OutputStore()
-        scratch = ScratchPool(graphs)
-        for gi, t, i in task_keys(graphs):
-            run_point(store, scratch, by_index[gi], t, i, validate=validate)
-        store.assert_drained()
+        rows: List[Sequence] = [()] * len(graphs)
+        plans: List[RowPlan | None] = [None] * len(graphs)
+        scratch = [
+            [g.prepare_scratch() for _ in range(g.max_width)]
+            if g.scratch_bytes_per_task else None
+            for g in graphs
+        ]
+        emit = events_active()
+        capture = capture_active()
+        for t in range(max(g.timesteps for g in graphs)):
+            for n, g in enumerate(graphs):
+                if t >= g.timesteps:
+                    continue
+                plan = g.row_plan(t)
+                before = plans[n]
+                if before is not None and plan.reads != before.consumers:
+                    _raise_undrained(g, t - 1, before.consumers, plan.reads)
+                row = rows[n]
+                lo = plan.off
+                hi = lo + plan.width
+                buffers = scratch[n]
+                rows[n] = outputs = g.execute_row(
+                    t, lo, hi, [row[j] for j in plan.flat],
+                    scratch=buffers[lo:hi] if buffers else None,
+                    validate=validate,
+                )
+                plans[n] = plan
+                # Surface the row to the installed sinks, in program order.
+                if emit:
+                    record_row_events(g, t)
+                if capture:
+                    for i, out, readers in zip(
+                        range(lo, hi), outputs, plan.consumers
+                    ):
+                        if readers > 0:
+                            capture_output((g.graph_index, t, i), out)
+        for g, plan in zip(graphs, plans):
+            if any(plan.consumers):
+                _raise_undrained(
+                    g, g.timesteps - 1, plan.consumers, [0] * plan.width
+                )
+
+
+def _raise_undrained(
+    g: TaskGraph, t: int, consumers: Sequence[int], reads: Sequence[int]
+) -> None:
+    """Row ``t`` promised ``consumers`` reads per output and the next row
+    makes ``reads``: some output would be leaked or over-read."""
+    raise RuntimeError(
+        f"graph {g.graph_index}: outputs of timestep {t} were published for "
+        f"{list(consumers)} reads but are read {list(reads)} times — task "
+        "outputs never consumed (or consumed twice)"
+    )

@@ -52,7 +52,6 @@ from ..core.bufpool import (
     sweep_orphaned_segments,
 )
 from ..core.task_graph import TaskGraph
-from ..trace import recorder as trace
 from ._common import (
     EV_ACQUIRE,
     EV_FINISH,
@@ -60,7 +59,6 @@ from ._common import (
     EV_START,
     OutputStore,
     capture_output,
-    consumer_count,
     events_active,
     pool_data_plane,
     record_event,
@@ -72,9 +70,10 @@ from .processes import (
     worker_scratch,
 )
 
-#: One chunk of work: (graph index, timestep, columns, per-column input
-#: handles, per-column output handles, validate).
-_Chunk = Tuple[int, int, List[int], List[List[PayloadRef]], List[PayloadRef], bool]
+#: One chunk of work: (graph index, timestep, first column, end column, the
+#: columns' input handles laid end to end, per-column output handles,
+#: validate).
+_Chunk = Tuple[int, int, int, int, List[PayloadRef], List[PayloadRef], bool]
 
 #: Barrier sentinel a worker publishes when its part of a window fails, so
 #: peers waiting on it abort within one poll instead of spinning forever.
@@ -88,24 +87,19 @@ _WINDOW_MAX_BYTES = 4 << 20
 
 
 def _run_chunk(args: _Chunk) -> int:
-    """Execute a chunk of columns of one (graph, timestep) in a worker.
+    """Execute columns ``[lo, hi)`` of one (graph, timestep) in a worker as
+    one row block.
 
     Inputs arrive as pool handles (resolved — and generation-checked —
-    inside ``execute_point``); each output is written in place into the
+    inside ``execute_row``); each output is written in place into the
     handle the parent pre-acquired for it.  Only the column count crosses
     back.
     """
-    gi, t, columns, inputs_per_column, out_refs, validate = args
+    gi, t, lo, hi, inputs, out_refs, validate = args
     g = _WORKER_GRAPHS[gi]
-    scratch = worker_scratch(g)
-    traced = trace.enabled
-    for i, inputs, out in zip(columns, inputs_per_column, out_refs):
-        t0 = trace.begin() if traced else 0
-        g.execute_point(t, i, inputs, scratch=scratch, validate=validate,
-                        out=out)
-        if t0:
-            trace.complete("task", trace.CAT_KERNEL, t0, {"task": (gi, t, i)})
-    return len(columns)
+    g.execute_row(t, lo, hi, inputs, scratch=worker_scratch(g),
+                  validate=validate, out=out_refs)
+    return hi - lo
 
 
 #: Worker-side cache of attached barrier segments: name -> [segment, view].
@@ -362,23 +356,24 @@ class ShmProcessPoolExecutor(_PhasedProcessExecutor):
                         # them, but the kernels have not run yet — events
                         # and output capture happen at retire, below.
                         in_refs = [
-                            store.gather(g, t, i, quiet=True) for i in cols
+                            ref for i in cols
+                            for ref in store.gather(g, t, i, quiet=True)
                         ]
-                        consumers = [consumer_count(g, t, i) for i in cols]
+                        consumers = [g.consumer_count(t, i) for i in cols]
                         out_refs = pool.acquire_batch(
                             g.output_bytes_per_task,
                             [max(c, 1) for c in consumers],
                         )
                         steps[w][t - t0].append(
-                            (gi, t, cols, in_refs, out_refs, validate)
+                            (gi, t, cols[0], cols[-1] + 1, in_refs, out_refs,
+                             validate)
                         )
                         busy[w] = True
                         for i, out, ncons in zip(cols, out_refs, consumers):
                             tasks.append(((gi, t, i), out, ncons))
                             if ncons > 0:
                                 store.put((gi, t, i), out, ncons, quiet=True)
-                        for refs in in_refs:
-                            gathered.extend(refs)
+                        gathered.extend(in_refs)
                 retire.append((t, tasks, gathered))
             participants = tuple(
                 (w, pid)

@@ -1,6 +1,6 @@
-"""Seeded-bug executors exercising the happens-before audit.
+"""Seeded-bug executors exercising the schedule audits and the contract lint.
 
-Both executors below produce *bytewise-correct* outputs — input validation
+The executors below produce *bytewise-correct* outputs — input validation
 passes on every task — while violating the scheduling contract in ways only
 the schedule audit (:mod:`repro.check.hb_audit`) can see:
 
@@ -22,6 +22,12 @@ the schedule audit (:mod:`repro.check.hb_audit`) can see:
   (:mod:`repro.check.concurrency`), which trusts nothing but real lock
   hand-offs, sees that the cross-thread reads synchronize on nothing
   (``conc-lockset-race``).
+
+* :class:`KernelBypassExecutor` runs every kernel itself and takes the
+  outputs straight from the output writer.  Every published byte is right,
+  so the conformance capture cannot object — but no input of any task was
+  ever validated.  Only the contract lint (:mod:`repro.check.api_lint`)
+  sees the direct ``kernel.execute`` call (``api-kernel-bypass``).
 
 They live in ``tests/`` because no real configuration should ever construct
 them; they are audit fixtures, not runtimes.
@@ -45,7 +51,7 @@ from repro.runtimes._common import (
     EV_START,
     ScratchPool,
     TaskKey,
-    consumer_count,
+    capture_output,
     record_event,
     task_keys,
 )
@@ -101,7 +107,7 @@ class DroppedEdgeExecutor(Executor):
                 t, i, inputs, scratch=scratch.get(gi, i), validate=validate
             )
             record_event(EV_FINISH, key)
-            if consumer_count(g, t, i) > 0:
+            if g.consumer_count(t, i) > 0:
                 store[key] = out
                 record_event(EV_PUBLISH, key)
 
@@ -132,7 +138,7 @@ class EarlyPublishExecutor(Executor):
                 source = (gi, t - 1, j)
                 inputs.append(store[source])
                 record_event(EV_ACQUIRE, key, source)
-            if consumer_count(g, t, i) > 0:
+            if g.consumer_count(t, i) > 0:
                 # The bug: hand consumers the (luckily correct) bytes
                 # before the kernel has produced them.
                 store[key] = validation.task_output(g, t, i)
@@ -206,7 +212,7 @@ class RacyStoreExecutor(Executor):
                         record_event(EV_ACQUIRE, key, source)
                     out = g.execute_point(t, i, inputs, validate=validate)
                     record_event(EV_FINISH, key)
-                    if consumer_count(g, t, i) > 0:
+                    if g.consumer_count(t, i) > 0:
                         # Publish event first, dict write second: a spinning
                         # consumer can only observe the key after the
                         # publish is on the trace, keeping hb_audit clean.
@@ -229,3 +235,30 @@ class RacyStoreExecutor(Executor):
             raise failures[0]
         if any(th.is_alive() for th in threads):
             raise RuntimeError("racy-store worker thread wedged")
+
+
+class KernelBypassExecutor(Executor):
+    """Serial row walk that never calls ``execute_row``/``execute_point``."""
+
+    name = "buggy-kernel-bypass"
+
+    @property
+    def cores(self) -> int:
+        return 1
+
+    def execute_graphs(
+        self, graphs: Sequence[TaskGraph], *, validate: bool = True
+    ) -> None:
+        for g in graphs:
+            for t in range(g.timesteps):
+                plan = g.row_plan(t)
+                for i in range(plan.off, plan.off + plan.width):
+                    # The bug: the kernel runs outside the core's entry
+                    # points, so nothing checks what it was fed.
+                    g.kernel.execute(t, i, seed=g.seed)
+                outputs = validation.task_outputs(
+                    g, t, plan.off, plan.off + plan.width
+                )
+                for k, out in enumerate(outputs):
+                    if plan.consumers[k] > 0:
+                        capture_output((g.graph_index, t, plan.off + k), out)

@@ -82,6 +82,64 @@ def test_kernel_bypass_method_reported():
     assert "api-kernel-bypass" in codes(diags)
 
 
+def test_kernel_bypass_names_every_entry_point():
+    diags = [d for d in lint("""
+        class SneakyExecutor(Executor):
+            name = "sneaky"
+            cores = 1
+
+            def execute_graphs(self, graphs, *, validate=True):
+                graphs[0].kernel.execute(t=0, i=0)
+                execute_kernel_compute(100)
+    """) if d.code == "api-kernel-bypass"]
+    assert len(diags) == 2
+    for d in diags:
+        assert "run_point/execute_point/execute_row" in d.message
+        assert "graph.execute_row" in d.hint
+
+
+def test_execute_row_is_an_entry_point_not_a_bypass():
+    diags = lint("""
+        class RowExecutor(Executor):
+            name = "row"
+            cores = 1
+
+            def execute_graphs(self, graphs, *, validate=True):
+                for g in graphs:
+                    plan = g.row_plan(0)
+                    g.execute_row(0, plan.off, plan.off + plan.width, [],
+                                  scratch=None, validate=validate)
+    """)
+    assert diags == []
+
+
+def test_buggy_executor_fixture_kernel_bypass_flagged():
+    """``tests/buggy_executor.py`` publishes the right bytes without
+    validating anything; the lint flags its one direct kernel call."""
+    import inspect
+
+    from tests import buggy_executor
+
+    source = inspect.getsource(buggy_executor)
+    bypass = [d for d in lint_executor_api(source, "buggy_executor.py")
+              if d.code == "api-kernel-bypass"]
+    assert len(bypass) == 1
+    line = int(bypass[0].location.rsplit(":", 1)[1])
+    assert "g.kernel.execute(t, i, seed=g.seed)" in source.splitlines()[line - 1]
+
+    from repro.core import DependenceType, TaskGraph
+    from repro.runtimes import make_executor
+    from repro.runtimes._common import capturing_outputs
+
+    g = TaskGraph(timesteps=5, max_width=4,
+                  dependence=DependenceType.STENCIL_1D)
+    with capturing_outputs() as got:
+        buggy_executor.KernelBypassExecutor().run([g])
+    with capturing_outputs() as want:
+        make_executor("serial").run([g])
+    assert got == want  # bytes alone cannot tell the two apart
+
+
 def test_unrelated_execute_call_not_flagged():
     diags = lint("""
         class FineExecutor(Executor):

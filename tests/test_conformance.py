@@ -36,7 +36,7 @@ from repro.check import audit_run
 from repro.core import DependenceType, Kernel, KernelType, TaskGraph
 from repro.core.diagnostics import Severity
 from repro.runtimes import available_runtimes, make_executor
-from repro.runtimes._common import capturing_outputs, consumer_count
+from repro.runtimes._common import capturing_outputs
 
 pytestmark = pytest.mark.conformance
 
@@ -113,7 +113,7 @@ def _communicated(graphs) -> set:
     keys = set()
     for g in graphs:
         for t, i in g.points():
-            if consumer_count(g, t, i) > 0:
+            if g.consumer_count(t, i) > 0:
                 keys.add((g.graph_index, t, i))
     return keys
 

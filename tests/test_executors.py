@@ -16,8 +16,10 @@ from repro.core import (
     TaskGraph,
     ValidationError,
 )
-from repro.core.bufpool import as_array
+from repro.core import validation
+from repro.core.fastpath import DependenceTable
 from repro.runtimes import available_runtimes, make_executor
+from repro.runtimes._common import capturing_outputs
 
 ALL_RUNTIMES = available_runtimes()
 ALL_PATTERNS = list(DependenceType)
@@ -112,25 +114,23 @@ def test_more_workers_than_columns(runtime):
 @pytest.mark.parametrize("runtime", THREADED_RUNTIMES)
 def test_validation_detects_corrupted_producer(runtime, monkeypatch):
     """Corrupt the output of one mid-graph producer: every executor must
-    surface the ValidationError raised by its consumers."""
-    real = TaskGraph.execute_point
+    surface the ValidationError raised by its consumers.
 
-    def corrupting(self, t, i, inputs, scratch=None, validate=True, out=None):
-        result = real(self, t, i, inputs, scratch=scratch, validate=validate,
-                      out=out)
-        if (t, i) == (3, 2):
-            buf = as_array(result)
-            if buf.nbytes:
-                if out is None:
-                    buf = buf.copy()
-                    buf[0] ^= 0xFF
-                    return buf
-                buf[0] ^= 0xFF  # pooled path: corrupt the slot in place
-        return result
+    The corruption goes in at ``validation.task_outputs``, the one output
+    writer behind ``execute_point`` and ``execute_row``, so it reaches the
+    task-by-task executors and the row-block ones (serial, fork workers)
+    alike; fork pools start inside the run and inherit the patch."""
+    real = validation.task_outputs
 
-    monkeypatch.setattr(TaskGraph, "execute_point", corrupting)
+    def corrupting(graph, t, lo, hi, out=None):
+        outputs = real(graph, t, lo, hi, out)
+        if t == 3 and lo <= 2 < hi and graph.output_bytes_per_task:
+            outputs[2 - lo][0] ^= 0xFF  # fresh array or pooled slot alike
+        return outputs
+
+    monkeypatch.setattr(validation, "task_outputs", corrupting)
     g = make_graph(DependenceType.STENCIL_1D)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"output of \(t=3, i=2\)"):
         make_executor(runtime, workers=2).run([g])
 
 
@@ -147,6 +147,59 @@ def test_kernel_exception_propagates(runtime, monkeypatch):
     g = make_graph(DependenceType.STENCIL_1D)
     with pytest.raises(RuntimeError, match="injected kernel failure"):
         make_executor(runtime, workers=2).run([g])
+
+
+def test_serial_detects_undrained_row(monkeypatch):
+    """The serial executor keeps no reference-counted store: what
+    ``OutputStore.assert_drained`` guaranteed is checked on the row plans.
+    A plan whose reads disagree with the consumer counts the previous row
+    was published with — an output leaked, or read once too often — must
+    fail the run, and so must a last row that still promises readers."""
+    real = DependenceTable.row_plan
+
+    class Tampered:
+        """A row plan with column 1 claiming one consumer more."""
+
+        def __init__(self, plan):
+            self._plan = plan
+            self.consumers = list(plan.consumers)
+            self.consumers[1] += 1
+
+        def __getattr__(self, name):
+            return getattr(self._plan, name)
+
+    for bad_t in (2, 7):  # a middle row; the last row
+        monkeypatch.setattr(
+            DependenceTable, "row_plan",
+            lambda self, t, bad_t=bad_t: (
+                Tampered(real(self, t)) if t == bad_t else real(self, t)),
+        )
+        g = make_graph(DependenceType.STENCIL_1D)
+        with pytest.raises(RuntimeError, match="never consumed"):
+            make_executor("serial").execute_graphs([g])
+
+
+def test_serial_multigraph_uneven_heights():
+    """Graphs of different heights and widths interleave row by row; each
+    keeps its own previous row, and the short ones drop out early.  Bytes
+    are compared with the task-by-task reference walk."""
+    graphs = [
+        make_graph(DependenceType.STENCIL_1D, timesteps=9, graph_index=0),
+        make_graph(DependenceType.TREE, timesteps=3, max_width=8, graph_index=1),
+        make_graph(DependenceType.FFT, timesteps=1, max_width=4, graph_index=2),
+        make_graph(DependenceType.SPREAD, timesteps=6, max_width=7,
+                   graph_index=3, output_bytes_per_task=40),
+    ]
+    with capturing_outputs() as got:
+        r = make_executor("serial").run(graphs)
+    assert r.total_tasks == sum(g.total_tasks() for g in graphs)
+    want = {}
+    for g in graphs:
+        for t, i in g.points():
+            out = g.execute_point(t, i, validation.expected_inputs(g, t, i))
+            if g.consumer_count(t, i) > 0:
+                want[(g.graph_index, t, i)] = out.tobytes()
+    assert got == want
 
 
 def test_threads_failure_wakes_blocked_workers(monkeypatch):

@@ -36,7 +36,6 @@ from repro.core.validation import (
     write_task_output,
 )
 from repro.runtimes import make_executor
-from repro.runtimes._common import consumer_count
 
 
 specs = st.builds(
@@ -253,7 +252,6 @@ class TestConsumerCountRegression:
         g = _graph_of(s)
         for t, i in _all_points(g.spec):
             truth = count_points(g.spec.reverse_dependencies(t, i))
-            assert consumer_count(g, t, i) == truth
             assert g.consumer_count(t, i) == truth
 
 

@@ -1,0 +1,347 @@
+"""Tests of the row plan and ``TaskGraph.execute_row``.
+
+The row path must be *invisible* except in speed, so everything here is
+differential: a ``RowPlan``'s fields against the spec's interval math, and
+``execute_row`` against a loop of ``execute_point`` over the same block —
+identical output bytes on good inputs, the identical ``ValidationError``
+message on bad ones.
+"""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import DependenceType, Kernel, KernelType, TaskGraph, fastpath
+from repro.core.bufpool import HeapSlabPool, as_array
+from repro.core.dependence import DependenceSpec, count_points
+from repro.core.fastpath import DependenceTable
+from repro.core.validation import _BULK_BYTES, ValidationError, task_output
+
+specs = st.builds(
+    DependenceSpec,
+    st.sampled_from(list(DependenceType)),
+    st.integers(min_value=1, max_value=16),  # width
+    st.integers(min_value=1, max_value=8),  # height
+    radix=st.integers(min_value=0, max_value=8),
+    period=st.sampled_from([-1, 1, 2, 3, 4]),
+    fraction=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+
+#: 0 B, the default, one that is no multiple of the 32-byte header, and the
+#: two sizes that put a 16-wide row's outputs (and a one-input task's
+#: inputs) on either side of ``_BULK_BYTES``.
+payloads = st.sampled_from([0, 16, 40, _BULK_BYTES // 16, _BULK_BYTES // 16 + 8])
+
+
+def _graph_of(s, nbytes=16, **kwargs):
+    return TaskGraph(
+        timesteps=s.height, max_width=s.width, dependence=s.dtype,
+        radix=s.radix, period=s.period, fraction_connected=s.fraction,
+        seed=s.seed, output_bytes_per_task=nbytes, **kwargs,
+    )
+
+
+def _block(data, g, t):
+    """A drawn ``[lo, hi)`` inside the active window of row ``t``."""
+    off = g.offset_at_timestep(t)
+    end = off + g.width_at_timestep(t)
+    lo = data.draw(st.integers(off, end - 1), label="lo")
+    hi = data.draw(st.integers(lo + 1, end), label="hi")
+    return lo, hi
+
+
+def _inputs(g, t, lo, hi):
+    """The block's canonical inputs, laid end to end."""
+    if t == 0:
+        return []
+    return [task_output(g, t - 1, j)
+            for i in range(lo, hi) for j in g.dependency_columns(t, i)]
+
+
+def _point_loop(g, t, lo, hi, inputs, out=None):
+    """The reference: ``execute_point`` per task, ``inputs`` split at the
+    plan's CSR offsets with the last task taking the tail."""
+    plan = g.row_plan(t)
+    first = plan.starts[lo - plan.off]
+    results = []
+    for i in range(lo, hi):
+        k = i - plan.off
+        end = plan.starts[k + 1] - first if i < hi - 1 else None
+        results.append(g.execute_point(
+            t, i, inputs[plan.starts[k] - first:end],
+            out=None if out is None else out[i - lo],
+        ))
+    return results
+
+
+class TestRowPlanFields:
+    @settings(max_examples=60, deadline=None)
+    @given(specs)
+    def test_fields_match_spec(self, s):
+        g = _graph_of(s)
+        o = g.spec
+        for t in range(o.height):
+            plan = g.row_plan(t)
+            off, width = o.offset_at_timestep(t), o.width_at_timestep(t)
+            assert (plan.off, plan.width) == (off, width)
+            deps = [tuple(o.dependency_points(t, i)) if t else ()
+                    for i in range(off, off + width)]
+            assert list(plan.deps) == deps
+            assert plan.counts == [len(d) for d in deps]
+            assert plan.starts == [sum(plan.counts[:k])
+                                   for k in range(width + 1)]
+            prev_off = o.offset_at_timestep(t - 1) if t else 0
+            assert plan.flat == [j - prev_off for d in deps for j in d]
+            assert plan.consumers == [
+                count_points(o.reverse_dependencies(t, i))
+                for i in range(off, off + width)
+            ]
+            assert plan.columns(off, off + width) == tuple(
+                j for d in deps for j in d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(specs)
+    def test_reads_are_the_previous_rows_consumers(self, s):
+        """Duality: how often row ``t`` reads each output of row ``t - 1``
+        (counted from the forward relation) is what row ``t - 1`` publishes
+        it for (the reverse relation) — the serial executor's drain check."""
+        g = _graph_of(s)
+        assert g.row_plan(0).reads == []
+        for t in range(1, s.height):
+            assert g.row_plan(t).reads == g.row_plan(t - 1).consumers
+        assert not any(g.row_plan(s.height - 1).consumers)
+
+    @settings(max_examples=40, deadline=None)
+    @given(specs)
+    def test_totals_are_sums_over_points(self, s):
+        g = _graph_of(s)
+        points = list(g.points())
+        assert g.total_tasks() == len(points)
+        assert g.total_dependencies() == sum(
+            g.spec.num_dependencies(t, i) for t, i in points)
+
+    def test_shared_per_structure_and_counted_as_hits(self):
+        s = DependenceSpec(DependenceType.STENCIL_1D, 8, 20)
+        table = DependenceTable(s)
+        fastpath.reset_counters()
+        plans = [table.row_plan(t) for t in range(s.height)]
+        # First, steady and last rows: three structure pairs in all.
+        assert len({id(p) for p in plans}) == 3
+        assert plans[1] is plans[18]
+        hits, compiles = fastpath.counters()
+        assert compiles == 2  # one forward, one reverse structure
+        fastpath.reset_counters()
+        for t in range(s.height):
+            assert table.row_plan(t) is plans[t]
+        assert fastpath.counters() == (s.height, 0)
+
+    def test_out_of_range_timestep_raises(self):
+        g = TaskGraph(timesteps=4, max_width=4)
+        with pytest.raises(IndexError):
+            g.row_plan(4)
+        with pytest.raises(IndexError):
+            g.row_plan(-1)
+
+    def test_concurrent_lookups_past_front_cache(self):
+        """3000 never-repeating rows under 4 threads: plan insertion and
+        FIFO eviction stay atomic, and evicted plans recompile equal."""
+        s = DependenceSpec(DependenceType.RANDOM_NEAREST, 8, 3000, radix=5,
+                           period=-1, fraction=0.5, seed=7)
+        table = DependenceTable(s)
+        errors = []
+
+        def hammer(start):
+            try:
+                for t in range(start, s.height):
+                    plan = table.row_plan(t)
+                    assert plan.deps[3] == tuple(s.dependency_points(t, 3))
+                    assert plan.consumers[3] == count_points(
+                        s.reverse_dependencies(t, 3))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(1 + 5 * k,))
+                       for k in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors, errors
+        assert len(table._plan_t) <= fastpath._MAX_SETS
+        assert len(table._plans) <= fastpath._MAX_SETS
+
+
+class TestExecuteRowEquivalence:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data(), specs, payloads, st.booleans())
+    def test_same_output_bytes_as_point_loop(self, data, s, nbytes, pooled):
+        g = _graph_of(s, nbytes)
+        t = data.draw(st.integers(0, s.height - 1), label="t")
+        lo, hi = _block(data, g, t)
+        inputs = _inputs(g, t, lo, hi)
+        with HeapSlabPool() as pool:
+            out_row = out_loop = None
+            if pooled:
+                out_row = pool.acquire_batch(nbytes, [1] * (hi - lo))
+                out_loop = pool.acquire_batch(nbytes, [1] * (hi - lo))
+            got = g.execute_row(t, lo, hi, inputs, scratch=None,
+                                validate=True, out=out_row)
+            want = _point_loop(g, t, lo, hi, inputs, out_loop)
+            if pooled:
+                assert got is out_row
+            assert len(got) == hi - lo
+            assert ([as_array(x).tobytes() for x in got]
+                    == [as_array(x).tobytes() for x in want])
+            for x in got:
+                arr = as_array(x)
+                assert arr.dtype == np.uint8 and arr.shape == (nbytes,)
+                assert arr.flags.c_contiguous and arr.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), specs, payloads)
+    def test_accepts_pool_handles_as_inputs(self, data, s, nbytes):
+        g = _graph_of(s, nbytes)
+        t = data.draw(st.integers(0, s.height - 1), label="t")
+        lo, hi = _block(data, g, t)
+        with HeapSlabPool() as pool:
+            refs = []
+            for buf in _inputs(g, t, lo, hi):
+                ref = pool.acquire(nbytes)
+                as_array(ref)[:] = buf
+                refs.append(ref)
+            g.execute_row(t, lo, hi, refs, scratch=None, validate=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), specs, payloads,
+           st.sampled_from(["short", "long", "size", "flip", "stale", "swap"]))
+    def test_same_validation_error_as_point_loop(self, data, s, nbytes, fault):
+        g = _graph_of(s, nbytes)
+        t = data.draw(st.integers(0, s.height - 1), label="t")
+        lo, hi = _block(data, g, t)
+        inputs = _inputs(g, t, lo, hi)
+        where = (data.draw(st.integers(0, len(inputs) - 1), label="where")
+                 if inputs else 0)
+        if fault == "short" and inputs:
+            del inputs[where]
+        elif fault == "long":
+            inputs.append(task_output(g, 0, g.offset_at_timestep(0)))
+        elif fault == "size" and inputs:
+            inputs[where] = np.zeros(nbytes + 3, dtype=np.uint8)
+        elif fault == "flip" and inputs and nbytes:
+            inputs[where][data.draw(st.integers(0, nbytes - 1))] ^= 0x5A
+        elif fault == "stale" and inputs and t >= 2:
+            # The right producer column, one timestep too old.
+            col = g.row_plan(t).columns(lo, hi)[where]
+            if g.contains_point(t - 2, col):
+                inputs[where] = task_output(g, t - 2, col)
+        elif fault == "swap" and len(inputs) >= 2:
+            inputs[0], inputs[-1] = inputs[-1], inputs[0]
+        try:
+            _point_loop(g, t, lo, hi, list(inputs))
+            want = None
+        except ValidationError as exc:
+            want = str(exc)
+        if want is None:
+            g.execute_row(t, lo, hi, inputs, scratch=None, validate=True)
+        else:
+            with pytest.raises(ValidationError) as got:
+                g.execute_row(t, lo, hi, inputs, scratch=None, validate=True)
+            assert str(got.value) == want
+        # Unvalidated, anything goes — as with execute_point.
+        g.execute_row(t, lo, hi, inputs, scratch=None, validate=False)
+
+    def test_faults_are_caught_on_both_sides_of_bulk_bytes(self):
+        """The property above draws its faults; this pins one of each kind
+        on a block compared with one memcmp and on one walked buffer by
+        buffer, so neither arm can go vacuous."""
+        for nbytes in (64, _BULK_BYTES):
+            g = TaskGraph(timesteps=4, max_width=6, output_bytes_per_task=nbytes,
+                          dependence=DependenceType.STENCIL_1D)
+            good = _inputs(g, 2, 1, 5)
+            assert (nbytes * len(good) <= _BULK_BYTES) == (nbytes == 64)
+            g.execute_row(2, 1, 5, good, scratch=None, validate=True)
+            cases = {
+                r"\(t=2, i=4\).*expected 3 inputs.*got 2": good[:-1],
+                r"\(t=2, i=4\).*expected 3 inputs.*got 4": good + good[:1],
+                r"\(t=2, i=2\).*slot 1.*wrong size 7":
+                    good[:4] + [np.zeros(7, dtype=np.uint8)] + good[5:],
+                r"\(t=2, i=3\).*slot 0 should be the output of \(t=1, i=2\)"
+                r".*is the output of graph 0 task \(t=0, i=2\)":
+                    good[:6] + [task_output(g, 0, 2)] + good[7:],
+            }
+            flipped = [b.copy() for b in good]
+            flipped[-1][nbytes // 2] ^= 0xFF
+            cases[r"\(t=2, i=4\).*slot 2.*does not match|"
+                  r"\(t=2, i=4\).*slot 2.*is the output"] = flipped
+            for pattern, bad in cases.items():
+                with pytest.raises(ValidationError, match=pattern):
+                    g.execute_row(2, 1, 5, bad, scratch=None, validate=True)
+
+    def test_block_outside_the_row_raises(self):
+        g = TaskGraph(timesteps=4, max_width=8, dependence=DependenceType.TREE)
+        for lo, hi in [(0, 3), (2, 4), (-1, 1), (1, 0)]:  # row 1 is [0, 2)
+            with pytest.raises(IndexError):
+                g.execute_row(1, lo, hi, [], scratch=None, validate=False)
+        assert g.execute_row(1, 1, 1, [], scratch=None, validate=True) == []
+
+
+class TestExecuteRowKernels:
+    def _graph(self, **kw):
+        return TaskGraph(
+            timesteps=3, max_width=4, dependence=DependenceType.STENCIL_1D,
+            kernel=Kernel(kernel_type=KernelType.MEMORY_BOUND, iterations=1,
+                          span_bytes=8),
+            scratch_bytes_per_task=64, **kw,
+        )
+
+    def test_scratch_shared_or_per_task(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            Kernel, "execute",
+            lambda self, t=0, i=0, scratch=None, seed=0:
+                seen.append((t, i, scratch)))
+        g = self._graph()
+        one = g.prepare_scratch()
+        g.execute_row(0, 1, 4, [], scratch=one, validate=True)
+        assert [(t, i) for t, i, _ in seen] == [(0, 1), (0, 2), (0, 3)]
+        assert all(buf is one for _, _, buf in seen)
+        del seen[:]
+        each = [g.prepare_scratch() for _ in range(3)]
+        g.execute_row(0, 1, 4, [], scratch=each, validate=True)
+        assert [buf for _, _, buf in seen] == each
+
+    def test_memory_kernel_without_scratch_raises(self):
+        with pytest.raises(ValueError, match="scratch"):
+            self._graph().execute_row(0, 0, 4, [], scratch=None, validate=True)
+
+    def test_empty_kernel_is_never_called_untraced(self, monkeypatch):
+        def boom(self, t=0, i=0, scratch=None, seed=0):
+            raise AssertionError("empty kernel dispatched")
+
+        monkeypatch.setattr(Kernel, "execute", boom)
+        g = TaskGraph(timesteps=2, max_width=4,
+                      kernel=Kernel(kernel_type=KernelType.EMPTY))
+        assert len(g.execute_row(0, 0, 4, [], scratch=None, validate=True)) == 4
+
+    def test_one_kernel_span_per_task_when_traced(self):
+        from repro.trace import capture, check_trace
+
+        for kind in (KernelType.EMPTY, KernelType.COMPUTE_BOUND):
+            g = TaskGraph(timesteps=1, max_width=5,
+                          kernel=Kernel(kernel_type=kind, iterations=1))
+            with capture() as rec:
+                g.execute_row(0, 0, 5, [], scratch=None, validate=True)
+                trace = rec.collect()
+            assert check_trace(trace, [g]) == []
+            assert len(trace.kernel_spans()) == 5

@@ -7,7 +7,6 @@ from repro.core import DependenceType, TaskGraph
 from repro.runtimes._common import (
     OutputStore,
     ScratchPool,
-    consumer_count,
     run_point,
     task_keys,
 )
@@ -52,15 +51,15 @@ class TestTaskKeys:
 class TestConsumerCount:
     def test_stencil_interior(self):
         g = graphs2()[0]
-        assert consumer_count(g, 1, 1) == 3
+        assert g.consumer_count(1, 1) == 3
 
     def test_last_timestep_zero(self):
         g = graphs2()[0]
-        assert consumer_count(g, 3, 1) == 0
+        assert g.consumer_count(3, 1) == 0
 
     def test_trivial_zero(self):
         g = graphs2()[1]
-        assert consumer_count(g, 0, 0) == 0
+        assert g.consumer_count(0, 0) == 0
 
 
 class TestOutputStore:
@@ -111,7 +110,7 @@ class TestOutputStore:
         from repro.core.validation import task_output
 
         for i in range(3):
-            s.put((0, 0, i), task_output(g, 0, i), consumers=consumer_count(g, 0, i))
+            s.put((0, 0, i), task_output(g, 0, i), consumers=g.consumer_count(0, i))
         inputs = s.gather(g, 1, 1)
         assert len(inputs) == 3
         # canonical order means validation passes

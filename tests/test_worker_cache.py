@@ -23,7 +23,7 @@ import pytest
 
 from repro.core import DependenceType, Kernel, KernelType, TaskGraph
 from repro.runtimes import make_executor
-from repro.runtimes._common import capturing_outputs, consumer_count
+from repro.runtimes._common import capturing_outputs
 from repro.runtimes._procpool import ForkWorkerPool
 from repro.runtimes.processes import (
     _WORKER_GRAPHS,
@@ -102,7 +102,7 @@ def _captured_outputs(runtime: str, graphs, executor=None):
             (g.graph_index, t, i)
             for g in graphs
             for t, i in g.points()
-            if consumer_count(g, t, i) > 0
+            if g.consumer_count(t, i) > 0
         }
         return {k: sink[k] for k in expected}
     finally:
