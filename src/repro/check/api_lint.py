@@ -4,12 +4,13 @@ The O(m + n) property of Task Bench (paper §1) holds only while every
 runtime shim honors the same small contract.  This pass enforces the repo's
 invariants statically, without importing the modules:
 
-* ``api-missing-member``: every ``Executor`` subclass must define ``name``,
-  ``cores``, and ``execute_graphs``.
-* ``api-kernel-bypass``: kernels run only through ``run_point`` /
-  ``execute_point`` / ``execute_row``; calling ``kernel.execute`` or an
-  ``execute_kernel_*`` function directly would skip input validation and
-  trace hooks.
+* ``api-missing-member``: every ``Executor`` subclass must define ``name``
+  and ``execute_graphs`` (``cores`` defaults to ``workers`` in the base
+  class).
+* ``api-kernel-bypass``: kernels run only through ``run_task`` /
+  ``run_point`` / ``execute_point`` / ``execute_row``; calling
+  ``kernel.execute`` or an ``execute_kernel_*`` function directly would
+  skip input validation and trace hooks.
 * ``api-timing``: no wall-clock calls inside executor code — the timing
   contract lives in ``Executor.run``, which times ``execute_graphs`` from
   the outside.  Waivable per line with ``# check: allow[timing]`` for
@@ -112,9 +113,13 @@ _POOLISH = ("pool", "buf", "slab")
 #: Pool-handle release calls that balance an ``acquire``.
 _RELEASE_METHODS = {"decref", "decref_batch", "close"}
 
+#: The sanctioned ways to run a kernel, as the rule's message names them.
+_KERNEL_ENTRY_POINTS = "run_task/run_point/execute_point/execute_row"
+
 _KERNEL_BYPASS_HINT = (
-    "call graph.execute_point, graph.execute_row for a column block, or "
-    "_common.run_point instead"
+    "call _common.run_task (or run_point, which also gathers and "
+    "publishes), graph.execute_row for a column block, or "
+    "graph.execute_point instead"
 )
 
 
@@ -262,7 +267,7 @@ class _FileLinter:
             node = module_classes[name]
             have |= own_members(node)
             stack.extend(_base_names(node))
-        for member in ("name", "cores", "execute_graphs"):
+        for member in ("name", "execute_graphs"):
             if member not in have:
                 self.out.append(
                     error(
@@ -281,8 +286,8 @@ class _FileLinter:
                 error(
                     "api-kernel-bypass",
                     f"direct call to {name}(); kernels must run via "
-                    "run_point/execute_point/execute_row so inputs are "
-                    "validated and events traced",
+                    f"{_KERNEL_ENTRY_POINTS} so inputs are validated and "
+                    "events traced",
                     self._loc(call),
                     _KERNEL_BYPASS_HINT,
                 )
@@ -294,7 +299,7 @@ class _FileLinter:
                     error(
                         "api-kernel-bypass",
                         f"direct call to {'.'.join(chain)}(); kernels must "
-                        "run via run_point/execute_point/execute_row",
+                        f"run via {_KERNEL_ENTRY_POINTS}",
                         self._loc(call),
                         _KERNEL_BYPASS_HINT,
                     )

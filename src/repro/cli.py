@@ -661,8 +661,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(_usage())
         return 0
     if args and args[0] in ("--list-runtimes", "-list-runtimes"):
-        for name, isolation, cost in describe_runtimes():
-            print(f"{name:16s} {isolation:10s} {cost}")
+        for name, isolation, cost, lines in describe_runtimes():
+            print(f"{name:16s} {isolation:10s} {cost:10s} {lines:4d}")
         return 0
     if args and args[0] == "check":
         return run_check(args[1:])
@@ -960,8 +960,9 @@ app options:
                      trace-event JSON to PATH — open it in Perfetto or
                      chrome://tracing; trace timings never feed METG
   --list-runtimes    print each real executor with its isolation level
-                     (serial / threads / processes / cluster) and its
-                     admission core cost (1, workers, or workers+1) and exit
+                     (serial / threads / processes / cluster), its
+                     admission core cost (1, workers, or workers+1) and its
+                     shim lines (code lines of its module) and exit
 
 fault tolerance (process and cluster executors; env defaults in parentheses):
   --timeout SECONDS  per-round worker deadline — a wedged worker surfaces

@@ -41,6 +41,7 @@ import numpy as np
 
 from ..core.task_graph import TaskGraph
 from ..faults import FaultSpec, apply_fault
+from ..runtimes._common import block_owner
 from ..trace import recorder as trace
 from .transport import Endpoint, make_listener
 from .wire import Tag, encode_trace
@@ -50,12 +51,6 @@ Key = Tuple[int, int, int]
 
 #: Per-timestep send coalescing buffer: dest rank -> [(key, payload), ...].
 Outbatch = Dict[int, List[Tuple[Key, np.ndarray]]]
-
-
-def block_owner(column: int, width: int, ranks: int) -> int:
-    """Rank owning ``column`` under block partitioning (MPI-style);
-    mirrors :func:`repro.runtimes.p2p.block_owner`."""
-    return min(column * ranks // width, ranks - 1)
 
 
 class _RefStore:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import time
-from typing import Sequence
+from typing import Sequence, Tuple
 
 from . import fastpath as _fastpath
 from .metrics import RunResult, summarize_graphs
@@ -42,10 +42,22 @@ class Executor(abc.ABC):
     #: tell otherwise same-shaped backends apart.
     isolation: str = "threads"
 
+    #: Constructor keywords this executor accepts besides ``workers``;
+    #: ``make_executor`` rejects every other option (``timeout`` and
+    #: ``fault`` excepted: callers pass those to any runtime, and the
+    #: runtimes that supervise workers declare and honour them).
+    options: Tuple[str, ...] = ()
+
+    def __init__(self, workers: int = 2) -> None:
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        self.workers = workers
+
     @property
-    @abc.abstractmethod
     def cores(self) -> int:
-        """Number of cores this executor occupies (workers + reserved)."""
+        """Number of cores this executor occupies: its workers, unless a
+        subclass reserves more (or, like ``serial``, uses fewer)."""
+        return self.workers
 
     def heal(self) -> int:
         """Repair any dead substrate in place; returns how many workers

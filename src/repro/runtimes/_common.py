@@ -138,25 +138,36 @@ def record_event(kind: str, task: TaskKey, source: TaskKey | None = None) -> Non
 def events_active() -> bool:
     """Whether any schedule-event sink (recorder or observer) is installed.
 
-    Batch paths that would have to *compute* something per event — e.g.
+    Paths that would have to *compute* something per event — e.g.
     re-deriving dependency columns to emit acquires — check this first so
     the work is skipped entirely on untraced runs, where
     :func:`record_event` alone would already no-op."""
     return _active_recorder is not None or _event_observer is not None
 
 
-def record_row_events(g: TaskGraph, t: int) -> None:
-    """Record the schedule events of row ``t`` of ``g``, task by task in
-    program order: start, one acquire per input, finish, and publish for
-    outputs somebody reads.  For executors that run (or replay) a whole row
-    at a time."""
+def _record_task_events(key: TaskKey, deps: Sequence[int]) -> None:
+    """A task's start and one acquire per input, in canonical order."""
+    record_event(EV_START, key)
+    gi, t, _i = key
+    for j in deps:
+        record_event(EV_ACQUIRE, key, (gi, t - 1, j))
+
+
+def record_row_events(
+    g: TaskGraph, t: int, lo: int | None = None, hi: int | None = None
+) -> None:
+    """Record the schedule events of columns ``[lo, hi)`` of row ``t`` of
+    ``g`` (default: the whole row), task by task in program order: start,
+    one acquire per input, finish, and publish for outputs somebody reads.
+    For executors that run a row block at a time, or replay one that ran in
+    another process."""
     gi = g.graph_index
     plan = g.row_plan(t)
-    for k, deps in enumerate(plan.deps):
+    first = 0 if lo is None else lo - plan.off
+    last = plan.width if hi is None else hi - plan.off
+    for k in range(first, last):
         key = (gi, t, plan.off + k)
-        record_event(EV_START, key)
-        for j in deps:
-            record_event(EV_ACQUIRE, key, (gi, t - 1, j))
+        _record_task_events(key, plan.deps[k])
         record_event(EV_FINISH, key)
         if plan.consumers[k] > 0:
             record_event(EV_PUBLISH, key)
@@ -205,8 +216,8 @@ def capture_active() -> bool:
 
 def capture_output(key: TaskKey, value: "bufpool.Payload") -> None:
     """Snapshot one published output if a capture is active (no-op
-    otherwise).  Called from every publish site: :meth:`OutputStore.put`
-    and executor-private delivery paths that bypass it."""
+    otherwise).  Called from :func:`publish`, and by the executors that
+    replay another process's row when they retire it."""
     sink = _capture_sink
     if sink is None:
         return
@@ -234,6 +245,12 @@ def task_keys(graphs: Sequence[TaskGraph]) -> Iterator[TaskKey]:
                 yield (g.graph_index, t, i)
 
 
+def block_owner(column: int, width: int, ranks: int) -> int:
+    """Rank owning ``column`` under block partitioning (MPI-style): how
+    ``p2p`` and the cluster ranks map columns to ranks."""
+    return min(column * ranks // width, ranks - 1)
+
+
 class OutputStore:
     """Thread-safe, reference-counted storage of task outputs.
 
@@ -257,50 +274,23 @@ class OutputStore:
         self._lock = threading.Lock()
         self._data: Dict[TaskKey, Tuple[bufpool.Payload, int]] = {}
 
-    def put(
-        self,
-        key: TaskKey,
-        value: "bufpool.Payload",
-        consumers: int,
-        *,
-        quiet: bool = False,
+    def put(self, key: TaskKey, value: "bufpool.Payload", consumers: int) -> None:
+        """Store ``value`` to be read by exactly ``consumers`` tasks (an
+        output nobody reads is not stored)."""
+        if consumers > 0:
+            self.put_batch(((key, value, consumers),))
+
+    def put_batch(
+        self, items: Sequence[Tuple[TaskKey, "bufpool.Payload", int]]
     ) -> None:
-        """Store ``value`` to be read by exactly ``consumers`` tasks.
-
-        ``quiet=True`` registers the entry without emitting the publish
-        event or capturing the payload: the window planner of the shm
-        executor inserts handles *before* the kernels that fill them have
-        run, and surfaces publication (event + capture) itself at retire
-        time, once the bytes exist and program order can be respected.
-        """
-        if consumers <= 0:
-            return
-        traced = trace.enabled
-        t0 = trace.begin() if traced else 0
-        if not quiet:
-            record_event(EV_PUBLISH, key)
-            capture_output(key, value)
+        """Store several ``(key, value, consumers)`` outputs, each read by
+        at least one task, under one lock hold."""
         with self._lock:
-            if key in self._data:
-                raise RuntimeError(f"output for task {key} stored twice")
-            self._data[key] = (value, consumers)
-        if traced:
-            trace.complete("publish", trace.CAT_PUBLISH, t0, {"task": key})
-
-    def take(self, key: TaskKey) -> "bufpool.Payload":
-        """Read one consumer's copy of the output of ``key``."""
-        with self._lock:
-            try:
-                value, remaining = self._data[key]
-            except KeyError:
-                raise RuntimeError(
-                    f"output for task {key} requested but not produced"
-                ) from None
-            if remaining == 1:
-                del self._data[key]
-            else:
-                self._data[key] = (value, remaining - 1)
-            return value
+            data = self._data
+            for key, value, consumers in items:
+                if key in data:
+                    raise RuntimeError(f"output for task {key} stored twice")
+                data[key] = (value, consumers)
 
     def _take_locked(
         self, gi: int, t: int, cols: Sequence[int]
@@ -324,81 +314,36 @@ class OutputStore:
             values.append(value)
         return values
 
-    def gather(
-        self, g: TaskGraph, t: int, i: int, *, quiet: bool = False
-    ) -> List["bufpool.Payload"]:
-        """Collect the inputs of task ``(t, i)`` in canonical order.
+    def take(self, key: TaskKey) -> "bufpool.Payload":
+        """Read one consumer's copy of the output of ``key``."""
+        gi, t, i = key
+        with self._lock:
+            return self._take_locked(gi, t, (i,))[0]
 
-        All takes happen under one lock hold (a per-input lock round-trip
-        is measurable at empty-kernel granularity); the acquire events
-        follow, outside the lock.  ``quiet=True`` suppresses them (see
-        :meth:`put`): the shm window planner gathers handles ahead of
-        execution and emits the events in program order at retire.
-        """
+    def gather(self, g: TaskGraph, t: int, i: int) -> List["bufpool.Payload"]:
+        """Collect the inputs of task ``(t, i)`` in canonical order, under
+        one lock hold (a per-input lock round-trip is measurable at
+        empty-kernel granularity)."""
         if t == 0:
             return []
-        gi = g.graph_index
-        cols = g.dependency_columns(t, i)
         with self._lock:
-            inputs = self._take_locked(gi, t - 1, cols)
-        if not quiet and (
-            _active_recorder is not None or _event_observer is not None
-        ):
-            consumer = (gi, t, i)
-            for j in cols:
-                record_event(EV_ACQUIRE, consumer, (gi, t - 1, j))
-        return inputs
+            return self._take_locked(
+                g.graph_index, t - 1, g.dependency_columns(t, i)
+            )
 
     def gather_batch(
         self, graphs: Dict[int, TaskGraph], keys: Sequence[TaskKey]
     ) -> List[List["bufpool.Payload"]]:
-        """Collect the inputs of several *ready* tasks under one lock hold.
-
-        The batch twin of :meth:`gather`: every key's producers have
-        already published (the scheduler only batches ready tasks), so no
-        take can fail to find its source mid-batch.  Start/acquire events
-        are emitted after the lock, in per-task program order.
-        """
+        """Collect the inputs of several *ready* tasks under one lock hold:
+        every key's producers have already published, so no take can fail
+        to find its source mid-batch."""
         with self._lock:
-            results = [
+            return [
                 self._take_locked(
                     gi, t - 1, graphs[gi].dependency_columns(t, i)
                 ) if t > 0 else []
                 for gi, t, i in keys
             ]
-        if _active_recorder is not None or _event_observer is not None:
-            for key in keys:
-                gi, t, i = key
-                record_event(EV_START, key)
-                if t > 0:
-                    for j in graphs[gi].dependency_columns(t, i):
-                        record_event(EV_ACQUIRE, key, (gi, t - 1, j))
-        return results
-
-    def put_batch(
-        self,
-        items: Sequence[Tuple[TaskKey, "bufpool.Payload", int]],
-    ) -> None:
-        """Store several ``(key, value, consumers)`` outputs under one lock
-        hold (zero-consumer entries are skipped, as in :meth:`put`)."""
-        items = [entry for entry in items if entry[2] > 0]
-        if not items:
-            return
-        traced = trace.enabled
-        t0 = trace.begin() if traced else 0
-        for key, value, _consumers in items:
-            record_event(EV_PUBLISH, key)
-            capture_output(key, value)
-        with self._lock:
-            data = self._data
-            for key, value, consumers in items:
-                if key in data:
-                    raise RuntimeError(f"output for task {key} stored twice")
-                data[key] = (value, consumers)
-        if traced:
-            trace.complete(
-                "publish", trace.CAT_PUBLISH, t0, {"tasks": len(items)}
-            )
 
     def assert_drained(self) -> None:
         """Raise if any outputs were produced but never fully consumed."""
@@ -456,6 +401,51 @@ class ScratchPool:
         return buf
 
 
+def run_task(
+    g: TaskGraph,
+    t: int,
+    i: int,
+    inputs: Sequence["bufpool.Payload"],
+    *,
+    scratch: np.ndarray | None,
+    validate: bool,
+    out: "bufpool.Payload | None" = None,
+) -> "bufpool.Payload":
+    """The task step of every task-by-task executor: run task ``(t, i)`` of
+    ``g`` on the ``inputs`` the executor obtained for it and return its
+    output (``out`` itself when given).
+
+    The one place under ``runtimes/`` that calls ``execute_point`` and
+    opens the ``"task"`` kernel span, and the one that records a task's
+    ``start``, ``acquire`` per input and ``finish`` — in that order,
+    whatever order the executor got hold of the inputs in."""
+    key = (g.graph_index, t, i)
+    if _active_recorder is not None or _event_observer is not None:
+        _record_task_events(key, g.dependency_columns(t, i))
+    traced = trace.enabled
+    t0 = trace.begin() if traced else 0
+    out = g.execute_point(t, i, inputs, scratch, validate=validate, out=out)
+    if traced:
+        trace.complete("task", trace.CAT_KERNEL, t0, {"task": key})
+    record_event(EV_FINISH, key)
+    return out
+
+
+def publish(key: TaskKey, value: "bufpool.Payload") -> None:
+    """Announce that the output of ``key`` is about to become visible to
+    its consumers: the ``"publish"`` span, the publish event and the
+    conformance snapshot.  Call it exactly once per task that has
+    consumers, after :func:`run_task` and *before* handing ``value`` to
+    whatever channel the consumers synchronize on (store, mailbox, future):
+    the audits order the hand-off after this event."""
+    traced = trace.enabled
+    t0 = trace.begin() if traced else 0
+    record_event(EV_PUBLISH, key)
+    capture_output(key, value)
+    if traced:
+        trace.complete("publish", trace.CAT_PUBLISH, t0, {"task": key})
+
+
 def run_point(
     store: OutputStore,
     scratch: ScratchPool,
@@ -464,49 +454,10 @@ def run_point(
     i: int,
     *,
     validate: bool,
-    pool: SlabPool | None = None,
 ) -> None:
-    """Gather inputs, execute one task, and publish its output.
-
-    With a ``pool``, the task's output is written into a recycled slab slot
-    acquired with one reference per consumer; each consumer (a later
-    ``run_point`` call) drops its reference once it has read the buffer, at
-    which point the slot returns to the free list.  Without a pool the
-    historical allocate-per-task path is used.
-    """
-    key = (g.graph_index, t, i)
-    record_event(EV_START, key)
-    inputs = store.gather(g, t, i)
-    consumers = g.consumer_count(t, i)
-    traced = trace.enabled
-    if pool is None:
-        t0 = trace.begin() if traced else 0
-        out = g.execute_point(
-            t, i, inputs, scratch=scratch.get(g.graph_index, i), validate=validate
-        )
-        if traced:
-            trace.complete("task", trace.CAT_KERNEL, t0, {"task": key})
-        record_event(EV_FINISH, key)
-        store.put(key, out, consumers)
-        return
-    ref = pool.acquire(g.output_bytes_per_task, refs=max(consumers, 1))
-    t0 = trace.begin() if traced else 0
-    g.execute_point(
-        t, i, inputs, scratch=scratch.get(g.graph_index, i), validate=validate,
-        out=ref,
-    )
-    if traced:
-        trace.complete("task", trace.CAT_KERNEL, t0, {"task": key})
-    record_event(EV_FINISH, key)
-    if consumers > 0:
-        store.put(key, ref, consumers)
-    else:
-        pool.decref(ref)
-    # Reading is done: drop this consumer's reference on every pooled input
-    # (one pool lock hold for all of them) so fully-read slots recycle.
-    drops = [value for value in inputs if type(value) is PayloadRef]
-    if drops:
-        pool.decref_batch(drops)
+    """Gather inputs, execute one task, and publish its output."""
+    gi = g.graph_index
+    run_point_batch(store, scratch, {gi: g}, ((gi, t, i),), validate=validate)
 
 
 def run_point_batch(
@@ -516,68 +467,47 @@ def run_point_batch(
     keys: Sequence[TaskKey],
     *,
     validate: bool,
-    pool: SlabPool,
-) -> List[Tuple[TaskGraph, int, int]]:
-    """Fusion of :func:`run_point` over a batch of ready tasks.
+    pool: SlabPool | None = None,
+) -> None:
+    """Gather the inputs of the ready tasks ``keys`` (every producer has
+    published), execute them and publish their outputs.
 
-    Every task in ``keys`` is ready (all inputs published), so the batch's
-    data-plane traffic can be coalesced: one pool lock hold acquires all
-    output slots (per size class), one store lock hold publishes all
-    outputs, and one pool lock hold drops every consumed input reference.
-    Per-task semantics — event order, validation, trace spans — match
-    ``run_point`` exactly.  Returns ``(graph, t, i)`` completion tuples for
-    the scheduler.
-    """
+    The batch's data-plane traffic is coalesced: one store lock hold
+    gathers every input and one stores every output.  With a ``pool`` the
+    outputs are written into recycled slab slots acquired with one
+    reference per consumer — one pool lock hold per size class — and each
+    consumed input drops its reference once the batch has read it (one more
+    hold), at which point fully-read slots return to the free list.
+    Without one, ``execute_point`` allocates each output."""
     inputs_list = store.gather_batch(graphs, keys)
-    metas = []
-    single_graph = True
-    g0 = graphs[keys[0][0]]
-    for key, inputs in zip(keys, inputs_list):
-        gi, t, i = key
-        g = graphs[gi]
-        if g is not g0:
-            single_graph = False
-        metas.append((g, t, i, key, inputs, g.consumer_count(t, i)))
-    if single_graph:
-        out_refs: List[PayloadRef | None] = pool.acquire_batch(
-            g0.output_bytes_per_task, [max(m[5], 1) for m in metas]
-        )
-    else:
-        out_refs = [None] * len(metas)
+    counts = [graphs[gi].consumer_count(t, i) for gi, t, i in keys]
+    refs: List[PayloadRef | None] = [None] * len(keys)
+    if pool is not None:
         by_size: Dict[int, List[int]] = {}
-        for idx, meta in enumerate(metas):
-            by_size.setdefault(meta[0].output_bytes_per_task, []).append(idx)
+        for n, key in enumerate(keys):
+            nbytes = graphs[key[0]].output_bytes_per_task
+            by_size.setdefault(nbytes, []).append(n)
         for nbytes, idxs in by_size.items():
-            got = pool.acquire_batch(
-                nbytes, [max(metas[j][5], 1) for j in idxs]
-            )
-            for j, ref in zip(idxs, got):
-                out_refs[j] = ref
-    traced = trace.enabled
-    puts: List[Tuple[TaskKey, PayloadRef, int]] = []
+            got = pool.acquire_batch(nbytes, [max(counts[n], 1) for n in idxs])
+            for n, ref in zip(idxs, got):
+                refs[n] = ref
+    puts: List[Tuple[TaskKey, "bufpool.Payload", int]] = []
     drops: List[PayloadRef] = []
-    done: List[Tuple[TaskGraph, int, int]] = []
-    for (g, t, i, key, inputs, consumers), ref in zip(metas, out_refs):
-        t0 = trace.begin() if traced else 0
-        g.execute_point(
-            t, i, inputs, scratch=scratch.get(g.graph_index, i),
+    for key, inputs, consumers, ref in zip(keys, inputs_list, counts, refs):
+        gi, t, i = key
+        out = run_task(
+            graphs[gi], t, i, inputs, scratch=scratch.get(gi, i),
             validate=validate, out=ref,
         )
-        if traced:
-            trace.complete("task", trace.CAT_KERNEL, t0, {"task": key})
-        record_event(EV_FINISH, key)
         if consumers > 0:
-            puts.append((key, ref, consumers))
-        else:
+            publish(key, out)
+            puts.append((key, out, consumers))
+        elif ref is not None:
             drops.append(ref)
-        for value in inputs:
-            if type(value) is PayloadRef:
-                drops.append(value)
-        done.append((g, t, i))
+        drops.extend(value for value in inputs if type(value) is PayloadRef)
     store.put_batch(puts)
     if drops:
         pool.decref_batch(drops)
-    return done
 
 
 def pool_data_plane(

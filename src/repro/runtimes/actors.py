@@ -22,16 +22,8 @@ import numpy as np
 
 from ..core.executor_base import Executor
 from ..core.task_graph import TaskGraph
-from ..trace import recorder as trace
-from ._common import (
-    EV_ACQUIRE,
-    EV_FINISH,
-    EV_PUBLISH,
-    EV_START,
-    ScratchPool,
-    capture_output,
-    record_event,
-)
+from ._common import ScratchPool, publish, run_task
+from ._readypool import ReadyPool
 
 
 class _Actor:
@@ -93,15 +85,6 @@ class ActorExecutor(Executor):
 
     name = "actors"
 
-    def __init__(self, workers: int = 2) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-
-    @property
-    def cores(self) -> int:
-        return self.workers
-
     def execute_graphs(
         self, graphs: Sequence[TaskGraph], *, validate: bool = True
     ) -> None:
@@ -111,21 +94,16 @@ class ActorExecutor(Executor):
             for i in range(g.max_width)
         }
         scratch = ScratchPool(graphs)
-        total = sum(g.total_tasks() for g in graphs)
-
-        cv = threading.Condition()
-        run_queue: List[_Actor] = []
-        state = {"remaining": total, "error": None}
+        # Work items are actors whose next task is ready; ``outstanding``
+        # counts tasks, since an actor comes back once per timestep.
+        pool = ReadyPool(outstanding=sum(g.total_tasks() for g in graphs))
 
         def schedule(actor: _Actor) -> None:
             """Enqueue an actor whose next task is ready.  Caller holds
             ``actor.lock``; ``scheduled`` prevents double-enqueueing."""
-            if actor.scheduled:
-                return
-            actor.scheduled = True
-            with cv:
-                run_queue.append(actor)
-                cv.notify()
+            if not actor.scheduled:
+                actor.scheduled = True
+                pool.complete(0, (actor,))  # no task retired, one made ready
 
         def deliver(dest: _Actor, t: int, producer: int, buf: np.ndarray) -> None:
             with dest.lock:
@@ -143,47 +121,24 @@ class ActorExecutor(Executor):
             with actor.lock:
                 t = actor.next_t
                 inputs = actor.take_inputs()
-            task = (g.graph_index, t, actor.column)
-            record_event(EV_START, task)
-            if t > 0:
-                for j in g.dependency_points(t, actor.column):
-                    record_event(EV_ACQUIRE, task, (g.graph_index, t - 1, j))
-            t0 = trace.begin() if trace.enabled else 0
-            out = g.execute_point(
-                t,
-                actor.column,
-                inputs,
+            out = run_task(
+                g, t, actor.column, inputs,
                 scratch=scratch.get(g.graph_index, actor.column),
                 validate=validate,
             )
-            if t0:
-                trace.complete("task", trace.CAT_KERNEL, t0, {"task": task})
-            record_event(EV_FINISH, task)
             consumers = list(g.reverse_dependency_points(t, actor.column))
             if consumers:
-                t0 = trace.begin() if trace.enabled else 0
-                record_event(EV_PUBLISH, task)
-                capture_output(task, out)
-                if t0:
-                    trace.complete("publish", trace.CAT_PUBLISH, t0, {"task": task})
+                publish((g.graph_index, t, actor.column), out)
             for j in consumers:
                 deliver(actors[(g.graph_index, j)], t + 1, actor.column, out)
             with actor.lock:
                 actor.advance()
                 # A successor timestep may already be ready (e.g. no deps,
-                # or all messages arrived while this task ran).
-                if actor.ready_locked():
-                    requeue = True  # keep .scheduled held
-                else:
-                    actor.scheduled = False
-                    requeue = False
-            if requeue:
-                with cv:
-                    run_queue.append(actor)
-                    cv.notify()
-            with cv:
-                state["remaining"] -= 1
-                cv.notify_all()
+                # or all messages arrived while this task ran): then the
+                # actor goes straight back in, ``scheduled`` still held.
+                again = actor.ready_locked()
+                actor.scheduled = again
+            pool.complete(1, (actor,) if again else ())
 
         # Seed: actors whose first task has no dependencies.
         for actor in actors.values():
@@ -191,38 +146,8 @@ class ActorExecutor(Executor):
                 if actor.ready_locked():
                     schedule(actor)
 
-        def worker() -> None:
-            try:
-                while True:
-                    with cv:
-                        while True:
-                            if state["error"] is not None:
-                                return
-                            if run_queue:
-                                actor = run_queue.pop()
-                                break
-                            if state["remaining"] == 0:
-                                return
-                            cv.wait(timeout=0.05)
-                    fire(actor)
-            except BaseException as exc:  # noqa: BLE001 - propagated below
-                with cv:
-                    if state["error"] is None:
-                        state["error"] = exc
-                    cv.notify_all()
+        def fire_all(claimed: List[_Actor]) -> None:
+            for actor in claimed:
+                fire(actor)
 
-        threads = [
-            threading.Thread(target=worker, name=f"actor-worker-{w}", daemon=True)
-            for w in range(self.workers)
-        ]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        if state["error"] is not None:
-            raise state["error"]
-        if state["remaining"] != 0:
-            raise RuntimeError(
-                f"{state['remaining']} tasks never became ready "
-                "(message routing bug)"
-            )
+        pool.run(self.workers, fire_all, name="actor-worker")

@@ -16,33 +16,13 @@ from typing import Dict, Sequence
 
 from ..core.executor_base import Executor
 from ..core.task_graph import TaskGraph
-from ..trace import recorder as trace
-from ._common import (
-    EV_ACQUIRE,
-    EV_FINISH,
-    EV_PUBLISH,
-    EV_START,
-    ScratchPool,
-    TaskKey,
-    capture_output,
-    record_event,
-    task_keys,
-)
+from ._common import ScratchPool, TaskKey, publish, run_task, task_keys
 
 
 class AsyncioExecutor(Executor):
     """Coroutine-per-task dataflow execution on an asyncio event loop."""
 
     name = "asyncio"
-
-    def __init__(self, workers: int = 2) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-
-    @property
-    def cores(self) -> int:
-        return self.workers
 
     def execute_graphs(
         self, graphs: Sequence[TaskGraph], *, validate: bool = True
@@ -61,28 +41,19 @@ class AsyncioExecutor(Executor):
         async def task(gi: int, t: int, i: int) -> None:
             g = by_index[gi]
             key = (gi, t, i)
-            inputs = []
-            if t:
-                for j in g.dependency_points(t, i):
-                    inputs.append(await outputs[(gi, t - 1, j)])
-                    record_event(EV_ACQUIRE, key, (gi, t - 1, j))
+            inputs = [
+                await outputs[(gi, t - 1, j)] for j in g.dependency_points(t, i)
+            ]
             async with sem:  # a core
-                record_event(EV_START, key)
-                # No await between begin and complete: the kernel runs
-                # synchronously on the loop thread, so kernel spans on this
-                # single track never overlap.
-                t0 = trace.begin() if trace.enabled else 0
-                out = g.execute_point(
-                    t, i, inputs, scratch=scratch.get(gi, i), validate=validate
+                # No await inside run_task: the kernel runs synchronously
+                # on the loop thread, so kernel spans on this single track
+                # never overlap.
+                out = run_task(
+                    g, t, i, inputs, scratch=scratch.get(gi, i),
+                    validate=validate,
                 )
-                if t0:
-                    trace.complete("task", trace.CAT_KERNEL, t0, {"task": key})
-                record_event(EV_FINISH, key)
-            t0 = trace.begin() if trace.enabled else 0
-            record_event(EV_PUBLISH, key)
-            capture_output(key, out)
-            if t0:
-                trace.complete("publish", trace.CAT_PUBLISH, t0, {"task": key})
+            if g.consumer_count(t, i) > 0:
+                publish(key, out)
             outputs[key].set_result(out)
 
         coros = [task(gi, t, i) for gi, t, i in task_keys(graphs)]

@@ -14,7 +14,6 @@ from typing import Sequence
 
 from ..core.bufpool import HeapSlabPool
 from ..core.executor_base import Executor
-from ..core.metrics import DataPlaneStats
 from ..core.task_graph import TaskGraph
 from ..trace import recorder as trace
 from ._common import OutputStore, ScratchPool, pool_data_plane, run_point_batch
@@ -30,16 +29,6 @@ class BulkSyncExecutor(Executor):
 
     name = "bulk_sync"
 
-    def __init__(self, workers: int = 2) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self._data_plane: DataPlaneStats | None = None
-
-    @property
-    def cores(self) -> int:
-        return self.workers
-
     def execute_graphs(
         self, graphs: Sequence[TaskGraph], *, validate: bool = True
     ) -> None:
@@ -51,7 +40,7 @@ class BulkSyncExecutor(Executor):
         by_index = {g.graph_index: g for g in graphs}
         max_t = max(g.timesteps for g in graphs)
         try:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
+            with ThreadPoolExecutor(self.workers, "bulk-sync-worker") as pool:
                 for t in range(max_t):
                     t0 = trace.begin() if trace.enabled else 0
                     futures = []

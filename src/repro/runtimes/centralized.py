@@ -18,25 +18,25 @@ import itertools
 import queue
 import threading
 import time
-from typing import Dict, Sequence
+from typing import Sequence
 
 from ..core.executor_base import Executor
 from ..core.task_graph import TaskGraph
 from ..trace import recorder as trace
-from ._common import OutputStore, ScratchPool, TaskKey, run_point
+from ._common import OutputStore, ScratchPool, run_point
+from ._readypool import DependencyCounts
 
 
 class CentralizedExecutor(Executor):
     """Controller thread + worker pool with per-task dispatch."""
 
     name = "centralized"
+    options = ("dispatch_overhead_us",)
 
     def __init__(self, workers: int = 2, dispatch_overhead_us: float = 0.0) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+        super().__init__(workers)
         if dispatch_overhead_us < 0:
             raise ValueError("dispatch_overhead_us must be >= 0")
-        self.workers = workers
         self.dispatch_overhead_us = dispatch_overhead_us
 
     @property
@@ -47,23 +47,15 @@ class CentralizedExecutor(Executor):
     def execute_graphs(
         self, graphs: Sequence[TaskGraph], *, validate: bool = True
     ) -> None:
-        by_index = {g.graph_index: g for g in graphs}
         store = OutputStore()
         scratch = ScratchPool(graphs)
 
         # Controller-owned scheduling state (no locks needed: only the
         # controller thread touches it).
-        pending: Dict[TaskKey, int] = {}
-        ready: list[TaskKey] = []
-        for g in graphs:
-            for t, i in g.points():
-                key = (g.graph_index, t, i)
-                ndeps = g.num_dependencies(t, i)
-                if ndeps == 0:
-                    ready.append(key)
-                else:
-                    pending[key] = ndeps
-        remaining = sum(g.total_tasks() for g in graphs)
+        counts = DependencyCounts(graphs)
+        by_index = counts.graphs
+        ready = counts.ready
+        remaining = counts.total
 
         work_queues = [queue.Queue() for _ in range(self.workers)]
         completions: queue.Queue = queue.Queue()
@@ -125,17 +117,8 @@ class CentralizedExecutor(Executor):
                     # failure may never complete (their worker is gone).
                     error = payload
                     break
-                gi, t, i = payload
                 remaining -= 1
-                g = by_index[gi]
-                for j in g.reverse_dependency_points(t, i):
-                    skey = (gi, t + 1, j)
-                    left = pending[skey] - 1
-                    if left == 0:
-                        del pending[skey]
-                        ready.append(skey)
-                    else:
-                        pending[skey] = left
+                ready.extend(counts.release((payload,)))
         finally:
             for wq in work_queues:
                 wq.put(None)

@@ -67,6 +67,7 @@ class _ClusterExecutor(Executor):
     of the rank's first run."""
 
     isolation = "cluster"
+    options = ("timeout", "fault")
 
     #: Transport kind forwarded to the launcher (set by subclass).
     transport: ClassVar[str]
@@ -78,21 +79,14 @@ class _ClusterExecutor(Executor):
         timeout: float | None = None,
         fault: FaultSpec | None = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
+        super().__init__(workers)
         self.timeout = timeout if timeout is not None else default_timeout()
         self.fault = fault if fault is not None else fault_from_env()
-        self._data_plane: DataPlaneStats | None = None
         self._fault_stats: FaultStats | None = None
         self._cluster: "Cluster | None" = None  # lazy: no fork before a run
         self._launches = 0
         # Supervision counters carried over from meshes already torn down.
         self._fault_base = FaultStats()
-
-    @property
-    def cores(self) -> int:
-        return self.workers
 
     def close(self) -> None:
         """Release the rank processes.  Optional — the mesh also tears

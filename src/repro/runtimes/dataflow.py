@@ -24,14 +24,14 @@ would run with a stale buffer and the core library would throw.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from ..core.executor_base import Executor
 from ..core.task_graph import TaskGraph
 from ..trace import recorder as trace
 from ._common import OutputStore, ScratchPool, TaskKey, run_point, task_keys
+from ._readypool import ReadyPool
 
 DataItem = Tuple[int, int, int]  # (graph_index, column, field)
 
@@ -48,33 +48,26 @@ class STFScheduler:
     """Infers the DAG from sequential read/write declarations and runs it.
 
     Thread-safe: ``submit`` is called from the discovery thread while worker
-    threads retire tasks concurrently.
+    threads retire tasks concurrently; the inferred edges live under the
+    ready pool's lock, so a retirement and a submission never interleave.
     """
 
     def __init__(self, workers: int) -> None:
         self.workers = workers
-        self._lock = threading.Lock()
-        self._cv = threading.Condition(self._lock)
+        self._pool = ReadyPool()
         self._items: Dict[DataItem, _ItemState] = {}
         self._pending: Dict[TaskKey, int] = {}
         self._successors: Dict[TaskKey, List[TaskKey]] = {}
         self._completed: Set[TaskKey] = set()
-        self._ready: List[TaskKey] = []
-        self._bodies: Dict[TaskKey, object] = {}
-        self._submitted = 0
-        self._retired = 0
-        self._discovery_done = False
-        self._error: BaseException | None = None
+        self._bodies: Dict[TaskKey, Callable[[], None]] = {}
         #: Edges inferred during discovery, by kind (for tests/inspection).
         self.edge_counts = {"raw": 0, "war": 0, "waw": 0}
 
     # -- discovery side -------------------------------------------------
     def submit(self, key: TaskKey, reads: Sequence[DataItem], write: DataItem,
-               body) -> None:
+               body: Callable[[], None]) -> None:
         """Declare task ``key`` reading ``reads`` and writing ``write``."""
-        with self._cv:
-            if self._error is not None:
-                raise self._error
+        with self._pool.lock:
             preds: Set[TaskKey] = set()
             for item in reads:
                 st = self._items.setdefault(item, _ItemState())
@@ -95,85 +88,62 @@ class STFScheduler:
 
             live_preds = {p for p in preds if p not in self._completed}
             self._bodies[key] = body
-            self._submitted += 1
             for p in live_preds:
                 self._successors.setdefault(p, []).append(key)
             if live_preds:
                 self._pending[key] = len(live_preds)
-            else:
-                self._ready.append(key)
-                self._cv.notify()
+            # Raises the first worker error, which ends discovery early.
+            self._pool.add(key, ready=not live_preds)
 
     def finish_discovery(self) -> None:
-        with self._cv:
-            self._discovery_done = True
-            self._cv.notify_all()
+        self._pool.seal()
 
     # -- execution side ---------------------------------------------------
-    def _next(self) -> TaskKey | None:
-        with self._cv:
-            while True:
-                if self._error is not None:
-                    raise self._error
-                if self._ready:
-                    return self._ready.pop()
-                if self._discovery_done and self._retired == self._submitted:
-                    return None
-                self._cv.wait(timeout=0.05)
-
-    def _retire(self, key: TaskKey) -> None:
-        with self._cv:
-            self._completed.add(key)
-            self._retired += 1
-            for succ in self._successors.pop(key, ()):
-                left = self._pending[succ] - 1
-                if left == 0:
-                    del self._pending[succ]
-                    self._ready.append(succ)
-                else:
-                    self._pending[succ] = left
-            self._cv.notify_all()
-
-    def fail(self, exc: BaseException) -> None:
-        with self._cv:
-            if self._error is None:
-                self._error = exc
-            self._cv.notify_all()
+    def _execute(self, keys: List[TaskKey]) -> None:
+        for key in keys:
+            self._bodies.pop(key)()
+            with self._pool.lock:
+                self._completed.add(key)
+                released = []
+                for succ in self._successors.pop(key, ()):
+                    left = self._pending[succ] - 1
+                    if left == 0:
+                        del self._pending[succ]
+                        released.append(succ)
+                    else:
+                        self._pending[succ] = left
+                self._pool.complete(1, released)
 
     def worker_main(self) -> None:
-        try:
-            while True:
-                key = self._next()
-                if key is None:
-                    return
-                self._bodies.pop(key)()
-                self._retire(key)
-        except BaseException as exc:  # noqa: BLE001 - propagated to run()
-            self.fail(exc)
+        """One worker's loop, for a caller that brings its own thread."""
+        self._pool.work(self._execute)
+
+    def run(self, discover: Callable[[], None]) -> None:
+        """Execute on ``workers`` threads everything ``discover`` submits
+        from the calling thread; raises the first failure of either."""
+        self._pool.run(
+            self.workers, self._execute, name="stf-worker", feed=discover
+        )
 
     @property
     def error(self) -> BaseException | None:
-        return self._error
+        return self._pool.error
 
 
 class DataflowExecutor(Executor):
-    """Sequential task discovery with runtime dependence inference."""
+    """Sequential task discovery with runtime dependence inference.
+
+    The discovery thread plays the role of the runtime's inline main
+    thread; the workers execute tasks."""
 
     name = "dataflow"
+    options = ("nb_fields",)
 
     def __init__(self, workers: int = 2, nb_fields: int = 2) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+        super().__init__(workers)
         if nb_fields < 1:
             raise ValueError(f"nb_fields must be >= 1, got {nb_fields}")
-        self.workers = workers
         self.nb_fields = nb_fields
-
-    @property
-    def cores(self) -> int:
-        # The discovery thread plays the role of the runtime's inline
-        # main thread; workers execute tasks.
-        return self.workers
 
     def execute_graphs(
         self, graphs: Sequence[TaskGraph], *, validate: bool = True
@@ -182,17 +152,9 @@ class DataflowExecutor(Executor):
         sched = STFScheduler(self.workers)
         store = OutputStore()
         scratch = ScratchPool(graphs)
+        nf = self.nb_fields
 
-        threads = [
-            threading.Thread(target=sched.worker_main, name=f"stf-worker-{w}",
-                             daemon=True)
-            for w in range(self.workers)
-        ]
-        for th in threads:
-            th.start()
-
-        try:
-            nf = self.nb_fields
+        def discover() -> None:
             t0 = trace.begin() if trace.enabled else 0
             for gi, t, i in task_keys(graphs):
                 g = by_index[gi]
@@ -212,10 +174,7 @@ class DataflowExecutor(Executor):
                 # workers' kernel spans shows how far ahead the main thread
                 # runs.
                 trace.complete("stf.discover", trace.CAT_DISPATCH, t0)
-        finally:
             sched.finish_discovery()
-            for th in threads:
-                th.join()
-        if sched.error is not None:
-            raise sched.error
+
+        sched.run(discover)
         store.assert_drained()

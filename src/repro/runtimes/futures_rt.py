@@ -24,33 +24,13 @@ import numpy as np
 
 from ..core.executor_base import Executor
 from ..core.task_graph import TaskGraph
-from ..trace import recorder as trace
-from ._common import (
-    EV_ACQUIRE,
-    EV_FINISH,
-    EV_PUBLISH,
-    EV_START,
-    ScratchPool,
-    TaskKey,
-    capture_output,
-    record_event,
-    task_keys,
-)
+from ._common import ScratchPool, TaskKey, publish, run_task, task_keys
 
 
 class FuturesExecutor(Executor):
     """Dask-delayed-style execution over a FIFO thread pool."""
 
     name = "futures"
-
-    def __init__(self, workers: int = 2) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-
-    @property
-    def cores(self) -> int:
-        return self.workers
 
     def execute_graphs(
         self, graphs: Sequence[TaskGraph], *, validate: bool = True
@@ -59,34 +39,20 @@ class FuturesExecutor(Executor):
         scratch = ScratchPool(graphs)
         futures: Dict[TaskKey, Future] = {}
 
-        def run_task(
+        def run(
             g: TaskGraph, t: int, i: int, input_futures: List[Future]
         ) -> np.ndarray:
-            task = (g.graph_index, t, i)
-            record_event(EV_START, task)
-            inputs = []
-            if t:
-                for j, f in zip(g.dependency_points(t, i), input_futures):
-                    inputs.append(f.result())
-                    record_event(EV_ACQUIRE, task, (g.graph_index, t - 1, j))
-            t0 = trace.begin() if trace.enabled else 0
-            out = g.execute_point(
-                t, i, inputs, scratch=scratch.get(g.graph_index, i),
-                validate=validate,
+            out = run_task(
+                g, t, i, [f.result() for f in input_futures],
+                scratch=scratch.get(g.graph_index, i), validate=validate,
             )
-            if t0:
-                trace.complete("task", trace.CAT_KERNEL, t0, {"task": task})
-            record_event(EV_FINISH, task)
-            # The future resolving (immediately after this return) is the
-            # publication point; record it before the value becomes visible.
-            t0 = trace.begin() if trace.enabled else 0
-            record_event(EV_PUBLISH, task)
-            capture_output(task, out)
-            if t0:
-                trace.complete("publish", trace.CAT_PUBLISH, t0, {"task": task})
+            if g.consumer_count(t, i) > 0:
+                # The future resolving (immediately after this return) is
+                # the hand-off; publish before the value becomes visible.
+                publish((g.graph_index, t, i), out)
             return out
 
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
+        with ThreadPoolExecutor(self.workers, "futures-worker") as pool:
             # Topological submission order (see module docstring).
             for gi, t, i in task_keys(graphs):
                 g = by_index[gi]
@@ -95,7 +61,7 @@ class FuturesExecutor(Executor):
                     if t
                     else []
                 )
-                futures[(gi, t, i)] = pool.submit(run_task, g, t, i, deps)
+                futures[(gi, t, i)] = pool.submit(run, g, t, i, deps)
             # Propagate the first failure (and wait for completion).
             for f in futures.values():
                 f.result()

@@ -17,8 +17,9 @@ barrier: ranks drift apart as far as the dependence pattern allows.
 
 from __future__ import annotations
 
+import collections
 import threading
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -26,15 +27,13 @@ from ..core.executor_base import Executor
 from ..core.task_graph import TaskGraph
 from ..trace import recorder as trace
 from ._common import (
-    EV_ACQUIRE,
-    EV_FINISH,
-    EV_PUBLISH,
-    EV_START,
     OutputStore,
     ScratchPool,
     TaskKey,
-    capture_output,
-    record_event,
+    block_owner,
+    publish,
+    run_task,
+    task_keys,
 )
 
 
@@ -97,160 +96,81 @@ class Mailbox:
             return len(self._messages)
 
 
-def block_owner(column: int, width: int, ranks: int) -> int:
-    """Rank owning ``column`` under block partitioning (MPI-style)."""
-    return min(column * ranks // width, ranks - 1)
-
-
 class P2PExecutor(Executor):
     """Rank-per-thread executor with point-to-point message passing."""
 
     name = "p2p"
 
-    def __init__(self, workers: int = 2) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-
-    @property
-    def cores(self) -> int:
-        return self.workers
-
     def execute_graphs(
         self, graphs: Sequence[TaskGraph], *, validate: bool = True
     ) -> None:
+        nranks = self.workers
+        by_index = {g.graph_index: g for g in graphs}
         failure = _ExecutionFailure()
-        mailboxes = [Mailbox(failure) for _ in range(self.workers)]
-        locals_ = [OutputStore() for _ in range(self.workers)]
+        mailboxes = [Mailbox(failure) for _ in range(nranks)]
+        locals_ = [OutputStore() for _ in range(nranks)]
         scratch = ScratchPool(graphs)
+
+        def run(rank: int, g: TaskGraph, t: int, i: int) -> None:
+            """Receive the inputs of task ``(t, i)``, execute it and send
+            its output to the consumer ranks."""
+            gi, width = g.graph_index, g.max_width
+            local = locals_[rank]
+            inputs = []
+            for j in g.dependency_points(t, i):
+                source = (gi, t - 1, j)
+                if block_owner(j, width, nranks) == rank:
+                    inputs.append(local.take(source))
+                    continue
+                t0 = trace.begin() if trace.enabled else 0
+                inputs.append(mailboxes[rank].recv(source))
+                if t0:
+                    trace.complete(
+                        "recv.wait", trace.CAT_SCHED, t0,
+                        {"task": (gi, t, i), "source": source},
+                    )
+            out = run_task(
+                g, t, i, inputs, scratch=scratch.get(gi, i), validate=validate
+            )
+            # Count consumer columns per destination rank, then send each
+            # remote rank the message once (with its local consumer count)
+            # and keep a refcounted local copy for same-rank consumers.
+            per_rank = collections.Counter(
+                block_owner(j, width, nranks)
+                for j in g.reverse_dependency_points(t, i)
+            )
+            if per_rank:
+                publish((gi, t, i), out)
+            for dest, consumers in per_rank.items():
+                if dest == rank:
+                    local.put((gi, t, i), out, consumers)
+                else:
+                    mailboxes[dest].post((gi, t, i), out, consumers)
+
+        def rank_main(rank: int) -> None:
+            try:
+                for gi, t, i in task_keys(graphs):
+                    g = by_index[gi]
+                    if block_owner(i, g.max_width, nranks) == rank:
+                        run(rank, g, t, i)
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                failure.set(exc)
+                for mb in mailboxes:
+                    mb.wake()
 
         threads = [
             threading.Thread(
-                target=self._rank_main,
-                args=(rank, graphs, mailboxes, locals_[rank], scratch, failure,
-                      validate),
-                name=f"p2p-rank-{rank}",
+                target=rank_main, args=(rank,), name=f"p2p-rank-{rank}",
                 daemon=True,
             )
-            for rank in range(self.workers)
+            for rank in range(nranks)
         ]
         for th in threads:
             th.start()
         for th in threads:
             th.join()
         failure.check()
-        for rank in range(self.workers):
+        for rank in range(nranks):
             locals_[rank].assert_drained()
             if len(mailboxes[rank]):
                 raise RuntimeError(f"rank {rank} has undelivered messages")
-
-    # ------------------------------------------------------------------
-    def _rank_main(
-        self,
-        rank: int,
-        graphs: Sequence[TaskGraph],
-        mailboxes: List[Mailbox],
-        local: OutputStore,
-        scratch: ScratchPool,
-        failure: _ExecutionFailure,
-        validate: bool,
-    ) -> None:
-        try:
-            self._rank_loop(rank, graphs, mailboxes, local, scratch, failure,
-                            validate)
-        except BaseException as exc:  # noqa: BLE001 - propagated to main thread
-            failure.set(exc)
-            for mb in mailboxes:
-                mb.wake()
-
-    def _rank_loop(
-        self,
-        rank: int,
-        graphs: Sequence[TaskGraph],
-        mailboxes: List[Mailbox],
-        local: OutputStore,
-        scratch: ScratchPool,
-        failure: _ExecutionFailure,
-        validate: bool,
-    ) -> None:
-        max_t = max(g.timesteps for g in graphs)
-        for t in range(max_t):
-            for g in graphs:
-                if t >= g.timesteps:
-                    continue
-                off = g.offset_at_timestep(t)
-                for i in range(off, off + g.width_at_timestep(t)):
-                    if block_owner(i, g.max_width, self.workers) != rank:
-                        continue
-                    self._run_task(rank, g, t, i, mailboxes, local, scratch,
-                                   validate)
-
-    def _run_task(
-        self,
-        rank: int,
-        g: TaskGraph,
-        t: int,
-        i: int,
-        mailboxes: List[Mailbox],
-        local: OutputStore,
-        scratch: ScratchPool,
-        validate: bool,
-    ) -> None:
-        task = (g.graph_index, t, i)
-        record_event(EV_START, task)
-        inputs = []
-        if t > 0:
-            for j in g.dependency_points(t, i):
-                key = (g.graph_index, t - 1, j)
-                if block_owner(j, g.max_width, self.workers) == rank:
-                    inputs.append(local.take(key))
-                else:
-                    t0 = trace.begin() if trace.enabled else 0
-                    inputs.append(mailboxes[rank].recv(key))
-                    if t0:
-                        trace.complete(
-                            "recv.wait", trace.CAT_SCHED, t0,
-                            {"task": task, "source": key},
-                        )
-                record_event(EV_ACQUIRE, task, key)
-        t0 = trace.begin() if trace.enabled else 0
-        out = g.execute_point(
-            t, i, inputs, scratch=scratch.get(g.graph_index, i), validate=validate
-        )
-        if t0:
-            trace.complete("task", trace.CAT_KERNEL, t0, {"task": task})
-        record_event(EV_FINISH, task)
-        self._deliver(rank, g, t, i, out, mailboxes, local)
-
-    def _deliver(
-        self,
-        rank: int,
-        g: TaskGraph,
-        t: int,
-        i: int,
-        out: np.ndarray,
-        mailboxes: List[Mailbox],
-        local: OutputStore,
-    ) -> None:
-        # Count consumer columns per destination rank, then send each remote
-        # rank the message once (with its local consumer count) and keep a
-        # refcounted local copy for same-rank consumers.
-        per_rank: Dict[int, int] = {}
-        for j in g.reverse_dependency_points(t, i):
-            dest = block_owner(j, g.max_width, self.workers)
-            per_rank[dest] = per_rank.get(dest, 0) + 1
-        key = (g.graph_index, t, i)
-        if any(dest != rank for dest in per_rank):
-            # Remote sends bypass OutputStore.put, so the mailbox path needs
-            # its own publish event and capture snapshot (local.put records
-            # its own).
-            t0 = trace.begin() if trace.enabled else 0
-            record_event(EV_PUBLISH, key)
-            capture_output(key, out)
-            if t0:
-                trace.complete("publish", trace.CAT_PUBLISH, t0, {"task": key})
-        for dest, consumers in per_rank.items():
-            if dest == rank:
-                local.put(key, out, consumers)
-            else:
-                mailboxes[dest].post(key, out, consumers)

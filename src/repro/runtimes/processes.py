@@ -38,7 +38,12 @@ from ..core.metrics import DataPlaneStats, FaultStats
 from ..core.task_graph import TaskGraph
 from ..faults import FaultSpec, default_timeout, fault_from_env
 from ..trace import recorder as trace
-from ._common import EV_FINISH, EV_START, OutputStore, record_event
+from ._common import (
+    OutputStore,
+    capture_output,
+    events_active,
+    record_row_events,
+)
 from ._procpool import ForkWorkerPool, WorkerCrashError, WorkerTimeoutError
 
 # Per-process caches, initialized lazily inside workers.
@@ -128,6 +133,7 @@ class _PhasedProcessExecutor(Executor):
     generation (default: ``TASKBENCH_INJECT_FAULT``)."""
 
     isolation = "processes"
+    options = ("timeout", "fault")
 
     #: Module-level chunk function the pool's workers run (set by subclass).
     chunk_fn: ClassVar[Callable[[Any], Any]]
@@ -142,12 +148,9 @@ class _PhasedProcessExecutor(Executor):
         timeout: float | None = None,
         fault: FaultSpec | None = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
+        super().__init__(workers)
         self.timeout = timeout if timeout is not None else default_timeout()
         self.fault = fault if fault is not None else fault_from_env()
-        self._data_plane: DataPlaneStats | None = None
         self._fault_stats: FaultStats | None = None
         self._procs: ForkWorkerPool | None = None
         self._known: Dict[int, TaskGraph] = {}
@@ -156,10 +159,6 @@ class _PhasedProcessExecutor(Executor):
         self._workers_traced = False
         # Supervision counters carried over from pools that were dropped.
         self._fault_base = FaultStats()
-
-    @property
-    def cores(self) -> int:
-        return self.workers
 
     def close(self) -> None:
         """Release the worker processes.  Optional — the pool also tears
@@ -323,21 +322,24 @@ class ProcessPoolExecutor(_PhasedProcessExecutor):
                          validate)
                     )
                     frame_graphs[w].append(g)
+            emit = events_active()
             for w, frame_results in enumerate(procs.run_assigned(frames)):
                 for g, frame, outputs in zip(
                     frame_graphs[w], frames[w], frame_results
                 ):
-                    gi = g.graph_index
-                    for i, out in zip(range(frame[2], frame[3]), outputs):
-                        # Kernels ran in worker processes; their start/
-                        # finish are surfaced here, once the result has
-                        # crossed back — the earliest point the trace can
-                        # order them.
-                        record_event(EV_START, (gi, t, i))
-                        record_event(EV_FINISH, (gi, t, i))
+                    gi, _t, lo, hi = frame[:4]
+                    # Kernels ran in worker processes; their events are
+                    # surfaced here, once the results have crossed back —
+                    # the earliest point the trace can order them.
+                    if emit:
+                        record_row_events(g, t, lo, hi)
+                    for i, out in zip(range(lo, hi), outputs):
                         bytes_copied += out.nbytes
                         payloads_copied += 1
-                        store.put((gi, t, i), out, g.consumer_count(t, i))
+                        consumers = g.consumer_count(t, i)
+                        if consumers > 0:
+                            capture_output((gi, t, i), out)
+                            store.put((gi, t, i), out, consumers)
         self._drain_worker_traces(procs)
         store.assert_drained()
         self._data_plane = DataPlaneStats(

@@ -10,7 +10,6 @@ at all, the analogue of PTG's elimination of dynamic discovery cost.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
@@ -20,6 +19,7 @@ from ..core.executor_base import Executor
 from ..core.task_graph import TaskGraph
 from ..trace import recorder as trace
 from ._common import OutputStore, ScratchPool, run_point, task_keys
+from ._readypool import ReadyPool
 
 
 @dataclass
@@ -77,15 +77,6 @@ class PTGExecutor(Executor):
 
     name = "ptg"
 
-    def __init__(self, workers: int = 2) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-
-    @property
-    def cores(self) -> int:
-        return self.workers
-
     def execute_graphs(
         self, graphs: Sequence[TaskGraph], *, validate: bool = True
     ) -> None:
@@ -100,47 +91,19 @@ class PTGExecutor(Executor):
         store = OutputStore()
         scratch = ScratchPool(graphs)
 
-        cv = threading.Condition()
         pending = dag.dep_counts.copy()
-        ready: List[int] = list(np.flatnonzero(pending == 0))
-        state = {"remaining": dag.num_tasks, "error": None}
+        ready = ReadyPool(np.flatnonzero(pending == 0).tolist(), dag.num_tasks)
 
-        def worker() -> None:
-            try:
-                while True:
-                    with cv:
-                        while True:
-                            if state["error"] is not None:
-                                return
-                            if ready:
-                                k = ready.pop()
-                                break
-                            if state["remaining"] == 0:
-                                return
-                            cv.wait(timeout=0.05)
-                    gi, t, i = (int(x) for x in dag.task_table[k])
-                    run_point(store, scratch, by_index[gi], t, i, validate=validate)
-                    with cv:
-                        state["remaining"] -= 1
-                        for succ in dag.successors(k):
-                            pending[succ] -= 1
-                            if pending[succ] == 0:
-                                ready.append(int(succ))
-                        cv.notify_all()
-            except BaseException as exc:  # noqa: BLE001 - propagated below
-                with cv:
-                    if state["error"] is None:
-                        state["error"] = exc
-                    cv.notify_all()
+        def run_tasks(tasks: List[int]) -> None:
+            for k in tasks:
+                gi, t, i = dag.task_table[k].tolist()
+                run_point(store, scratch, by_index[gi], t, i, validate=validate)
+                successors = dag.successors(k)
+                with ready.lock:
+                    pending[successors] -= 1
+                    ready.complete(
+                        1, successors[pending[successors] == 0].tolist()
+                    )
 
-        threads = [
-            threading.Thread(target=worker, name=f"ptg-worker-{w}", daemon=True)
-            for w in range(self.workers)
-        ]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        if state["error"] is not None:
-            raise state["error"]
+        ready.run(self.workers, run_tasks, name="ptg-worker")
         store.assert_drained()

@@ -1,13 +1,19 @@
-"""Executor registry: name -> factory.
+"""Executor registry: one ``name -> class`` table.
 
 Mirrors the role of Table 3: one entry per runtime paradigm, all driving the
-same core library.  New executors self-contained in one module + one line
-here — the O(m + n) property of the paper's design.
+same core library.  New executors are self-contained in one module + one
+entry here — the O(m + n) property of the paper's design.  Everything else
+the registry reports (isolation, core cost, accepted options, shim size)
+is read off the class.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple, Type
+import ast
+import inspect
+import io
+import tokenize
+from typing import Dict, List, Tuple, Type
 
 from ..core.executor_base import Executor
 from .actors import ActorExecutor
@@ -24,69 +30,50 @@ from .serial import SerialExecutor
 from .shm import ShmProcessPoolExecutor
 from .threads import ThreadPoolTaskExecutor
 
-# ``timeout`` (per-round worker deadline) and ``fault`` (injected fault)
-# belong to the supervised process executors; the same-address-space
-# executors accept and ignore them so callers can pass fault-tolerance
-# options uniformly (e.g. from the CLI) without knowing the substrate.
-_FACTORIES: Dict[str, Callable[..., Executor]] = {
-    "serial": lambda workers=1, **kw: SerialExecutor(),
-    "bulk_sync": lambda workers=2, **kw: BulkSyncExecutor(workers),
-    "p2p": lambda workers=2, **kw: P2PExecutor(workers),
-    "threads": lambda workers=2, **kw: ThreadPoolTaskExecutor(workers),
-    "processes": lambda workers=2, timeout=None, fault=None, **kw:
-        ProcessPoolExecutor(workers, timeout=timeout, fault=fault),
-    "shm_processes": lambda workers=2, timeout=None, fault=None, **kw:
-        ShmProcessPoolExecutor(workers, timeout=timeout, fault=fault),
-    "dataflow": lambda workers=2, timeout=None, fault=None, **kw:
-        DataflowExecutor(workers, **kw),
-    "futures": lambda workers=2, **kw: FuturesExecutor(workers),
-    "asyncio": lambda workers=2, **kw: AsyncioExecutor(workers),
-    "ptg": lambda workers=2, **kw: PTGExecutor(workers),
-    "actors": lambda workers=2, **kw: ActorExecutor(workers),
-    "centralized": lambda workers=2, timeout=None, fault=None, **kw:
-        CentralizedExecutor(workers, **kw),
-    "cluster_tcp": lambda workers=2, timeout=None, fault=None, **kw:
-        ClusterTCPExecutor(workers, timeout=timeout, fault=fault),
-    "cluster_uds": lambda workers=2, timeout=None, fault=None, **kw:
-        ClusterUDSExecutor(workers, timeout=timeout, fault=fault),
+_RUNTIMES: Dict[str, Type[Executor]] = {
+    cls.name: cls
+    for cls in (
+        SerialExecutor,
+        BulkSyncExecutor,
+        P2PExecutor,
+        ThreadPoolTaskExecutor,
+        ProcessPoolExecutor,
+        ShmProcessPoolExecutor,
+        DataflowExecutor,
+        FuturesExecutor,
+        AsyncioExecutor,
+        PTGExecutor,
+        ActorExecutor,
+        CentralizedExecutor,
+        ClusterTCPExecutor,
+        ClusterUDSExecutor,
+    )
 }
 
-# Executor classes by name, used to report substrate metadata (isolation
-# level) without instantiating — factories stay the single source of
-# construction, this map the single source of "what kind of thing is it".
-_CLASSES: Dict[str, Type[Executor]] = {
-    "serial": SerialExecutor,
-    "bulk_sync": BulkSyncExecutor,
-    "p2p": P2PExecutor,
-    "threads": ThreadPoolTaskExecutor,
-    "processes": ProcessPoolExecutor,
-    "shm_processes": ShmProcessPoolExecutor,
-    "dataflow": DataflowExecutor,
-    "futures": FuturesExecutor,
-    "asyncio": AsyncioExecutor,
-    "ptg": PTGExecutor,
-    "actors": ActorExecutor,
-    "centralized": CentralizedExecutor,
-    "cluster_tcp": ClusterTCPExecutor,
-    "cluster_uds": ClusterUDSExecutor,
-}
-assert _CLASSES.keys() == _FACTORIES.keys()
+#: Options every runtime accepts, so callers (CLI, suite, serve) can pass
+#: fault-tolerance settings without knowing the substrate; only the
+#: runtimes that supervise workers declare — and receive — them.
+_UNIFORM_OPTIONS = ("timeout", "fault")
+
+
+def _runtime_class(name: str) -> Type[Executor]:
+    try:
+        return _RUNTIMES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown runtime {name!r}; available: {', '.join(available_runtimes())}"
+        ) from None
 
 
 def available_runtimes() -> List[str]:
     """Names of all registered executors."""
-    return sorted(_FACTORIES)
+    return sorted(_RUNTIMES)
 
 
 def runtime_isolation(name: str) -> str:
     """Isolation level of a registered executor (``serial`` / ``threads``
     / ``processes`` / ``cluster``) without instantiating it."""
-    try:
-        return _CLASSES[name].isolation
-    except KeyError:
-        raise ValueError(
-            f"unknown runtime {name!r}; available: {', '.join(available_runtimes())}"
-        ) from None
+    return _runtime_class(name).isolation
 
 
 def runtime_core_cost(name: str, workers: int) -> int:
@@ -127,27 +114,59 @@ def runtime_core_cost_formula(name: str) -> str:
     return "workers"
 
 
-def describe_runtimes() -> List[Tuple[str, str, str]]:
-    """``(name, isolation, core-cost formula)`` for every registered
-    executor, sorted by name (the backing data of
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+_NOT_CODE = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+    tokenize.DEDENT, tokenize.ENDMARKER,
+}
+
+
+def shim_lines(name: str) -> int:
+    """Code lines of the module that defines a registered executor — no
+    blank lines, comments or docstrings — counted from its source now.
+
+    The productivity axis of the Itoyori/HPX/MPI Task Bench study (Lahnor
+    et al.): how much a runtime has to write on top of the shared core.
+    """
+    source = inspect.getsource(inspect.getmodule(_runtime_class(name)))
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, _DOCUMENTED) and ast.get_docstring(node) is not None:
+            doc = node.body[0]
+            docstrings.update(range(doc.lineno, doc.end_lineno + 1))
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NOT_CODE:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docstrings)
+
+
+def describe_runtimes() -> List[Tuple[str, str, str, int]]:
+    """``(name, isolation, core-cost formula, shim lines)`` for every
+    registered executor, sorted by name (the backing data of
     ``task-bench --list-runtimes``)."""
     return [
-        (name, _CLASSES[name].isolation, runtime_core_cost_formula(name))
+        (name, runtime_isolation(name), runtime_core_cost_formula(name),
+         shim_lines(name))
         for name in available_runtimes()
     ]
 
 
-def make_executor(name: str, workers: int = 2, **kwargs) -> Executor:
+def make_executor(name: str, workers: int = 2, **options) -> Executor:
     """Instantiate a registered executor by name.
 
-    ``workers`` is the degree of parallelism; extra keyword arguments are
-    forwarded to executors that accept them (e.g. ``nb_fields`` for
-    ``dataflow``, ``dispatch_overhead_us`` for ``centralized``).
+    ``workers`` is the degree of parallelism.  ``options`` must be ones the
+    executor class declares (``nb_fields`` for ``dataflow``,
+    ``dispatch_overhead_us`` for ``centralized``) or the uniformly accepted
+    ``timeout`` / ``fault``, which reach the supervised runtimes and are
+    dropped for the rest; anything else is an error.
     """
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
+    cls = _runtime_class(name)
+    accepted = dict.fromkeys(("workers", *cls.options, *_UNIFORM_OPTIONS))
+    unknown = sorted(options.keys() - accepted.keys())
+    if unknown:
         raise ValueError(
-            f"unknown runtime {name!r}; available: {', '.join(available_runtimes())}"
-        ) from None
-    return factory(workers=workers, **kwargs)
+            f"runtime {name!r} does not accept {', '.join(unknown)}; "
+            f"accepted options: {', '.join(accepted)}"
+        )
+    return cls(workers, **{k: v for k, v in options.items() if k in cls.options})

@@ -53,15 +53,11 @@ from ..core.bufpool import (
 )
 from ..core.task_graph import TaskGraph
 from ._common import (
-    EV_ACQUIRE,
-    EV_FINISH,
-    EV_PUBLISH,
-    EV_START,
     OutputStore,
     capture_output,
     events_active,
     pool_data_plane,
-    record_event,
+    record_row_events,
 )
 from .processes import (
     _PhasedProcessExecutor,
@@ -321,16 +317,10 @@ class ShmProcessPoolExecutor(_PhasedProcessExecutor):
         assert pool is not None and barrier_seg is not None
         stats_base = dataclasses.replace(pool.stats)
         nw = self.workers
-        by_index = {g.graph_index: g for g in graphs}
         window = self._window_steps(graphs)
-        #: Retirement plan of one timestep: (timestep, per-task
-        #: (key, output ref, consumer count) in event order, gathered
-        #: input refs).
-        Retire = Tuple[
-            int,
-            List[Tuple[Tuple[int, int, int], PayloadRef, int]],
-            List[PayloadRef],
-        ]
+        #: Retirement plan of one chunk: (graph, timestep, first column, end
+        #: column, per-column output refs, per-column consumer counts).
+        Retire = Tuple[TaskGraph, int, int, int, List[PayloadRef], List[int]]
         for t0 in range(0, max_t, window):
             t_end = min(t0 + window, max_t)
             nsteps = t_end - t0
@@ -339,9 +329,8 @@ class ShmProcessPoolExecutor(_PhasedProcessExecutor):
             ]
             busy = [False] * nw
             retire: List[Retire] = []
+            gathered: List[PayloadRef] = []
             for t in range(t0, t_end):
-                tasks: List[Tuple[Tuple[int, int, int], PayloadRef, int]] = []
-                gathered: List[PayloadRef] = []
                 for g in graphs:
                     if t >= g.timesteps:
                         continue
@@ -351,30 +340,30 @@ class ShmProcessPoolExecutor(_PhasedProcessExecutor):
                     for w, cols in enumerate(_split(active, nw)):
                         if not cols:
                             continue
-                        # Quiet store traffic: the entries must exist so
-                        # later timesteps of this window can gather from
-                        # them, but the kernels have not run yet — events
-                        # and output capture happen at retire, below.
+                        # The store entries must exist now so later
+                        # timesteps of this window can gather from them,
+                        # though the kernels have not run yet — events and
+                        # output capture happen at retire, below.
                         in_refs = [
-                            ref for i in cols
-                            for ref in store.gather(g, t, i, quiet=True)
+                            ref for i in cols for ref in store.gather(g, t, i)
                         ]
                         consumers = [g.consumer_count(t, i) for i in cols]
                         out_refs = pool.acquire_batch(
                             g.output_bytes_per_task,
                             [max(c, 1) for c in consumers],
                         )
+                        lo, hi = cols[0], cols[-1] + 1
                         steps[w][t - t0].append(
-                            (gi, t, cols[0], cols[-1] + 1, in_refs, out_refs,
-                             validate)
+                            (gi, t, lo, hi, in_refs, out_refs, validate)
                         )
                         busy[w] = True
-                        for i, out, ncons in zip(cols, out_refs, consumers):
-                            tasks.append(((gi, t, i), out, ncons))
-                            if ncons > 0:
-                                store.put((gi, t, i), out, ncons, quiet=True)
+                        store.put_batch([
+                            ((gi, t, i), out, ncons)
+                            for i, out, ncons in zip(cols, out_refs, consumers)
+                            if ncons > 0
+                        ])
+                        retire.append((g, t, lo, hi, out_refs, consumers))
                         gathered.extend(in_refs)
-                retire.append((t, tasks, gathered))
             participants = tuple(
                 (w, pid)
                 for w, pid in enumerate(procs.pids)
@@ -390,35 +379,24 @@ class ShmProcessPoolExecutor(_PhasedProcessExecutor):
             ]
             procs.run_assigned(frames)
             emit = events_active()
-            for t, tasks, gathered in retire:
-                for key, out, ncons in tasks:
-                    # Kernels ran in worker processes; their schedule
-                    # events are surfaced here, after the window barrier —
-                    # the earliest point the trace can order them — in
-                    # program order (acquire inputs, start, finish,
-                    # publish), one timestep after another.
-                    if emit:
-                        gi, _t, i = key
-                        if t > 0:
-                            g = by_index[gi]
-                            for j in g.dependency_columns(t, i):
-                                record_event(
-                                    EV_ACQUIRE, key, (gi, t - 1, j)
-                                )
-                        record_event(EV_START, key)
-                        record_event(EV_FINISH, key)
-                        if ncons > 0:
-                            record_event(EV_PUBLISH, key)
+            for g, t, lo, hi, out_refs, consumers in retire:
+                # Kernels ran in worker processes; their schedule events
+                # are surfaced here, after the window barrier — the
+                # earliest point the trace can order them — in program
+                # order, one timestep after another.
+                if emit:
+                    record_row_events(g, t, lo, hi)
+                for i, out, ncons in zip(range(lo, hi), out_refs, consumers):
                     if ncons > 0:
                         # The buffer now holds the kernel's output: this is
                         # the publish point the conformance capture sees.
-                        capture_output(key, out)
+                        capture_output((g.graph_index, t, i), out)
                     else:
                         pool.decref(out)
-                # Window barrier passed: every worker read of this window's
-                # inputs is complete, so the consumers' references drop and
-                # fully-read slots recycle.
-                pool.decref_batch(gathered)
+            # Window barrier passed: every worker read of this window's
+            # inputs is complete, so the consumers' references drop and
+            # fully-read slots recycle.
+            pool.decref_batch(gathered)
         self._drain_worker_traces(procs)
         store.assert_drained()
         if pool.live_slots:

@@ -39,7 +39,7 @@ def test_missing_members_reported():
     """)
     assert codes(diags) == {"api-missing-member"}
     missing = {d.message.split("'")[1] for d in diags}
-    assert missing == {"name", "cores"}
+    assert missing == {"name"}  # cores defaults to workers in the base class
 
 
 def test_cores_as_property_counts():
@@ -94,7 +94,8 @@ def test_kernel_bypass_names_every_entry_point():
     """) if d.code == "api-kernel-bypass"]
     assert len(diags) == 2
     for d in diags:
-        assert "run_point/execute_point/execute_row" in d.message
+        assert "run_task/run_point/execute_point/execute_row" in d.message
+        assert "_common.run_task" in d.hint
         assert "graph.execute_row" in d.hint
 
 
@@ -279,10 +280,10 @@ def test_incomplete_subclass_of_private_base_reported():
                 pass
 
         class RealExecutor(_SharedMachinery):
-            name = "real"
+            cores = 1
     """)
     bad = [d for d in diags if d.code == "api-missing-member"]
-    assert len(bad) == 1 and "'cores'" in bad[0].message
+    assert len(bad) == 1 and "'name'" in bad[0].message
     assert "RealExecutor" in bad[0].message
 
 

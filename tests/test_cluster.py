@@ -324,7 +324,7 @@ def test_sweep_removes_only_stale_dirs(monkeypatch):
 
 
 def test_isolation_levels():
-    table = {name: isolation for name, isolation, _ in describe_runtimes()}
+    table = {name: isolation for name, isolation, _, _ in describe_runtimes()}
     assert table["serial"] == "serial"
     assert table["threads"] == "threads"
     assert table["processes"] == "processes"
@@ -337,7 +337,7 @@ def test_isolation_levels():
 
 
 def test_core_cost_formulas():
-    costs = {name: cost for name, _, cost in describe_runtimes()}
+    costs = {name: cost for name, _, cost, _ in describe_runtimes()}
     assert costs["serial"] == "1"
     assert costs["threads"] == "workers"
     assert costs["processes"] == "workers"
@@ -351,8 +351,12 @@ def test_cli_list_runtimes(capsys):
     assert main(["--list-runtimes"]) == 0
     out = capsys.readouterr().out
     rows = [line.split() for line in out.strip().splitlines()]
-    assert all(len(row) == 3 for row in rows)
-    table = {name: (isolation, cost) for name, isolation, cost in rows}
+    assert all(len(row) == 4 for row in rows)
+    table = {name: (isolation, cost) for name, isolation, cost, _ in rows}
+    # Shim lines: counted from source, so only their shape is asserted.
+    lines = {name: int(n) for name, _, _, n in rows}
+    assert all(n > 0 for n in lines.values())
+    assert lines["cluster_tcp"] == lines["cluster_uds"]  # one module
     assert table["cluster_tcp"] == ("cluster", "workers+1")
     assert table["cluster_uds"] == ("cluster", "workers+1")
     assert table["serial"] == ("serial", "1")

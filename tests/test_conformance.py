@@ -36,7 +36,15 @@ from repro.check import audit_run
 from repro.core import DependenceType, Kernel, KernelType, TaskGraph
 from repro.core.diagnostics import Severity
 from repro.runtimes import available_runtimes, make_executor
-from repro.runtimes._common import capturing_outputs
+from repro.runtimes._common import (
+    EV_ACQUIRE,
+    EV_FINISH,
+    EV_PUBLISH,
+    EV_START,
+    TraceRecorder,
+    capturing_outputs,
+    tracing,
+)
 
 pytestmark = pytest.mark.conformance
 
@@ -152,10 +160,10 @@ def _run_captured(runtime: str, graphs) -> dict:
             d.render() for d in sanitizer.diagnostics
         ]
     assert result.total_tasks == sum(g.total_tasks() for g in graphs)
-    expected = _communicated(graphs)
-    missing = expected - sink.keys()
-    assert not missing, f"{runtime} never published {sorted(missing)[:5]}"
-    return {k: sink[k] for k in expected}
+    # Exactly the communicated tasks: nothing missing, and no snapshot of
+    # an output nobody reads.
+    assert sink.keys() == _communicated(graphs)
+    return sink
 
 
 class _SerialReference:
@@ -242,6 +250,39 @@ def test_audit_clean_schedule(runtime):
             ex.close()
     problems = [d for d in result.diagnostics if d.severity > Severity.INFO]
     assert not problems, problems
+
+
+@pytest.mark.parametrize(
+    "dep", [DependenceType.STENCIL_1D, DependenceType.TREE], ids=lambda d: d.value
+)
+@pytest.mark.parametrize("runtime", ALL_RUNTIMES)
+def test_one_publish_per_communicated_task_and_one_event_order(runtime, dep):
+    """Every executor tells the same story about a task: ``start``, one
+    ``acquire`` per input in canonical order, ``finish``, and — exactly
+    when somebody reads the output — one ``publish``."""
+    g = _graph(dep, nbytes=16)
+    ex = make_executor(runtime, workers=3)
+    try:
+        with tracing(TraceRecorder()) as rec:
+            ex.run([g])
+    finally:
+        if hasattr(ex, "close"):
+            ex.close()
+    per_task: dict = {}
+    for ev in rec.events:
+        per_task.setdefault(ev.task, []).append((ev.kind, ev.source))
+    published = [ev.task for ev in rec.events if ev.kind == EV_PUBLISH]
+    assert sorted(published) == sorted(_communicated([g]))
+    assert per_task.keys() == {(0, t, i) for t, i in g.points()}
+    for (gi, t, i), events in per_task.items():
+        expected = [(EV_START, None)]
+        expected += [
+            (EV_ACQUIRE, (gi, t - 1, j)) for j in g.dependency_points(t, i)
+        ] if t else []
+        expected.append((EV_FINISH, None))
+        if g.consumer_count(t, i) > 0:
+            expected.append((EV_PUBLISH, None))
+        assert events == expected, (runtime, (gi, t, i))
 
 
 # ---------------------------------------------------------------------------

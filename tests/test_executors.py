@@ -7,6 +7,8 @@ scheduled and routed every buffer exactly per the graph specification
 correct").
 """
 
+import threading
+
 import pytest
 
 from repro.core import (
@@ -202,32 +204,48 @@ def test_serial_multigraph_uneven_heights():
     assert got == want
 
 
-def test_threads_failure_wakes_blocked_workers(monkeypatch):
-    """Regression: the thread pool's ready wait is purely event-driven, so a
-    worker failure must broadcast on ready_cv for blocked idle workers to
-    wake and exit — here three of four workers are parked on an empty ready
-    queue (width-1 chain) when the fourth one's kernel raises."""
-    import threading
-    import time
-
+def _fail_at_timestep_two(monkeypatch):
     def boom(self, t=0, i=0, scratch=None, seed=0):
         if t == 2:
             raise RuntimeError("injected kernel failure")
 
     monkeypatch.setattr(Kernel, "execute", boom)
+
+
+def _worker_threads():
+    from tests.conftest import WORKER_THREAD_PREFIXES
+
+    return [th.name for th in threading.enumerate()
+            if th.name.startswith(WORKER_THREAD_PREFIXES)]
+
+
+def test_threads_failure_wakes_blocked_workers(monkeypatch):
+    """Regression: the ready pool's wait is purely event-driven, so a
+    worker failure must broadcast on its condition for blocked idle workers
+    to wake and exit — here three of four workers are parked on an empty
+    ready queue (width-1 chain) when the fourth one's kernel raises.
+    ``run()`` joins its workers before it raises, so the check needs no
+    clock: a worker that was not woken would hang the join."""
+    _fail_at_timestep_two(monkeypatch)
     g = make_graph(DependenceType.STENCIL_1D, max_width=1)
-    start = time.perf_counter()
     with pytest.raises(RuntimeError, match="injected kernel failure"):
         make_executor("threads", workers=4).run([g])
-    assert time.perf_counter() - start < 2.0  # no polling-timeout stalls
-    deadline = time.perf_counter() + 2.0
-    while time.perf_counter() < deadline:
-        if not any(th.name.startswith("task-worker")
-                   for th in threading.enumerate()):
-            break
-        time.sleep(0.01)
-    else:
-        raise AssertionError("idle workers never exited after the failure")
+    assert _worker_threads() == []
+
+
+@pytest.mark.parametrize("runtime", [
+    "threads", "ptg", "dataflow", "actors", "centralized", "p2p", "futures",
+    "asyncio", "bulk_sync",
+])
+def test_failure_propagates_and_joins_every_worker(runtime, monkeypatch):
+    """Every same-address-space executor surfaces the original exception of
+    a failing kernel and has joined all of its worker threads by the time
+    ``run()`` raises."""
+    _fail_at_timestep_two(monkeypatch)
+    g = make_graph(DependenceType.STENCIL_1D, max_width=1)
+    with pytest.raises(RuntimeError, match="^injected kernel failure$"):
+        make_executor(runtime, workers=4).run([g])
+    assert _worker_threads() == []
 
 
 @pytest.mark.parametrize("runtime", ALL_RUNTIMES)
@@ -309,7 +327,29 @@ class TestRegistry:
 
     def test_invalid_worker_counts(self):
         for name in available_runtimes():
-            if name == "serial":
-                continue
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
                 make_executor(name, workers=0)
+
+    @pytest.mark.parametrize("name", available_runtimes())
+    def test_unknown_option_rejected(self, name):
+        """A misspelt or misplaced option is an error naming the runtime
+        and what it accepts, not a silently different experiment."""
+        with pytest.raises(ValueError, match=f"{name!r} does not accept") as e:
+            make_executor(name, workers=2, wrokers_typo=1)
+        assert "accepted options: workers" in str(e.value)
+        if name != "dataflow":
+            with pytest.raises(ValueError, match="nb_fields"):
+                make_executor(name, workers=2, nb_fields=3)
+        if name != "centralized":
+            with pytest.raises(ValueError, match="dispatch_overhead_us"):
+                make_executor(name, workers=2, dispatch_overhead_us=1.0)
+
+    @pytest.mark.parametrize("name", available_runtimes())
+    def test_timeout_and_fault_accepted_everywhere(self, name):
+        """CLI, suite and serve pass these uniformly; the supervised
+        runtimes honour them, the rest have nothing to supervise."""
+        ex = make_executor(name, workers=2, timeout=7.5, fault=None)
+        assert getattr(ex, "timeout", 7.5) == 7.5
+        assert hasattr(ex, "timeout") == (
+            ex.isolation in ("processes", "cluster")
+        )

@@ -1,4 +1,7 @@
-"""Unit tests for shared runtime machinery (OutputStore, ScratchPool, ...)."""
+"""Unit tests for shared runtime machinery (OutputStore, ScratchPool, the
+ready pool, ...)."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from repro.runtimes._common import (
     run_point,
     task_keys,
 )
+from repro.runtimes._readypool import DependencyCounts, ReadyPool
 
 
 def graphs2():
@@ -151,3 +155,138 @@ class TestRunPoint:
         # (1,1) consumed one ref from each t=0 output but all three still
         # have other consumers pending, plus (1,1)'s own output: 4 entries.
         assert len(s) == 4
+
+
+class _CountingCondition:
+    """Stands in for a pool's condition: records wake-ups, refuses to
+    block (a test that would wait has already failed)."""
+
+    def __init__(self):
+        self.notified = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def notify(self, n=1):
+        self.notified.append(n)
+
+    def notify_all(self):
+        self.notified.append("all")
+
+    def wait(self):
+        raise AssertionError("claim() decided to wait")
+
+
+def pool_with_counting_condition(*args, **kw):
+    pool = ReadyPool(*args, **kw)
+    pool.lock = _CountingCondition()
+    return pool, pool.lock.notified
+
+
+class TestReadyPool:
+    def test_claims_one_item_fifo_without_a_share(self):
+        pool = ReadyPool("abc", outstanding=3)
+        assert [pool.claim(), pool.claim(), pool.claim()] == [["a"], ["b"], ["c"]]
+
+    def test_claim_takes_its_share_of_the_queue(self):
+        pool = ReadyPool(range(12), outstanding=12)
+        assert pool.claim(share=4) == [0, 1, 2]  # 12 // 4
+        assert pool.claim(share=4) == [3, 4]  # 9 // 4
+        assert pool.claim(share=100) == [5]  # never less than one
+
+    def test_claim_is_capped(self):
+        pool = ReadyPool(range(100), outstanding=100)
+        assert pool.claim(share=2) == list(range(ReadyPool.MAX_CLAIM))
+
+    def test_complete_wakes_one_worker_per_released_item(self):
+        pool, notified = pool_with_counting_condition("a", outstanding=5)
+        pool.seal()
+        assert pool.claim() == ["a"]
+        pool.complete(1, ["b", "c"])
+        assert notified == [2]
+        pool.complete(0)  # releases nothing: wakes nobody
+        assert notified == [2]
+        assert pool.claim(share=1) == ["b", "c"]
+
+    def test_last_completion_wakes_everybody_to_exit(self):
+        pool, notified = pool_with_counting_condition("a", outstanding=1)
+        pool.seal()
+        pool.claim()
+        pool.complete(1)
+        assert notified == ["all"]
+        assert pool.claim() is None
+
+    def test_fail_wakes_all_and_latches_the_first_error(self):
+        pool, notified = pool_with_counting_condition("ab", outstanding=2)
+        first, second = RuntimeError("first"), RuntimeError("second")
+        pool.fail(first)
+        pool.fail(second)
+        assert notified == ["all", "all"]
+        assert pool.error is first
+        assert pool.claim() is None  # even though work is still queued
+        with pytest.raises(RuntimeError, match="first"):
+            pool.add("c", ready=True)
+
+    def test_open_pool_finishes_only_once_sealed_and_drained(self):
+        pool, notified = pool_with_counting_condition()
+        pool.add("a", ready=True)
+        pool.add("b", ready=False)
+        assert notified == [1]  # only the ready item wakes a worker
+        assert pool.claim() == ["a"]
+        pool.complete(1, ["b"])
+        assert pool.claim() == ["b"]
+        pool.complete(1)
+        # Drained but still open: more work may come, so a worker waits.
+        with pytest.raises(AssertionError, match="decided to wait"):
+            pool.claim()
+        pool.add("c", ready=True)
+        pool.seal()
+        # Sealed but not drained: not finished either.
+        assert pool.claim() == ["c"]
+        with pytest.raises(AssertionError, match="decided to wait"):
+            pool.claim()
+        pool.complete(1)
+        assert pool.claim() is None
+
+    def test_run_joins_workers_and_reraises_the_first_error(self):
+        pool = ReadyPool(range(4), outstanding=4)
+
+        def body(items):
+            raise ValueError(f"boom {items}")
+
+        with pytest.raises(ValueError, match="boom"):
+            pool.run(3, body, name="test-pool")
+        assert not [th for th in threading.enumerate()
+                    if th.name.startswith("test-pool")]
+
+    def test_run_feeds_from_the_calling_thread(self):
+        pool = ReadyPool()
+        done = []
+
+        def body(items):
+            done.extend(items)
+            pool.complete(len(items))
+
+        pool.run(2, body, name="test-pool",
+                 feed=lambda: [pool.add(k, ready=True) for k in range(20)])
+        assert sorted(done) == list(range(20))
+
+
+class TestDependencyCounts:
+    def test_seeds_and_releases_in_dependency_order(self):
+        g = graphs2()[0]  # 4 x 3 stencil
+        counts = DependencyCounts([g])
+        assert counts.total == g.total_tasks()
+        assert counts.ready == [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
+        # (1, 0) reads columns 0 and 1; (1, 1) reads all three.
+        assert counts.release([(0, 0, 0)]) == []
+        assert counts.release([(0, 0, 1)]) == [(0, 1, 0)]
+        assert counts.release([(0, 0, 2)]) == [(0, 1, 1), (0, 1, 2)]
+
+    def test_zero_dependency_graph_is_all_ready(self):
+        g = graphs2()[1]  # trivial
+        counts = DependencyCounts([g.with_(graph_index=0)])
+        assert len(counts.ready) == counts.total == g.total_tasks()
