@@ -23,6 +23,7 @@ space grows as the tree fans out.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterator, List, Sequence, Tuple
 
 from .types import DependenceType
@@ -46,16 +47,24 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+@lru_cache(maxsize=256)
+def _edge_hash_prefix(seed: int, t: int, i: int) -> int:
+    """The three rounds every candidate edge into ``(t, i)`` shares."""
+    h = _splitmix64(seed)
+    h = _splitmix64(h ^ (t & 0xFFFFFFFFFFFFFFFF))
+    return _splitmix64(h ^ (i & 0xFFFFFFFFFFFFFFFF))
+
+
+@lru_cache(maxsize=1024)
 def _edge_hash_u01(seed: int, t: int, i: int, j: int) -> float:
     """Deterministic uniform value in ``[0, 1)`` for the directed edge
     ``(t-1, j) -> (t, i)``.  Both ``dependencies`` and
     ``reverse_dependencies`` evaluate the same hash, so the random pattern is
-    consistent when queried from either side.
+    consistent when queried from either side — and memoised (a few rows'
+    worth), so the side asked second, as when a table compiles a timestep's
+    reverse relation after its forward one, hashes nothing.
     """
-    h = _splitmix64(seed)
-    h = _splitmix64(h ^ (t & 0xFFFFFFFFFFFFFFFF))
-    h = _splitmix64(h ^ (i & 0xFFFFFFFFFFFFFFFF))
-    h = _splitmix64(h ^ (j & 0xFFFFFFFFFFFFFFFF))
+    h = _splitmix64(_edge_hash_prefix(seed, t, i) ^ (j & 0xFFFFFFFFFFFFFFFF))
     return h / 2.0**64
 
 

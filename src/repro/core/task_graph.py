@@ -294,8 +294,10 @@ class TaskGraph:
         :func:`~repro.core.validation.validate_row`).  ``scratch`` is one
         buffer for every task, or one per task of the block.  ``out``, when
         given, holds one destination (array or pool handle) per task and is
-        returned; otherwise the outputs are fresh arrays, which may be views
-        of one block-sized buffer.
+        returned — a block owner may pass the buffers of the row before
+        last, which nothing reads any more, so whoever keeps an output past
+        the start of the row after next must copy it; otherwise the outputs
+        are fresh arrays, which may be views of one block-sized buffer.
 
         Handles among ``inputs`` are resolved (and their generation tags
         verified) only when validating: nothing else reads them.

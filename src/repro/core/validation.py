@@ -15,18 +15,20 @@ a stale buffer, a dropped or reordered message — trips a
 
 Validation happens on every input of every task, so this is the hottest
 path of the core library (the paper bounds validation overhead at 3%).
-Expected patterns are memoized as read-only NumPy arrays built from a
-per-column-tuple int64 template with the timestep stamped in place, and
-``validate_inputs`` (one task) and ``validate_row`` (a column block of one
-timestep) compare small inputs against one cached concatenated block in a
-single bulk comparison; only a mismatch (or inputs too large to be worth
-concatenating) walks the buffers one by one to name the offending slot.
+Every comparison is one C ``memcmp``: ``validate_inputs`` (one task) and
+``validate_row`` (a column block of one timestep) join small inputs and
+compare them against the expected bytes of the whole block; an input too
+large to be worth joining is compared in place through the buffer protocol.
+Only a mismatch walks small inputs one by one, to name the offending slot.
+Expected patterns come from one memo bounded in bytes (:func:`_expected`).
 """
 
 from __future__ import annotations
 
+import struct
+import threading
 from functools import lru_cache
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,10 +41,32 @@ if TYPE_CHECKING:  # pragma: no cover
 
 HEADER_BYTES = 32
 
+#: ``(timestep, column, graph_index, seed)`` as little-endian int64s.
+#: ``(t, i)`` lead so that even outputs smaller than the full 32 bytes
+#: remain unique within a graph; graph_index and seed follow for cross-graph
+#: and cross-run uniqueness when the buffer is larger.
+_HEADER = struct.Struct("<4q")
+
 #: Inputs whose combined size is at most this many bytes are checked with
 #: one concatenated bulk comparison; larger payloads are compared buffer by
-#: buffer (concatenation would copy more than it saves).
+#: buffer (concatenation would copy more than it saves).  Likewise a block
+#: of outputs up to this size is stamped as one buffer.  The only size that
+#: selects a path.
 _BULK_BYTES = 1 << 16
+
+#: Byte budget of the pattern memo, and what one entry is charged on top of
+#: its pattern (key, dict slot, object header), so that tiny or empty
+#: patterns are bounded as well.  A pattern is reused only by the row that
+#: consumes it (about 2.7 times on a stencil), so the memo need hold no more
+#: than two rows of large payloads; the budget keeps those within a core's
+#: L2 while every row of a small-payload graph a few thousand steps tall
+#: stays memoised from one warm run to the next.
+_MEMO_BYTES = 1 << 21
+_ENTRY_BYTES = 128
+
+_memo: Dict[tuple, bytearray] = {}
+_memo_held = 0
+_memo_lock = threading.Lock()
 
 
 class ValidationError(AssertionError):
@@ -51,30 +75,26 @@ class ValidationError(AssertionError):
     "an assertion is thrown if validation fails"."""
 
 
-@lru_cache(maxsize=65536)
 def _output_bytes(seed: int, graph_index: int, t: int, i: int, nbytes: int) -> bytes:
     """A task's output pattern as immutable ``bytes``: the plain tiled
-    header the array forms below are tested against.
-
-    ``(t, i)`` lead the packed header so that even outputs smaller than the
-    full 32 bytes remain unique within a graph; graph_index and seed follow
-    for cross-graph and cross-run uniqueness when the buffer is larger.
-
-    Keyed on plain ints so lookups avoid numpy construction entirely."""
+    header, derived without :data:`_HEADER` or the memo — the oracle the
+    forms below are tested against, called by nothing else."""
     header = np.array([t, i, graph_index, seed], dtype="<i8").tobytes()
     reps = -(-nbytes // HEADER_BYTES)  # ceil division
     return (header * reps)[:nbytes]
 
 
-@lru_cache(maxsize=2048)
+@lru_cache(maxsize=64)
 def _block_template(seed: int, graph_index: int, cols: Tuple[int, ...],
                     nbytes: int) -> np.ndarray:
     """Read-only ``(len(cols), reps, 4)`` int64 header template of the
     outputs of columns ``cols`` with the timestep field left zero — one per
     (graph identity, column tuple), shared by every timestep (the dependence
     relation revisits the same columns each timestep, the timestep is
-    stamped per use).  Keyed by shape, never by timestep, so a run caches
-    one template per distinct row block however tall the graph is."""
+    stamped per use).  Only blocks of several columns, which callers keep
+    at or below ``_BULK_BYTES``, are built from one; it is what makes the
+    first pass over a small-payload graph cost a copy and a strided store
+    per row, not a header packed per input."""
     reps = -(-nbytes // HEADER_BYTES)  # ceil division
     tmpl = np.empty((len(cols), reps, 4), dtype="<i8")
     tmpl[:, :, 0] = 0
@@ -89,30 +109,46 @@ def _stamped_block(seed: int, graph_index: int, t: int,
                    cols: Tuple[int, ...], nbytes: int) -> np.ndarray:
     """Fresh ``(len(cols), nbytes)`` uint8 array whose row ``k`` is the
     output pattern of ``(t, cols[k])``: the cached template with ``t``
-    stamped in.  Bit-identical to :func:`_output_bytes` row by row."""
+    stamped in."""
     block = _block_template(seed, graph_index, cols, nbytes).copy()
     block[:, :, 0] = t
     return block.reshape(len(cols), -1).view(np.uint8)[:, :nbytes]
 
 
-@lru_cache(maxsize=65536)
-def _expected_array(seed: int, graph_index: int, t: int, i: int,
-                    nbytes: int) -> np.ndarray:
-    """Read-only uint8 array of the output pattern of ``(t, i)``, usable in
-    zero-copy NumPy comparisons and in-place writes."""
-    arr = _stamped_block(seed, graph_index, t, (i,), nbytes)[0]
-    arr.setflags(write=False)
-    return arr
+def _expected(seed: int, graph_index: int, t: int, cols: Tuple[int, ...],
+              nbytes: int) -> bytearray:
+    """The outputs of producers ``(t, col)`` for ``col`` in ``cols``, laid
+    end to end: the expected inputs of one task or of a whole row block, or
+    (one column) the pattern a task writes.  Shared — callers must not
+    mutate it.  A ``bytearray`` because that is the type whose ``==``
+    compares against any contiguous buffer with one ``memcmp``.
 
-
-@lru_cache(maxsize=65536)
-def _expected_block(seed: int, graph_index: int, t: int,
-                    cols: Tuple[int, ...], nbytes: int) -> bytes:
-    """Concatenated outputs of producers ``(t, col)`` for ``col`` in
-    ``cols`` — the expected inputs of one task, or of a whole row block —
-    as one immutable ``bytes`` block: small-input bulk validation is a
-    single C ``memcmp`` against it."""
-    return _stamped_block(seed, graph_index, t, cols, nbytes).tobytes()
+    Memoised in insertion order up to ``_MEMO_BYTES``: hits are lock-free
+    dict probes, inserts and evictions hold the memo's lock (the
+    idiom of :mod:`~repro.core.fastpath`'s front caches).  The writer of row
+    ``t`` leaves here what the validation of row ``t + 1`` looks up, and an
+    evicted 64 KiB pattern is the allocation the next one reuses."""
+    global _memo_held
+    key = (seed, graph_index, t, cols, nbytes)
+    try:
+        return _memo[key]
+    except KeyError:
+        pass
+    if len(cols) == 1:  # any size: one packed header, tiled
+        pattern = bytearray(_HEADER.pack(t, cols[0], graph_index, seed))
+        pattern *= -(-nbytes // HEADER_BYTES)  # ceil division
+        del pattern[nbytes:]
+    else:
+        pattern = bytearray(
+            _stamped_block(seed, graph_index, t, cols, nbytes).tobytes())
+    with _memo_lock:
+        if key not in _memo:
+            _memo[key] = pattern
+            _memo_held += len(pattern) + _ENTRY_BYTES
+            while _memo_held > _MEMO_BYTES:
+                oldest = _memo.pop(next(iter(_memo)))
+                _memo_held -= len(oldest) + _ENTRY_BYTES
+    return pattern
 
 
 def task_output(graph: "TaskGraph", t: int, i: int) -> np.ndarray:
@@ -120,19 +156,19 @@ def task_output(graph: "TaskGraph", t: int, i: int) -> np.ndarray:
 
     Deterministic in ``(seed, graph_index, t, i)`` and of length
     ``graph.output_bytes_per_task``.  Returns a fresh mutable array (the
-    cached pattern backs validation comparisons only).
+    memoised pattern backs comparisons and in-place writes only).
     """
-    nbytes = graph.output_bytes_per_task
-    if nbytes == 0:
-        return np.empty(0, dtype=np.uint8)
-    return _expected_array(graph.seed, graph.graph_index, t, i, nbytes).copy()
+    out = np.empty(graph.output_bytes_per_task, dtype=np.uint8)
+    write_task_output(graph, t, i, out)
+    return out
 
 
 def write_task_output(graph: "TaskGraph", t: int, i: int, dest: np.ndarray) -> None:
     """Write the unique output of task ``(t, i)`` into ``dest`` in place.
 
-    The in-place twin of :func:`task_output`, used by the pooled data plane
-    (:mod:`repro.core.bufpool`) to fill a recycled slab slot instead of
+    The in-place twin of :func:`task_output`, used to fill a recycled
+    buffer — a slab slot of the pooled data plane
+    (:mod:`repro.core.bufpool`), a row buffer of ``serial`` — instead of
     allocating a fresh array per task.
     """
     nbytes = graph.output_bytes_per_task
@@ -140,9 +176,8 @@ def write_task_output(graph: "TaskGraph", t: int, i: int, dest: np.ndarray) -> N
         raise ValueError(
             f"destination holds {dest.nbytes} bytes, task output needs {nbytes}"
         )
-    if nbytes == 0:
-        return
-    dest[:] = _expected_array(graph.seed, graph.graph_index, t, i, nbytes)
+    # One memcpy through the buffer protocol, as the compare is one memcmp.
+    dest.data[:] = _expected(graph.seed, graph.graph_index, t, (i,), nbytes)
 
 
 def task_outputs(
@@ -153,10 +188,10 @@ def task_outputs(
     the one output writer behind ``execute_point`` and ``execute_row``.
 
     With ``out`` (one destination array per task) each pattern is written in
-    place and ``out`` is returned.  Otherwise a block of small outputs is
-    stamped whole from one cached template and handed out as per-task views
-    of it; a single task, or a block above ``_BULK_BYTES`` (where one big
-    copy costs more than it saves), gets a fresh array per task.
+    place and ``out`` is returned.  Otherwise a block of at most
+    ``_BULK_BYTES`` is one fresh buffer handed out as per-task views of it,
+    and a larger one (where one big copy costs more than it saves) a fresh
+    buffer per task.
     """
     if out is not None:
         for i, dest in zip(range(lo, hi), out):
@@ -169,32 +204,53 @@ def task_outputs(
     return [task_output(graph, t, i) for i in range(lo, hi)]
 
 
+def recycles_rows(graph: "TaskGraph") -> bool:
+    """Whether a full row of ``graph`` is above ``_BULK_BYTES`` — written
+    buffer by buffer, not stamped as one block — so that a block owner saves
+    an allocation per task by passing the buffers of the row before last
+    back as ``out=``."""
+    return graph.max_width * graph.output_bytes_per_task > _BULK_BYTES
+
+
+#: What the conversions of :func:`_as_flat_uint8` raise for an object that
+#: has no contiguous byte view.
+_NO_BYTE_VIEW = (TypeError, ValueError, BufferError)
+
+
 def _as_flat_uint8(buf) -> np.ndarray:
-    if type(buf) is np.ndarray and buf.dtype == np.uint8 and buf.ndim == 1:
+    """The raw bytes of ``buf`` — array of any dtype, pool handle or
+    bytes-like — as a contiguous 1-D uint8 array: a view, but a copy of a
+    strided array.  Never a value cast."""
+    if (type(buf) is np.ndarray and buf.dtype == np.uint8 and buf.ndim == 1
+            and buf.flags.c_contiguous):
         return buf
-    return np.asarray(buf, dtype=np.uint8).reshape(-1)
+    buf = as_array(buf)
+    if isinstance(buf, np.ndarray):
+        buf = np.ascontiguousarray(buf)
+    return np.frombuffer(buf, dtype=np.uint8)
 
 
 def _matches_block(graph: "TaskGraph", t: int, cols: Tuple[int, ...],
                    inputs: Sequence["Payload"]) -> bool:
     """Whether ``inputs``, laid end to end, are byte for byte the outputs of
     producers ``(t, col)`` for ``col`` in ``cols``: one ``memcmp`` against
-    the cached expected block.  Contiguous arrays join as they are (buffer
+    the memoised expected block.  Contiguous arrays join as they are (buffer
     protocol) — a raw copy of at most ``_BULK_BYTES``, far cheaper than
-    per-input NumPy comparisons at this size."""
+    per-input comparisons at this size."""
     try:
         combined = b"".join(inputs)
-    except TypeError:  # pool handles, strided views or non-arrays among them
-        combined = b"".join(
-            [_as_flat_uint8(as_array(b)).tobytes() for b in inputs]
-        )
-    return combined == _expected_block(
+    except TypeError:  # pool handles, strided views or non-buffers among them
+        try:
+            combined = b"".join([_as_flat_uint8(b) for b in inputs])
+        except _NO_BYTE_VIEW:
+            return False
+    return _expected(
         graph.seed, graph.graph_index, t, cols, graph.output_bytes_per_task
-    )
+    ) == combined
 
 
 def validate_inputs(
-    graph: "TaskGraph", t: int, i: int, inputs: Sequence[np.ndarray]
+    graph: "TaskGraph", t: int, i: int, inputs: Sequence["Payload"]
 ) -> None:
     """Check that ``inputs`` are exactly the outputs of the dependencies of
     task ``(t, i)``, in canonical (ascending-column) order.
@@ -220,13 +276,18 @@ def validate_inputs(
     ):
         return
     # Large inputs, or a mismatch somewhere: the per-input walk pinpoints
-    # the offending slot for the error message.
+    # the offending slot for the error message.  One memcmp per input, in
+    # place: ``bytearray == buffer`` makes no temporary.
     seed, gidx = graph.seed, graph.graph_index
     for slot, (col, buf) in enumerate(zip(cols, inputs)):
-        arr = _as_flat_uint8(buf)
-        expected = _expected_array(seed, gidx, t - 1, col, nbytes)
-        if not np.array_equal(arr, expected):
-            _raise_bad_input(graph, t, i, slot, col, arr)
+        try:
+            arr = _as_flat_uint8(buf)
+        except _NO_BYTE_VIEW as exc:
+            raise _bad_input(graph, t, i, slot, col,
+                             f"has no byte view ({exc})") from None
+        if not _expected(seed, gidx, t - 1, (col,), nbytes) == arr:
+            raise _bad_input(graph, t, i, slot, col,
+                             _describe_buffer(graph, arr))
 
 
 def validate_row(
@@ -258,17 +319,13 @@ def validate_row(
     for i in range(lo, hi):
         k = i - plan.off
         end = starts[k + 1] - first if i < hi - 1 else None
-        validate_inputs(
-            graph, t, i,
-            [as_array(b) for b in inputs[starts[k] - first:end]],
-        )
+        validate_inputs(graph, t, i, inputs[starts[k] - first:end])
 
 
-def _raise_bad_input(
-    graph: "TaskGraph", t: int, i: int, slot: int, col: int, arr: np.ndarray
-) -> None:
-    detail = _describe_buffer(graph, arr)
-    raise ValidationError(
+def _bad_input(
+    graph: "TaskGraph", t: int, i: int, slot: int, col: int, detail: str
+) -> ValidationError:
+    return ValidationError(
         f"task (t={t}, i={i}) of graph {graph.graph_index}: input "
         f"slot {slot} should be the output of (t={t - 1}, i={col}) "
         f"but {detail}"

@@ -11,6 +11,12 @@ row plan's flattened indices, executed by one ``TaskGraph.execute_row`` call
 and kept for the next row.  The reference counting an ``OutputStore`` would
 do is checked on the plans instead: each row must read every output of the
 previous row exactly as often as that row's consumer counts promise.
+
+A graph whose full row is too large to be stamped as one block
+(``validation.recycles_rows``) has each row written over the buffers of the
+row before last, which nothing reads any more: two rows of buffers serve a
+whole run, and were the gather ever to hand a task one of them a timestep
+late, the timestep stamped into every header is what validation catches.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from typing import List, Sequence
 from ..core.executor_base import Executor
 from ..core.fastpath import RowPlan
 from ..core.task_graph import TaskGraph
+from ..core.validation import recycles_rows
 from ._common import (
     capture_active,
     capture_output,
@@ -42,6 +49,10 @@ class SerialExecutor(Executor):
         self, graphs: Sequence[TaskGraph], *, validate: bool = True
     ) -> None:
         rows: List[Sequence] = [()] * len(graphs)
+        # The rows before those, for graphs that write over them.
+        spare: List[Sequence | None] = [
+            () if recycles_rows(g) else None for g in graphs
+        ]
         plans: List[RowPlan | None] = [None] * len(graphs)
         scratch = [
             [g.prepare_scratch() for _ in range(g.max_width)]
@@ -62,10 +73,15 @@ class SerialExecutor(Executor):
                 lo = plan.off
                 hi = lo + plan.width
                 buffers = scratch[n]
+                out = spare[n]
+                if out is not None:
+                    spare[n] = row
+                    if len(out) != plan.width:
+                        out = None
                 rows[n] = outputs = g.execute_row(
                     t, lo, hi, [row[j] for j in plan.flat],
                     scratch=buffers[lo:hi] if buffers else None,
-                    validate=validate,
+                    validate=validate, out=out,
                 )
                 plans[n] = plan
                 # Surface the row to the installed sinks, in program order.

@@ -22,13 +22,18 @@ from hypothesis import strategies as st
 
 from repro.cluster import wire
 from repro.core import DependenceType, Kernel, KernelType, TaskGraph, fastpath
-from repro.core.dependence import DependenceSpec, count_points
+from repro.core.dependence import (
+    DependenceSpec,
+    _edge_hash_u01,
+    _splitmix64,
+    count_points,
+)
 from repro.core.fastpath import DependenceTable, table_for
 from repro.core.kernels import execute_kernel_compute, execute_kernel_compute2
 from repro.core.validation import (
     _BULK_BYTES,
     ValidationError,
-    _expected_array,
+    _expected,
     _output_bytes,
     expected_inputs,
     task_output,
@@ -162,6 +167,20 @@ class TestDependenceTableEquivalence:
         assert hits >= 8 * 17
 
 
+class TestEdgeHashMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**20),
+           st.integers(0, 2**20), st.integers(0, 2**20))
+    def test_memoised_hash_is_the_four_plain_rounds(self, seed, t, i, j):
+        """Hoisting the (seed, t, i) prefix and memoising the value changes
+        how often an edge is hashed, never what it hashes to."""
+        h = _splitmix64(seed)
+        for x in (t, i, j):
+            h = _splitmix64(h ^ x)
+        assert _edge_hash_u01(seed, t, i, j) == h / 2.0**64
+        assert _edge_hash_u01(seed, t, i, j) == h / 2.0**64  # now a hit
+
+
 class TestValidationEquivalence:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -172,10 +191,13 @@ class TestValidationEquivalence:
         st.sampled_from([1, 5, 16, 31, 32, 33, 64, 100, 4096]),
     )
     def test_memoized_pattern_equals_cached_bytes(self, seed, gi, t, i, nbytes):
-        """The stamped-template array is byte-identical to the tiled-header
-        bytes for any (seed, graph, task, size)."""
-        assert (_expected_array(seed, gi, t, i, nbytes).tobytes()
-                == _output_bytes(seed, gi, t, i, nbytes))
+        """The memoised pattern — one packed header tiled for a single
+        column, the stamped template for a block — is byte-identical to the
+        tiled-header bytes for any (seed, graph, task, size)."""
+        want = _output_bytes(seed, gi, t, i, nbytes)
+        assert bytes(_expected(seed, gi, t, (i,), nbytes)) == want
+        assert (bytes(_expected(seed, gi, t, (i, i + 1), nbytes))
+                == want + _output_bytes(seed, gi, t, i + 1, nbytes))
 
     def test_task_output_identical_in_both_modes(self):
         """The allocating (``task_output``) and in-place

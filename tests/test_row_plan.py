@@ -20,6 +20,8 @@ from repro.core.bufpool import HeapSlabPool, as_array
 from repro.core.dependence import DependenceSpec, count_points
 from repro.core.fastpath import DependenceTable
 from repro.core.validation import _BULK_BYTES, ValidationError, task_output
+from repro.runtimes import make_executor
+from repro.runtimes._common import capturing_outputs
 
 specs = st.builds(
     DependenceSpec,
@@ -345,3 +347,51 @@ class TestExecuteRowKernels:
                 trace = rec.collect()
             assert check_trace(trace, [g]) == []
             assert len(trace.kernel_spans()) == 5
+
+
+class TestSerialRowBuffers:
+    """``serial`` writes a row above ``_BULK_BYTES`` over the buffers of the
+    row before last; what it publishes must not depend on that."""
+
+    #: A fixed window, and one that widens and then holds (rows of a new
+    #: width cannot be written over the row before last).
+    SHAPES = [DependenceType.STENCIL_1D, DependenceType.TREE]
+
+    @pytest.mark.parametrize("dependence", SHAPES)
+    @pytest.mark.parametrize("nbytes", [16, 4096, 1 << 16, (1 << 16) + 5])
+    def test_published_bytes_equal_the_point_oracle(self, dependence, nbytes):
+        g = TaskGraph(timesteps=7, max_width=8, dependence=dependence,
+                      output_bytes_per_task=nbytes, seed=3)
+        with capturing_outputs() as sink:
+            make_executor("serial").run([g], validate=True)
+        rows = {}
+        for t, i in g.points():
+            inputs = [rows[t - 1, j] for j in g.dependency_columns(t, i)]
+            rows[t, i] = g.execute_point(t, i, inputs)
+        want = {(0, t, i): out.tobytes() for (t, i), out in rows.items()
+                if g.consumer_count(t, i)}
+        assert sink == want
+
+    def test_a_large_row_is_written_over_the_row_before_last(self, monkeypatch):
+        calls = []
+        execute_row = TaskGraph.execute_row
+
+        def spy(self, t, lo, hi, inputs, **kw):
+            got = execute_row(self, t, lo, hi, inputs, **kw)
+            calls.append((kw["out"], got))
+            return got
+
+        monkeypatch.setattr(TaskGraph, "execute_row", spy)
+        for nbytes, recycled in [(_BULK_BYTES // 8, False),
+                                 (_BULK_BYTES // 8 + 1, True)]:
+            del calls[:]
+            g = TaskGraph(timesteps=6, max_width=8, output_bytes_per_task=nbytes,
+                          dependence=DependenceType.STENCIL_1D)
+            make_executor("serial").run([g], validate=True)
+            assert [out for out, _ in calls[:2]] == [None, None]
+            for t in range(2, 6):
+                out, got = calls[t]
+                if recycled:
+                    assert out is calls[t - 2][1] and got is out
+                else:
+                    assert out is None

@@ -1,15 +1,23 @@
 """Unit tests for the fully-validating output/input scheme (paper §2)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core import DependenceType, TaskGraph, ValidationError
+from repro.core import validation
+from repro.core.bufpool import HeapSlabPool, as_array
 from repro.core.validation import (
+    _BULK_BYTES,
     HEADER_BYTES,
     expected_inputs,
     task_output,
     validate_inputs,
+    validate_row,
 )
+from repro.runtimes import make_executor
 
 
 def graph(**kw):
@@ -153,3 +161,169 @@ class TestValidateInputs:
     def test_validation_error_is_assertion_error(self):
         """Paper: 'an assertion is thrown if validation fails'."""
         assert issubclass(ValidationError, AssertionError)
+
+
+# Task (3, 3) of the six-wide stencil reads columns 2, 3, 4 of row 2.  Three
+# inputs of 21845 B are the largest block still joined and compared with one
+# memcmp; one byte more each and every size above is compared input by
+# input, in place.  None but 64 KiB is a multiple of the 32-byte header.
+T, I, COLS = 3, 3, (2, 3, 4)
+SIZES = [_BULK_BYTES // 3, _BULK_BYTES // 3 + 1, _BULK_BYTES, _BULK_BYTES + 5]
+
+
+def _via_validate_inputs(g, inputs):
+    validate_inputs(g, T, I, inputs)
+
+
+def _via_validate_row(g, inputs):
+    validate_row(g, T, g.row_plan(T), I, I + 1, inputs)
+
+
+def _via_execute_point(g, inputs):
+    g.execute_point(T, I, inputs)
+
+
+def _via_execute_row(g, inputs):
+    g.execute_row(T, I, I + 1, inputs, scratch=None, validate=True)
+
+
+VIAS = [_via_validate_inputs, _via_validate_row, _via_execute_point,
+        _via_execute_row]
+
+
+def _readonly(buf, pool):
+    buf.setflags(write=False)
+    return buf
+
+
+def _strided(buf, pool):
+    view = np.repeat(buf, 2)[::2]
+    assert not view.flags.c_contiguous
+    return view
+
+
+def _pool_handle(buf, pool):
+    ref = pool.acquire(buf.nbytes)
+    as_array(ref)[:] = buf
+    return ref
+
+
+FORMS = [_readonly, _strided, _pool_handle,
+         lambda buf, pool: buf.tobytes(),
+         lambda buf, pool: memoryview(buf.tobytes())]
+
+
+@pytest.mark.parametrize("via", VIAS)
+@pytest.mark.parametrize("nbytes", SIZES)
+class TestEveryByteOfLargeInputs:
+    """The memcmp paths check what the per-element comparison checked, and
+    say the same about what they reject."""
+
+    def _msg(self, slot, found):
+        return (f"task (t={T}, i={I}) of graph 0: input slot {slot} should "
+                f"be the output of (t={T - 1}, i={COLS[slot]}) but {found}")
+
+    def test_accepts_every_form_of_the_right_bytes(self, via, nbytes):
+        g = graph(output_bytes_per_task=nbytes)
+        assert (3 * nbytes <= _BULK_BYTES) == (nbytes == SIZES[0])
+        with HeapSlabPool() as pool:
+            for form in FORMS:
+                via(g, [form(b, pool) for b in expected_inputs(g, T, I)])
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_one_flipped_byte_is_caught_and_named(self, via, nbytes, where):
+        g = graph(output_bytes_per_task=nbytes)
+        offset = {"first": 0, "middle": nbytes // 2, "last": nbytes - 1}[where]
+        # Past the first header a buffer still reads as its producer's; a
+        # flip of the lowest byte of the timestep field reads as another's.
+        found = ("is the output of graph 0 task (t=253, i=4)" if offset == 0
+                 else "is the output of graph 0 task (t=2, i=4)")
+        with HeapSlabPool() as pool:
+            for form in FORMS:
+                inputs = expected_inputs(g, T, I)
+                inputs[2][offset] ^= 0xFF
+                with pytest.raises(ValidationError) as exc:
+                    via(g, [form(b, pool) for b in inputs])
+                assert str(exc.value) == self._msg(2, found)
+
+    def test_recycled_buffer_of_an_older_row_is_caught(self, via, nbytes):
+        """What a row buffer written over two rows late would hold: the
+        right column's pattern, stamped with the timestep before last."""
+        g = graph(output_bytes_per_task=nbytes)
+        inputs = expected_inputs(g, T, I)
+        inputs[1] = task_output(g, T - 3, COLS[1])
+        with pytest.raises(ValidationError) as exc:
+            via(g, inputs)
+        assert str(exc.value) == self._msg(
+            1, "is the output of graph 0 task (t=0, i=3)")
+
+    def test_bytes_are_compared_not_values(self, via, nbytes):
+        """An input is its raw bytes whatever its dtype: a wider view of
+        the right bytes passes, values equal modulo 256 do not."""
+        g = graph(output_bytes_per_task=nbytes)
+        inputs = expected_inputs(g, T, I)
+        if nbytes % 8 == 0:
+            via(g, [b.view("<i8") for b in inputs])
+        inputs[0] = inputs[0].astype(np.int64) + 256
+        with pytest.raises(ValidationError) as exc:
+            via(g, inputs)
+        assert str(exc.value) == self._msg(
+            0, f"has wrong size {8 * nbytes} (expected {nbytes})")
+
+    def test_an_input_without_a_byte_view_is_rejected(self, via, nbytes):
+        g = graph(output_bytes_per_task=nbytes)
+        inputs = expected_inputs(g, T, I)
+        inputs[1] = [1, 2, 3]
+        with pytest.raises(ValidationError, match=r"slot 1 .* no byte view"):
+            via(g, inputs)
+
+
+class TestPatternMemoIsBoundedInBytes:
+    def _held_after_serial_run(self, steps):
+        g = TaskGraph(timesteps=steps, max_width=8, output_bytes_per_task=1 << 16,
+                      dependence=DependenceType.STENCIL_1D)
+        make_executor("serial").run([g], validate=True)
+        held = sum(len(p) + validation._ENTRY_BYTES
+                   for p in validation._memo.values())
+        assert held == validation._memo_held  # the memo's own counter is exact
+        return held
+
+    def test_held_bytes_do_not_grow_with_graph_height(self):
+        validation._block_template.cache_clear()
+        short = self._held_after_serial_run(100)
+        tall = self._held_after_serial_run(400)
+        assert short == tall <= validation._MEMO_BYTES <= 8 << 20
+        # 64 KiB patterns are tiled from one header, never from a template.
+        assert validation._block_template.cache_info().currsize == 0
+
+    def test_concurrent_misses_keep_the_count_exact(self):
+        """Four threads miss, insert and evict at once (the ``threads``
+        executor validates from every worker): a lost update would leave the
+        counter off the bytes actually held, for good."""
+        errors = []
+
+        def hammer(k):
+            try:
+                for t in range(300):
+                    for nbytes in (40, 1 << 16):
+                        want = validation._output_bytes(9, k, t, 5, nbytes)
+                        assert validation._expected(9, k, t, (5,), nbytes) == want
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(k,))
+                       for k in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors, errors
+        held = sum(len(p) + validation._ENTRY_BYTES
+                   for p in validation._memo.values())
+        assert held == validation._memo_held <= validation._MEMO_BYTES
