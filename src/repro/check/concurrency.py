@@ -36,14 +36,17 @@ lock acquisitions hidden behind a method call are invisible to it, which
 is the half the runtime sanitizer covers.
 
 **Runtime lockset sanitizer** (:func:`instrument` / :func:`sanitized_run`):
-an opt-in layer (``task-bench ... --sanitize``) that replaces
+an opt-in layer (``task-bench ... --sanitize``, which composes with
+``--audit`` and ``--trace``) that replaces
 ``threading.Lock``/``RLock`` with recording proxies.  Each thread carries a
 live lockset and a vector clock; releasing a lock publishes the releaser's
 clock into the lock, acquiring joins it — so the clocks encode exactly the
 happens-before edges *real* synchronization creates (lock hand-offs),
 unlike :mod:`repro.check.hb_audit`, which trusts the publish/acquire trace
-events themselves to synchronize.  Via the trace-event observer hook
-(:func:`repro.runtimes._common.set_event_observer`), every published task
+events themselves to synchronize.  The sanitizer is one of the run's sinks
+(:func:`repro.runtimes._common.observing`) — beside the audit's recorder,
+the conformance capture and the span recorder, none excluding another —
+and sees each event in the thread that reached it: every published task
 buffer is stamped with its writer's (thread, lockset, clock) and every
 cross-thread read is checked Eraser-style: if the reader shares no lock
 with the writer (empty candidate lockset) *and* has no happens-before edge
@@ -83,12 +86,10 @@ from ..runtimes._common import (
     EV_ACQUIRE,
     EV_PUBLISH,
     TaskKey,
-    TraceRecorder,
-    set_event_observer,
-    tracing,
+    observing,
 )
 from .api_lint import _attr_chain, _waivers
-from .hb_audit import _VectorClock, audit_trace
+from .hb_audit import AuditResult, _VectorClock, audit_run
 
 # ----------------------------------------------------------------------
 # Static half: lock declarations
@@ -692,8 +693,11 @@ class LockSanitizer:
         with self._meta:
             self.stats.injected_stalls += 1
 
-    # -- trace-event observer ------------------------------------------
-    def observe(self, kind: str, task: TaskKey, source: TaskKey | None) -> None:
+    # -- sink protocol (repro.runtimes._common.observing) ---------------
+    wants_output = False
+    already = "a lock sanitizer is already installed"
+
+    def event(self, kind: str, task: TaskKey, source: TaskKey | None) -> None:
         ident = threading.get_ident()
         if kind == EV_PUBLISH:
             with self._meta:
@@ -831,14 +835,13 @@ def instrument() -> Iterator[LockSanitizer]:
     proxies (``threading.Condition`` and everything built on these —
     ``Event``, ``queue.Queue`` — is covered transitively, because the
     stdlib constructs their internals through the patched names) and
-    hooks the trace-event observer.  Locks created *inside* the block are
-    sanitized; construct the executor inside it, or use
-    :func:`sanitized_run`, which does.  Process-wide and non-reentrant,
-    like :func:`repro.runtimes._common.tracing`.
+    installs the sanitizer as one of the run's sinks
+    (:func:`repro.runtimes._common.observing`), beside whatever else is
+    watching.  Locks created *inside* the block are sanitized; construct
+    the executor inside it, or use :func:`sanitized_run`, which does.
+    Process-wide and non-reentrant.
     """
     global _active
-    if _active is not None:
-        raise RuntimeError("a lock sanitizer is already installed")
     san = LockSanitizer()
 
     def make_lock() -> _SanitizedLock:
@@ -847,17 +850,16 @@ def instrument() -> Iterator[LockSanitizer]:
     def make_rlock() -> _SanitizedLock:
         return _SanitizedLock(san, _REAL_RLOCK(), reentrant=True)
 
-    _active = san
-    threading.Lock = make_lock  # type: ignore[assignment]
-    threading.RLock = make_rlock  # type: ignore[assignment]
-    set_event_observer(san.observe)
-    try:
-        yield san
-    finally:
-        threading.Lock = _REAL_LOCK  # type: ignore[assignment]
-        threading.RLock = _REAL_RLOCK  # type: ignore[assignment]
-        set_event_observer(None)
-        _active = None
+    with observing(san):
+        _active = san
+        threading.Lock = make_lock  # type: ignore[assignment]
+        threading.RLock = make_rlock  # type: ignore[assignment]
+        try:
+            yield san
+        finally:
+            threading.Lock = _REAL_LOCK  # type: ignore[assignment]
+            threading.RLock = _REAL_RLOCK  # type: ignore[assignment]
+            _active = None
 
 
 # ----------------------------------------------------------------------
@@ -878,18 +880,42 @@ class SanitizeResult:
         """True when neither the audit nor the sanitizer found anything."""
         return not findings(self.diagnostics)
 
-    def report(self) -> str:
-        """The run report plus a sanitizer summary line."""
+    @classmethod
+    def of(
+        cls, audit: AuditResult, san: LockSanitizer, name: str
+    ) -> "SanitizeResult":
+        """Fold the schedule audit of a run on the executor called ``name``
+        and what ``san`` saw of it into one result."""
+        note = info(
+            "conc-sanitize",
+            f"sanitized run of executor {name!r}: "
+            f"{san.stats.lock_acquires} lock acquires, "
+            f"{san.stats.publishes_seen} publishes, "
+            f"{san.stats.reads_checked} reads checked",
+            "sanitize",
+        )
+        return cls(
+            run=audit.run,
+            diagnostics=[*audit.diagnostics, *san.diagnostics, note],
+            num_events=audit.num_events,
+            stats=san.stats,
+        )
+
+    def summary(self) -> str:
+        """The sanitizer summary line and the timing caveat."""
         n = len(findings(self.diagnostics))
         status = "clean" if n == 0 else f"{n} finding(s)"
         return (
-            f"{self.run.report()}\n"
             f"Sanitizer {status} ({self.num_events} events, "
             f"{self.stats.lock_acquires} lock acquires on "
             f"{self.stats.locks_created} locks)\n"
             "Note: sanitized timings include instrumentation overhead — "
             "never report them as METG numbers"
         )
+
+    def report(self) -> str:
+        """The run report plus the sanitizer summary."""
+        return f"{self.run.report()}\n{self.summary()}"
 
 
 def sanitized_run(
@@ -906,7 +932,6 @@ def sanitized_run(
     :func:`instrument`, so those locks are sanitized too (a factory-made
     executor is also closed here, since the caller never sees it).
     """
-    recorder = TraceRecorder()  # built outside instrument(): raw lock
     owned: Executor | None = None
     with instrument() as san:
         if isinstance(executor, Executor):
@@ -914,28 +939,10 @@ def sanitized_run(
         else:
             ex = owned = executor()
         try:
-            with tracing(recorder):
-                result = ex.run(graphs, validate=validate)
+            audit = audit_run(ex, graphs, validate=validate)
         finally:
             if owned is not None:
                 close = getattr(owned, "close", None)
                 if close is not None:
                     close()
-    diags = audit_trace(list(graphs), recorder.events)
-    diags.extend(san.diagnostics)
-    diags.append(
-        info(
-            "conc-sanitize",
-            f"sanitized run of executor {ex.name!r}: "
-            f"{san.stats.lock_acquires} lock acquires, "
-            f"{san.stats.publishes_seen} publishes, "
-            f"{san.stats.reads_checked} reads checked",
-            "sanitize",
-        )
-    )
-    return SanitizeResult(
-        run=result,
-        diagnostics=diags,
-        num_events=len(recorder.events),
-        stats=san.stats,
-    )
+    return SanitizeResult.of(audit, san, ex.name)

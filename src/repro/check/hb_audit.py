@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..core.diagnostics import Diagnostic, error, findings, info
 from ..core.executor_base import Executor
@@ -276,30 +276,40 @@ class AuditResult:
         """True when the schedule audit found no violations."""
         return not findings(self.diagnostics)
 
-    def report(self) -> str:
-        """The run report followed by an audit summary line."""
+    def summary(self) -> str:
+        """The audit summary line."""
         n = len(findings(self.diagnostics))
         status = "clean" if n == 0 else f"{n} violation(s)"
-        return (
-            f"{self.run.report()}\n"
-            f"Audit {status} ({self.num_events} events)"
+        return f"Audit {status} ({self.num_events} events)"
+
+    def report(self) -> str:
+        """The run report followed by the audit summary line."""
+        return f"{self.run.report()}\n{self.summary()}"
+
+
+def audited(
+    run: Callable[[], RunResult], graphs: Sequence[TaskGraph], name: str
+) -> AuditResult:
+    """Call ``run`` — one run of ``graphs`` on the executor called ``name``
+    — with a trace recorder installed, and audit the schedule it saw."""
+    recorder = TraceRecorder()
+    with tracing(recorder):
+        result = run()
+    diags = audit_trace(list(graphs), recorder.events)
+    diags.append(
+        info(
+            "hb-trace",
+            f"audited {len(recorder.events)} events from executor {name!r}",
+            "audit",
         )
+    )
+    return AuditResult(run=result, diagnostics=diags, num_events=len(recorder.events))
 
 
 def audit_run(
     executor: Executor, graphs: Sequence[TaskGraph], *, validate: bool = True
 ) -> AuditResult:
     """Execute ``graphs`` with tracing enabled and audit the schedule."""
-    recorder = TraceRecorder()
-    with tracing(recorder):
-        result = executor.run(graphs, validate=validate)
-    diags = audit_trace(list(graphs), recorder.events)
-    diags.append(
-        info(
-            "hb-trace",
-            f"audited {len(recorder.events)} events from executor "
-            f"{executor.name!r}",
-            "audit",
-        )
+    return audited(
+        lambda: executor.run(graphs, validate=validate), graphs, executor.name
     )
-    return AuditResult(run=result, diagnostics=diags, num_events=len(recorder.events))

@@ -30,13 +30,17 @@ Two correctness-tooling entry points (see :mod:`repro.check`)::
     # the same plus instrumented locks and the lockset race sanitizer
     task-bench -steps 100 -width 4 -runtime threads --sanitize
 
+``--audit``, ``--sanitize`` and ``--trace PATH`` compose — one run watched
+by all three — and the run's other options (``--report``, faults,
+deadlines, retries) apply whichever are on.
+
 Exit codes for ``check``: 0 clean, 1 findings, 2 usage error.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from .core.config import AppConfig, ConfigError, parse_args
 from .core.metrics import RunResult
@@ -179,11 +183,11 @@ def run_check(args: List[str]) -> int:
     usage error.
     """
     from .check import (
-        audit_run,
         lint_concurrency_sources,
         lint_graphs,
         lint_runtime_sources,
     )
+    from .check.hb_audit import audited
     from .core.diagnostics import findings, render_report
 
     diagnostics = []
@@ -222,17 +226,19 @@ def run_check(args: List[str]) -> int:
         diagnostics.extend(
             lint_graphs(app.graphs, machine, time_budget_seconds=time_budget)
         )
-        if not app.runtime.startswith("sim:"):
+        # Audit only schedulable configs: a deadlocked replay means the
+        # real run would hang too.
+        if not app.runtime.startswith("sim:") and not any(
+            d.code == "graph-cycle" for d in diagnostics
+        ):
             try:
-                executor = make_executor(app.runtime, workers=app.workers)
+                audit = audited(
+                    lambda: run_config(app), app.graphs, app.runtime
+                )
             except ValueError as e:
                 print(f"error: {e}", file=sys.stderr)
                 return 2
-            # Audit only schedulable configs: a deadlocked replay means the
-            # real run would hang too.
-            if not any(d.code == "graph-cycle" for d in diagnostics):
-                audit = audit_run(executor, app.graphs, validate=app.validate)
-                diagnostics.extend(audit.diagnostics)
+            diagnostics.extend(audit.diagnostics)
     report = render_report(diagnostics)
     if report:
         print(report)
@@ -753,71 +759,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     if app.verbose:
         for g in app.graphs:
             print(g.describe())
+    # The watching flags compose with each other, but each watches a single
+    # run on a real runtime: observed timings must never feed METG numbers,
+    # and the simulator has its own trace.
+    simulated = app.runtime.startswith("sim:")
     if trace_path is not None:
-        # Tracing is an observability channel for single real runs only:
-        # trace timestamps must never feed METG numbers, the simulator has
-        # its own trace, and the sanitizer/audit own the observer hook.
         if metg_target is not None:
             print("error: --trace applies to a single run; drop -metg "
                   "(trace timings never feed METG)", file=sys.stderr)
             return 2
-        if app.runtime.startswith("sim:"):
+        if simulated:
             print("error: --trace requires a real runtime (the simulator "
                   "trace is rendered by the analysis tools)", file=sys.stderr)
             return 2
-        if sanitize_enabled or audit_enabled:
-            print("error: --trace cannot be combined with --audit/--sanitize "
-                  "(they own the event-observer hook)", file=sys.stderr)
-            return 2
-    if sanitize_enabled:
-        if metg_target is not None or app.runtime.startswith("sim:"):
-            print("error: --sanitize requires a single run on a real runtime",
+    for flag, on in (("--sanitize", sanitize_enabled), ("--audit", audit_enabled)):
+        if on and (metg_target is not None or simulated):
+            print(f"error: {flag} requires a single run on a real runtime",
                   file=sys.stderr)
             return 2
-        if audit_enabled:
-            print("error: --sanitize already includes the schedule audit; "
-                  "drop --audit", file=sys.stderr)
-            return 2
-        from .check import sanitized_run
-        from .core.diagnostics import findings, render_report
-
-        try:
-            # A factory, not a built executor: construction happens inside
-            # instrument() so the executor's own locks are sanitized.
-            sanitized = sanitized_run(
-                lambda: make_executor(app.runtime, workers=app.workers),
-                app.graphs,
-                validate=app.validate,
-            )
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        print(sanitized.report())
-        bad = findings(sanitized.diagnostics)
-        if bad:
-            print(render_report(bad))
-            return 1
-        return 0
-    if audit_enabled:
-        if metg_target is not None or app.runtime.startswith("sim:"):
-            print("error: --audit requires a single run on a real runtime",
-                  file=sys.stderr)
-            return 2
-        from .check import audit_run
-        from .core.diagnostics import findings, render_report
-
-        try:
-            executor = make_executor(app.runtime, workers=app.workers)
-            audit = audit_run(executor, app.graphs, validate=app.validate)
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        print(audit.report())
-        bad = findings(audit.diagnostics)
-        if bad:
-            print(render_report(bad))
-            return 1
-        return 0
+    from .core.diagnostics import findings, render_report
     from .metg import METGUnachievable
     from .runtimes import WorkerCrashError, WorkerTimeoutError
 
@@ -825,10 +785,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if metg_target is not None:
             print(run_metg(app, metg_target, report=report_enabled))
             return 0
-        if trace_path is not None:
-            result = _traced_run(app, trace_path)
-        else:
-            result = run_config(app)
+        result, summaries, diagnostics = _observed_run(
+            app, audit=audit_enabled, sanitize=sanitize_enabled,
+            trace_path=trace_path,
+        )
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -849,33 +809,78 @@ def main(argv: Sequence[str] | None = None) -> int:
         # still confirm the export so the flag visibly did something.
         for line in result.trace.report_lines():
             print(line)
+    for line in summaries:
+        print(line)
+    bad = findings(diagnostics)
+    if bad:
+        print(render_report(bad))
+        return 1
     return 0
 
 
-def _traced_run(app: AppConfig, trace_path: str) -> RunResult:
-    """Run the configured benchmark under the span recorder and export the
-    merged trace as Chrome trace-event JSON at ``trace_path``."""
-    import dataclasses
+def _observed_run(
+    app: AppConfig, *, audit: bool, sanitize: bool, trace_path: str | None
+) -> Tuple[RunResult, List[str], list]:
+    """Run the configured benchmark with the requested sinks installed
+    around :func:`run_config` — so faults, deadlines, retries and
+    ``close()`` apply whatever is watching — and return the result, the
+    sinks' summary lines and their diagnostics.
 
-    from .core.metrics import TraceStats
+    ``--sanitize`` includes the schedule audit; ``--trace`` exports the
+    merged spans as Chrome trace-event JSON at ``trace_path`` and attaches
+    their counts to the result."""
+    import contextlib
+
     from .trace import recorder as trace_recorder
-    from .trace.export import write_chrome
 
-    with trace_recorder.capture() as rec:
-        result = run_config(app)
-        tr = rec.collect()
-    write_chrome(tr, trace_path)
-    spans, instants, counters, dropped = trace_recorder.trace_stats(tr)
-    return dataclasses.replace(
-        result,
-        trace=TraceStats(
-            spans=spans,
-            instants=instants,
-            counter_samples=counters,
-            dropped=dropped,
-            path=trace_path,
-        ),
-    )
+    checked = tr = None
+    with contextlib.ExitStack() as stack:
+        if trace_path is not None:
+            rec = stack.enter_context(trace_recorder.capture())
+        if sanitize:
+            from .check.concurrency import SanitizeResult, instrument
+
+            # After the span recorder, whose own lock must stay raw, and
+            # around run_config, which builds the executor: its locks are
+            # the ones to sanitize.
+            san = stack.enter_context(instrument())
+        if audit or sanitize:
+            from .check.hb_audit import audited
+
+            checked = audited(lambda: run_config(app), app.graphs, app.runtime)
+            result = checked.run
+        else:
+            result = run_config(app)
+        if trace_path is not None:
+            tr = rec.collect()
+    summaries: List[str] = []
+    diagnostics: list = []
+    if tr is not None:
+        import dataclasses
+
+        from .core.metrics import TraceStats
+        from .trace.export import write_chrome
+
+        write_chrome(tr, trace_path)
+        spans, instants, counters, dropped = trace_recorder.trace_stats(tr)
+        result = dataclasses.replace(
+            result,
+            trace=TraceStats(
+                spans=spans,
+                instants=instants,
+                counter_samples=counters,
+                dropped=dropped,
+                path=trace_path,
+            ),
+        )
+    if audit:
+        summaries.append(checked.summary())
+        diagnostics = checked.diagnostics
+    if sanitize:
+        checked = SanitizeResult.of(checked, san, app.runtime)
+        summaries.append(checked.summary())
+        diagnostics = checked.diagnostics
+    return result, summaries, diagnostics
 
 
 def run_trace(args: List[str]) -> int:
@@ -952,6 +957,8 @@ app options:
   --sanitize         run under instrumented locks: the happens-before audit
                      plus Eraser-style lockset race detection (slower;
                      never report sanitized timings as METG numbers)
+                     --audit, --sanitize and --trace compose: one run, on a
+                     real runtime and without -metg, watched by all of them
   --report           append data-plane counters (bytes copied/shared, pool
                      hit rate, bytes on the wire) and fault/retry counters
                      to the run report

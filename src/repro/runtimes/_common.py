@@ -11,7 +11,7 @@ from __future__ import annotations
 import contextlib
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,13 +26,70 @@ TaskKey = Tuple[int, int, int]
 
 
 # ----------------------------------------------------------------------
-# Event tracing (consumed by repro.check.hb_audit)
+# Schedule events and the sinks that watch a run
 # ----------------------------------------------------------------------
-#: Event kinds recorded by the trace hooks.
+#: Event kinds handed to the sinks.
 EV_START = "start"  #: a task began executing
 EV_ACQUIRE = "acquire"  #: a task obtained one input buffer (source = producer)
 EV_FINISH = "finish"  #: a task's kernel completed (output fully computed)
 EV_PUBLISH = "publish"  #: a task's output was made visible to consumers
+
+_RAW_LOCK = threading.Lock  # bound at import, before anything patches it
+
+#: The installed sinks (see :func:`observing`).  Empty on an unobserved
+#: run, and that is the one thing :func:`run_task`, :func:`publish` and
+#: :func:`retire_rows` test before doing anything for an observer.
+_sinks: Tuple[Any, ...] = ()
+
+
+@contextlib.contextmanager
+def observing(sink: Any) -> Iterator[Any]:
+    """Install ``sink`` for the duration of the block.
+
+    A sink is anything that watches a run: the hb-audit
+    :class:`TraceRecorder`, the lockset sanitizer, the conformance capture,
+    the span recorder.  It has ``event(kind, task, source)``, called at
+    every event site *synchronously in the thread that reached it* — so it
+    may inspect that thread's live state (its lockset, its clock) at the
+    moment of the access — and ``wants_output``; when that is true,
+    ``output(key, value)`` is called at publish, before a pooled buffer can
+    be recycled.  Sinks of different types compose; installing a second one
+    of a type raises ``RuntimeError(sink.already)``.
+
+    Process-wide (not thread-local) on purpose: executors spawn worker
+    threads that must all report into the same sinks.  Concurrent observed
+    runs are not supported.
+    """
+    global _sinks
+    if any(type(s) is type(sink) for s in _sinks):
+        raise RuntimeError(sink.already)
+    _sinks += (sink,)
+    try:
+        yield sink
+    finally:
+        _sinks = tuple(s for s in _sinks if s is not sink)
+
+
+def record_event(kind: str, task: TaskKey, source: TaskKey | None = None) -> None:
+    """Hand one schedule event to every installed sink."""
+    for sink in _sinks:
+        sink.event(kind, task, source)
+
+
+def capture_output(key: TaskKey, value: "bufpool.Payload") -> None:
+    """Hand one published output to every installed sink that wants them."""
+    for sink in _sinks:
+        if sink.wants_output:
+            sink.output(key, value)
+
+
+def capture_active() -> bool:
+    """Whether an installed sink wants outputs.
+
+    The cluster executors check this before a run so their ranks ship
+    output snapshots back only when somebody is listening.
+    """
+    return any(sink.wants_output for sink in _sinks)
 
 
 @dataclass(frozen=True)
@@ -53,18 +110,20 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Thread-safe append-only event log.
+    """Thread-safe append-only event log, replayed post hoc by
+    :mod:`repro.check.hb_audit`.  Installed via :func:`tracing`."""
 
-    Installed via :func:`tracing`; when no recorder is installed the hooks
-    cost one ``None`` check per event site, keeping the un-audited hot path
-    unaffected.
-    """
+    wants_output = False
+    already = "a trace recorder is already installed"
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        # Raw even when built under the lock sanitizer, which patches
+        # ``threading.Lock``: a sanitized lock taken at every event would
+        # hand every thread's clock to the next and hide every race.
+        self._lock = _RAW_LOCK()
         self.events: List[TraceEvent] = []
 
-    def record(self, kind: str, task: TaskKey, source: TaskKey | None = None) -> None:
+    def event(self, kind: str, task: TaskKey, source: TaskKey | None = None) -> None:
         with self._lock:
             self.events.append(
                 TraceEvent(len(self.events), threading.get_ident(), kind, task, source)
@@ -75,109 +134,35 @@ class TraceRecorder:
             return len(self.events)
 
 
-_active_recorder: TraceRecorder | None = None
+#: Install a :class:`TraceRecorder` (``with tracing(TraceRecorder()) as rec``).
+tracing = observing
 
-
-def trace_recorder() -> TraceRecorder | None:
-    """The currently installed recorder, or ``None`` when tracing is off."""
-    return _active_recorder
-
-
-@contextlib.contextmanager
-def tracing(recorder: TraceRecorder):
-    """Install ``recorder`` as the process-wide trace sink for the duration.
-
-    Process-wide (not thread-local) on purpose: executors spawn worker
-    threads that must all report into the same schedule trace.  Nesting or
-    concurrent audited runs are not supported.
-    """
-    global _active_recorder
-    if _active_recorder is not None:
-        raise RuntimeError("a trace recorder is already installed")
-    _active_recorder = recorder
-    try:
-        yield recorder
-    finally:
-        _active_recorder = None
-
-
-#: Synchronous per-event observer (see :func:`set_event_observer`).
-_event_observer: Callable[[str, TaskKey, Optional[TaskKey]], None] | None = None
-
-
-def set_event_observer(
-    fn: Callable[[str, TaskKey, Optional[TaskKey]], None] | None,
-) -> None:
-    """Install ``fn`` as the process-wide trace-event observer (``None``
-    clears it).
-
-    Unlike a :class:`TraceRecorder` — which buffers events for post-hoc
-    replay — the observer is invoked *synchronously in the recording
-    thread* at every event site, so it can inspect that thread's live
-    state (its lockset, its clock) at the exact moment of the access.
-    This is the hook the lockset sanitizer
-    (:mod:`repro.check.concurrency`) hangs off; it composes with an
-    installed recorder (both fire).  Only one observer at a time.
-    """
-    global _event_observer
-    if fn is not None and _event_observer is not None:
-        raise RuntimeError("a trace-event observer is already installed")
-    _event_observer = fn
-
-
-def record_event(kind: str, task: TaskKey, source: TaskKey | None = None) -> None:
-    """Record one event if tracing is active (no-op otherwise)."""
-    rec = _active_recorder
-    if rec is not None:
-        rec.record(kind, task, source)
-    obs = _event_observer
-    if obs is not None:
-        obs(kind, task, source)
-
-
-def events_active() -> bool:
-    """Whether any schedule-event sink (recorder or observer) is installed.
-
-    Paths that would have to *compute* something per event — e.g.
-    re-deriving dependency columns to emit acquires — check this first so
-    the work is skipped entirely on untraced runs, where
-    :func:`record_event` alone would already no-op."""
-    return _active_recorder is not None or _event_observer is not None
-
-
-def _record_task_events(key: TaskKey, deps: Sequence[int]) -> None:
-    """A task's start and one acquire per input, in canonical order."""
-    record_event(EV_START, key)
-    gi, t, _i = key
-    for j in deps:
-        record_event(EV_ACQUIRE, key, (gi, t - 1, j))
-
-
-def record_row_events(
-    g: TaskGraph, t: int, lo: int | None = None, hi: int | None = None
-) -> None:
-    """Record the schedule events of columns ``[lo, hi)`` of row ``t`` of
-    ``g`` (default: the whole row), task by task in program order: start,
-    one acquire per input, finish, and publish for outputs somebody reads.
-    For executors that run a row block at a time, or replay one that ran in
-    another process."""
-    gi = g.graph_index
-    plan = g.row_plan(t)
-    first = 0 if lo is None else lo - plan.off
-    last = plan.width if hi is None else hi - plan.off
-    for k in range(first, last):
-        key = (gi, t, plan.off + k)
-        _record_task_events(key, plan.deps[k])
-        record_event(EV_FINISH, key)
-        if plan.consumers[k] > 0:
-            record_event(EV_PUBLISH, key)
-
-
-# ----------------------------------------------------------------------
-# Output capture (consumed by the executor-conformance suite)
-# ----------------------------------------------------------------------
 _capture_lock = threading.Lock()
-_capture_sink: Dict[TaskKey, bytes] | None = None
+
+
+class _OutputCapture:
+    """The conformance capture: a bytes snapshot of every published output."""
+
+    wants_output = True
+    already = "an output capture is already active"
+
+    def __init__(self) -> None:
+        self.outputs: Dict[TaskKey, bytes] = {}
+
+    def event(self, kind: str, task: TaskKey, source: TaskKey | None) -> None:
+        pass
+
+    def output(self, key: TaskKey, value: "bufpool.Payload") -> None:
+        # memoryview: a rank's snapshot arrives as bytes, the rest as arrays.
+        data = memoryview(bufpool.as_array(value)).tobytes()
+        with _capture_lock:
+            prev = self.outputs.get(key)
+            if prev is not None and prev != data:
+                raise RuntimeError(
+                    f"task {key} published two different payloads "
+                    f"({len(prev)} vs {len(data)} bytes)"
+                )
+            self.outputs[key] = data
 
 
 @contextlib.contextmanager
@@ -189,47 +174,9 @@ def capturing_outputs() -> Iterator[Dict[TaskKey, bytes]]:
     against the serial executor's.  Snapshots are taken at publish time —
     before pooled buffers can be recycled — and publishing two *different*
     payloads for one task is an immediate error.
-
-    Process-wide like :func:`tracing`: worker threads all report into the
-    same sink.  Nested captures are not supported.
     """
-    global _capture_sink
-    if _capture_sink is not None:
-        raise RuntimeError("an output capture is already active")
-    sink: Dict[TaskKey, bytes] = {}
-    _capture_sink = sink
-    try:
-        yield sink
-    finally:
-        _capture_sink = None
-
-
-def capture_active() -> bool:
-    """Whether an output capture is currently installed.
-
-    Cross-process executors check this before a run so they only ship
-    output snapshots back from their workers/ranks when a conformance
-    capture is actually listening.
-    """
-    return _capture_sink is not None
-
-
-def capture_output(key: TaskKey, value: "bufpool.Payload") -> None:
-    """Snapshot one published output if a capture is active (no-op
-    otherwise).  Called from :func:`publish`, and by the executors that
-    replay another process's row when they retire it."""
-    sink = _capture_sink
-    if sink is None:
-        return
-    data = bufpool.as_array(value).tobytes()
-    with _capture_lock:
-        prev = sink.get(key)
-        if prev is not None and prev != data:
-            raise RuntimeError(
-                f"task {key} published two different payloads "
-                f"({len(prev)} vs {len(data)} bytes)"
-            )
-        sink[key] = data
+    with observing(_OutputCapture()) as sink:
+        yield sink.outputs
 
 
 def task_keys(graphs: Sequence[TaskGraph]) -> Iterator[TaskKey]:
@@ -418,11 +365,21 @@ def run_task(
     The one place under ``runtimes/`` that calls ``execute_point`` and
     opens the ``"task"`` kernel span, and the one that records a task's
     ``start``, ``acquire`` per input and ``finish`` — in that order,
-    whatever order the executor got hold of the inputs in."""
-    key = (g.graph_index, t, i)
-    if _active_recorder is not None or _event_observer is not None:
-        _record_task_events(key, g.dependency_columns(t, i))
+    whatever order the executor got hold of the inputs in.  The acquires
+    are live, so a span capture gets each as an instant on this thread."""
+    if not _sinks:
+        return g.execute_point(t, i, inputs, scratch, validate=validate, out=out)
+    gi = g.graph_index
+    key = (gi, t, i)
     traced = trace.enabled
+    record_event(EV_START, key)
+    for j in g.dependency_columns(t, i):
+        source = (gi, t - 1, j)
+        record_event(EV_ACQUIRE, key, source)
+        if traced:
+            trace.instant(
+                "acquire", trace.CAT_SCHED, {"task": key, "source": source}
+            )
     t0 = trace.begin() if traced else 0
     out = g.execute_point(t, i, inputs, scratch, validate=validate, out=out)
     if traced:
@@ -434,16 +391,50 @@ def run_task(
 def publish(key: TaskKey, value: "bufpool.Payload") -> None:
     """Announce that the output of ``key`` is about to become visible to
     its consumers: the ``"publish"`` span, the publish event and the
-    conformance snapshot.  Call it exactly once per task that has
-    consumers, after :func:`run_task` and *before* handing ``value`` to
+    output for the sinks that want it.  Call it exactly once per task that
+    has consumers, after :func:`run_task` and *before* handing ``value`` to
     whatever channel the consumers synchronize on (store, mailbox, future):
     the audits order the hand-off after this event."""
+    if not _sinks:
+        return
     traced = trace.enabled
     t0 = trace.begin() if traced else 0
     record_event(EV_PUBLISH, key)
     capture_output(key, value)
     if traced:
         trace.complete("publish", trace.CAT_PUBLISH, t0, {"task": key})
+
+
+def retire_rows(
+    g: TaskGraph,
+    t: int,
+    lo: int,
+    hi: int,
+    outputs: Iterable["bufpool.Payload | None"],
+) -> None:
+    """Surface columns ``[lo, hi)`` of row ``t`` of ``g`` — run as one
+    block, or in another process — to the installed sinks, task by task in
+    program order: start, one acquire per input, finish, and for a task
+    somebody reads, publish and its entry of ``outputs`` (the block's
+    outputs in column order; ``None`` where nobody asked for them).
+
+    What executors that do not go task by task call in place of
+    :func:`run_task` and :func:`publish`.  The kernels already ran, so
+    nothing here is a span or an instant."""
+    if not _sinks:
+        return
+    gi = g.graph_index
+    plan = g.row_plan(t)
+    for i, value in zip(range(lo, hi), outputs):
+        key = (gi, t, i)
+        k = i - plan.off
+        record_event(EV_START, key)
+        for j in plan.deps[k]:
+            record_event(EV_ACQUIRE, key, (gi, t - 1, j))
+        record_event(EV_FINISH, key)
+        if plan.consumers[k] > 0:
+            record_event(EV_PUBLISH, key)
+            capture_output(key, value)
 
 
 def run_point(

@@ -27,28 +27,21 @@ relaunch is accounted as ``workers`` respawns.
 Run observability: each run's merged :class:`~repro.core.metrics.WireStats`
 (bytes and messages on the wire, serialize/decode time) is attached to the
 run's :class:`~repro.core.metrics.DataPlaneStats`.  Kernels execute in the
-rank processes, so the parent surfaces the schedule to the happens-before
-audit by replaying its deterministic timestep-major order, and forwards
-rank-captured output snapshots to the conformance capture sink.
+rank processes, so the parent surfaces the schedule to the installed sinks
+by retiring its rows in their deterministic timestep-major order, each with
+the output snapshots its ranks captured if a sink asked for them.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, ClassVar, Dict, Sequence, Tuple
 
-import numpy as np
-
 from ..core.executor_base import Executor
 from ..core.metrics import DataPlaneStats, FaultStats
 from ..core.task_graph import TaskGraph
 from ..faults import FaultSpec, default_timeout, fault_from_env
 from ..trace import recorder as trace
-from ._common import (
-    capture_active,
-    capture_output,
-    record_row_events,
-    trace_recorder,
-)
+from ._common import capture_active, retire_rows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.launcher import Cluster
@@ -194,23 +187,25 @@ class _ClusterExecutor(Executor):
         graphs: Sequence[TaskGraph],
         captured: Dict[Tuple[int, int, int], bytes],
     ) -> None:
-        """Feed the parent-side observability hooks after a run.
+        """Retire the run's rows to the installed sinks.
 
         Kernels ran in the rank processes; the earliest point their
-        schedule can be surfaced to an installed trace recorder is here,
-        once the run completed — the replay follows the deterministic
-        timestep-major order the ranks execute, which is a valid
-        linearization of the real schedule (ranks cannot run timestep
+        schedule can be surfaced is here, once the run completed — in the
+        deterministic timestep-major order the ranks execute, which is a
+        valid linearization of the real schedule (ranks cannot run timestep
         ``t+1`` of a column before its timestep-``t`` inputs were
-        published).  Captured output snapshots are forwarded to the
-        conformance sink bytewise."""
-        if trace_recorder() is not None:
-            for t in range(max(g.timesteps for g in graphs)):
-                for g in graphs:
-                    if t < g.timesteps:
-                        record_row_events(g, t)
-        for key, data in sorted(captured.items()):
-            capture_output(key, np.frombuffer(data, dtype=np.uint8))
+        published) — each output that has readers with the snapshot its
+        rank took, when a sink asked for them."""
+        for t in range(max(g.timesteps for g in graphs)):
+            for g in graphs:
+                if t < g.timesteps:
+                    gi = g.graph_index
+                    lo = g.offset_at_timestep(t)
+                    hi = lo + g.width_at_timestep(t)
+                    retire_rows(
+                        g, t, lo, hi,
+                        (captured.get((gi, t, i)) for i in range(lo, hi)),
+                    )
 
 
 class ClusterTCPExecutor(_ClusterExecutor):

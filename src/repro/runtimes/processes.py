@@ -38,12 +38,7 @@ from ..core.metrics import DataPlaneStats, FaultStats
 from ..core.task_graph import TaskGraph
 from ..faults import FaultSpec, default_timeout, fault_from_env
 from ..trace import recorder as trace
-from ._common import (
-    OutputStore,
-    capture_output,
-    events_active,
-    record_row_events,
-)
+from ._common import OutputStore, retire_rows
 from ._procpool import ForkWorkerPool, WorkerCrashError, WorkerTimeoutError
 
 # Per-process caches, initialized lazily inside workers.
@@ -322,24 +317,19 @@ class ProcessPoolExecutor(_PhasedProcessExecutor):
                          validate)
                     )
                     frame_graphs[w].append(g)
-            emit = events_active()
             for w, frame_results in enumerate(procs.run_assigned(frames)):
                 for g, frame, outputs in zip(
                     frame_graphs[w], frames[w], frame_results
                 ):
                     gi, _t, lo, hi = frame[:4]
-                    # Kernels ran in worker processes; their events are
-                    # surfaced here, once the results have crossed back —
-                    # the earliest point the trace can order them.
-                    if emit:
-                        record_row_events(g, t, lo, hi)
+                    # Kernels ran in worker processes; they are surfaced
+                    # here, once the results have crossed back — the
+                    # earliest point a sink can order them.
+                    retire_rows(g, t, lo, hi, outputs)
                     for i, out in zip(range(lo, hi), outputs):
                         bytes_copied += out.nbytes
                         payloads_copied += 1
-                        consumers = g.consumer_count(t, i)
-                        if consumers > 0:
-                            capture_output((gi, t, i), out)
-                            store.put((gi, t, i), out, consumers)
+                        store.put((gi, t, i), out, g.consumer_count(t, i))
         self._drain_worker_traces(procs)
         store.assert_drained()
         self._data_plane = DataPlaneStats(

@@ -27,12 +27,7 @@ from ..core.executor_base import Executor
 from ..core.fastpath import RowPlan
 from ..core.task_graph import TaskGraph
 from ..core.validation import recycles_rows
-from ._common import (
-    capture_active,
-    capture_output,
-    events_active,
-    record_row_events,
-)
+from ._common import retire_rows
 
 
 class SerialExecutor(Executor):
@@ -59,8 +54,6 @@ class SerialExecutor(Executor):
             if g.scratch_bytes_per_task else None
             for g in graphs
         ]
-        emit = events_active()
-        capture = capture_active()
         for t in range(max(g.timesteps for g in graphs)):
             for n, g in enumerate(graphs):
                 if t >= g.timesteps:
@@ -84,15 +77,7 @@ class SerialExecutor(Executor):
                     validate=validate, out=out,
                 )
                 plans[n] = plan
-                # Surface the row to the installed sinks, in program order.
-                if emit:
-                    record_row_events(g, t)
-                if capture:
-                    for i, out, readers in zip(
-                        range(lo, hi), outputs, plan.consumers
-                    ):
-                        if readers > 0:
-                            capture_output((g.graph_index, t, i), out)
+                retire_rows(g, t, lo, hi, outputs)
         for g, plan in zip(graphs, plans):
             if any(plan.consumers):
                 _raise_undrained(

@@ -52,13 +52,7 @@ from ..core.bufpool import (
     sweep_orphaned_segments,
 )
 from ..core.task_graph import TaskGraph
-from ._common import (
-    OutputStore,
-    capture_output,
-    events_active,
-    pool_data_plane,
-    record_row_events,
-)
+from ._common import OutputStore, pool_data_plane, retire_rows
 from .processes import (
     _PhasedProcessExecutor,
     _split,
@@ -378,20 +372,14 @@ class ShmProcessPoolExecutor(_PhasedProcessExecutor):
                 for w in range(nw)
             ]
             procs.run_assigned(frames)
-            emit = events_active()
             for g, t, lo, hi, out_refs, consumers in retire:
-                # Kernels ran in worker processes; their schedule events
-                # are surfaced here, after the window barrier — the
-                # earliest point the trace can order them — in program
-                # order, one timestep after another.
-                if emit:
-                    record_row_events(g, t, lo, hi)
-                for i, out, ncons in zip(range(lo, hi), out_refs, consumers):
-                    if ncons > 0:
-                        # The buffer now holds the kernel's output: this is
-                        # the publish point the conformance capture sees.
-                        capture_output((g.graph_index, t, i), out)
-                    else:
+                # Kernels ran in worker processes; they are surfaced here,
+                # after the window barrier — the earliest point a sink can
+                # order them, and the buffers now hold the kernels' outputs
+                # — in program order, one timestep after another.
+                retire_rows(g, t, lo, hi, out_refs)
+                for out, ncons in zip(out_refs, consumers):
+                    if ncons == 0:
                         pool.decref(out)
             # Window barrier passed: every worker read of this window's
             # inputs is complete, so the consumers' references drop and

@@ -12,7 +12,9 @@ Design rules (all load-bearing):
   module-level :data:`enabled` flag before doing *anything* — no
   allocation, no clock read, no attribute chain beyond one module
   attribute.  ``enabled`` is only ever flipped by :func:`capture` (or the
-  worker/rank helpers), never by the hot path.
+  worker/rank helpers), never by the hot path.  (The task step,
+  ``_common.run_task`` / ``publish``, tests its sink list instead, which
+  holds the recorder while a capture is on: one read there too.)
 * **Lock-free per thread.**  Each recording thread appends into its own
   bounded ring buffer, obtained through a ``threading.local`` — the
   append path takes no lock and shares no cache line with other
@@ -170,6 +172,15 @@ class SpanRecorder:
         #: Ingested foreign dumps: (pid, clock offset ns, buffer dump).
         self._foreign: List[Tuple[str, int, List[Any]]] = []
 
+    # -- sink protocol (repro.runtimes._common.observing) ---------------
+    wants_output = False
+    already = "a span recorder is already active"
+
+    def event(self, kind: str, task: Any, source: Any) -> None:
+        """Spans and instants are recorded at the sites themselves, behind
+        :data:`enabled`; being installed is what sends ``run_task`` and
+        ``publish`` down their observed path."""
+
     # -- hot path ------------------------------------------------------
     def _buffer(self) -> _Buffer:
         buf = getattr(self._tl, "buf", None)
@@ -277,15 +288,6 @@ def span(
         complete(name, cat, t0, args)
 
 
-def _observe(kind: str, task: Any, source: Any) -> None:
-    """Event-observer bridge: the executors' existing ``record_event``
-    sites surface input acquisition, which has no natural span (the wait
-    is part of the scheduler, the claim itself is instantaneous) — it
-    becomes an instant on the acquiring thread's track."""
-    if kind == "acquire":
-        instant("acquire", CAT_SCHED, {"task": task, "source": source})
-
-
 @contextlib.contextmanager
 def capture(
     *,
@@ -294,33 +296,24 @@ def capture(
 ) -> Iterator[SpanRecorder]:
     """Enable span recording for the duration and yield the recorder.
 
-    Installs the acquire-instant bridge on the executors' event-observer
-    hook when it is free (the lockset sanitizer owns the same hook; under
-    ``--sanitize`` the CLI refuses ``--trace`` outright, but library users
-    composing both simply lose acquire instants, not the trace).  Nested
-    or concurrent captures are not supported — one recorder per process.
+    The recorder is installed as one of the run's sinks
+    (:func:`repro.runtimes._common.observing`), so it composes with the
+    schedule audit, the lockset sanitizer and the conformance capture.
+    Nested or concurrent captures are not supported — one recorder per
+    process.
     """
     global enabled, _active
-    if _active is not None:
-        raise RuntimeError("a span recorder is already active")
-    rec = SpanRecorder(capacity_per_thread=capacity_per_thread, pid=pid)
-    from ..runtimes import _common
+    from ..runtimes._common import observing
 
-    observing = False
-    try:
-        _common.set_event_observer(_observe)
-        observing = True
-    except RuntimeError:
-        pass  # hook taken (sanitizer): trace without acquire instants
-    _active = rec
-    enabled = True
-    try:
-        yield rec
-    finally:
-        enabled = False
-        _active = None
-        if observing:
-            _common.set_event_observer(None)
+    rec = SpanRecorder(capacity_per_thread=capacity_per_thread, pid=pid)
+    with observing(rec):
+        _active = rec
+        enabled = True
+        try:
+            yield rec
+        finally:
+            enabled = False
+            _active = None
 
 
 def active() -> SpanRecorder | None:

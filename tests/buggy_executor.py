@@ -9,6 +9,9 @@ the schedule audit (:mod:`repro.check.hb_audit`) can see:
   values are "lucky" — identical to what the real producer computed — so
   validation cannot object, but the consumer never synchronized with its
   producer (``hb-missing-acquire``).
+  :class:`UnluckyDroppedEdgeExecutor` fabricates the wrong bytes instead:
+  the one fixture here whose run *fails* validation, for tests of what an
+  observed run leaves behind when it raises.
 * :class:`EarlyPublishExecutor` publishes each task's output *before*
   running its kernel, again using the deterministic expected bytes.
   Consumers validate clean, but the publish precedes the producer's finish
@@ -99,7 +102,7 @@ class DroppedEdgeExecutor(Executor):
                 if key == self.victim and n == 0:
                     # The bug: no synchronization with the producer, just
                     # the right bytes by construction.
-                    inputs.append(validation.task_output(g, t - 1, j))
+                    inputs.append(self.fabricate(g, t - 1, j))
                     continue
                 inputs.append(store[source])
                 record_event(EV_ACQUIRE, key, source)
@@ -110,6 +113,24 @@ class DroppedEdgeExecutor(Executor):
             if g.consumer_count(t, i) > 0:
                 store[key] = out
                 record_event(EV_PUBLISH, key)
+
+
+    @staticmethod
+    def fabricate(g: TaskGraph, t: int, j: int) -> np.ndarray:
+        return validation.task_output(g, t, j)
+
+
+class UnluckyDroppedEdgeExecutor(DroppedEdgeExecutor):
+    """The same dropped edge without the luck: the fabricated bytes are the
+    wrong ones, so the victim's input validation fails mid-run."""
+
+    name = "buggy-unlucky-dropped-edge"
+
+    @staticmethod
+    def fabricate(g: TaskGraph, t: int, j: int) -> np.ndarray:
+        out = validation.task_output(g, t, j)
+        out[0] ^= 0xFF
+        return out
 
 
 class EarlyPublishExecutor(Executor):

@@ -184,12 +184,12 @@ def test_tracing_rejects_nesting():
 
 
 def test_tracing_uninstalls_on_exit():
-    from repro.runtimes._common import trace_recorder
+    from repro.runtimes import _common
 
     rec = TraceRecorder()
     with tracing(rec):
-        assert trace_recorder() is rec
-    assert trace_recorder() is None
+        assert _common._sinks == (rec,)
+    assert _common._sinks == ()
 
 
 def test_untraced_run_records_nothing():

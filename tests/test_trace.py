@@ -27,8 +27,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check import audit_run, instrument
+from repro.check.concurrency import _REAL_LOCK
 from repro.cli import main
 from repro.cluster.wire import MSG_TRACE, WireError, decode, encode_trace
+from repro.core import DependenceType, TaskGraph, ValidationError
+from repro.core.diagnostics import findings
+from repro.runtimes import _common, make_executor
+from repro.runtimes._common import TraceRecorder, capturing_outputs, tracing
 from repro.trace import recorder as trace
 from repro.trace.conformance import check_trace
 from repro.trace.export import (
@@ -39,6 +45,7 @@ from repro.trace.export import (
 )
 from repro.trace.merge import align_offset, merge_dumps
 from repro.trace.recorder import SpanRecorder, Trace, TraceRecord
+from tests.buggy_executor import UnluckyDroppedEdgeExecutor
 
 
 def _event(ts, dur=1, name="task", cat=trace.CAT_KERNEL, args=None):
@@ -399,9 +406,115 @@ class TestCLI:
     def test_trace_flag_exclusions(self, tmp_path, capsys):
         path = str(tmp_path / "out.json")
         assert main(_RUN_ARGS + ["--trace", path, "-metg"]) == 2
-        assert main(_RUN_ARGS + ["--trace", path, "--audit"]) == 2
-        assert main(_RUN_ARGS + ["--trace", path, "--sanitize"]) == 2
         assert main(_RUN_ARGS + ["--trace"]) == 2
         sim = ["-steps", "4", "-width", "4", "-runtime", "sim:mpi_p2p",
                "--trace", path]
         assert main(sim) == 2
+
+    @pytest.mark.parametrize("runtime", ["threads", "cluster_uds"])
+    def test_watching_flags_compose(self, runtime, tmp_path, capsys):
+        path = str(tmp_path / "out.json")
+        args = ["-steps", "10", "-width", "8", "-type", "stencil_1d",
+                "-kernel", "empty", "-runtime", runtime, "-workers", "2"]
+        assert main(args + ["--audit", "--sanitize", "--trace", path,
+                            "--report"]) == 0
+        out = capsys.readouterr().out
+        for line in ("Total Tasks 80", "Bytes Copied", "Trace Spans",
+                     "Audit clean (430 events)", "Sanitizer clean (430 events"):
+            assert line in out
+        with open(path, encoding="utf-8") as fh:
+            assert validate_chrome(json.load(fh)) == []
+
+    def test_observed_run_keeps_the_runs_options(self, capsys):
+        """An injected crash kills an audited run as it kills a plain one
+        (it used to be dropped with every other run option), and the
+        data-plane report prints beside the audit summary."""
+        args = ["-steps", "10", "-width", "8", "-type", "stencil_1d",
+                "-kernel", "empty", "-runtime", "processes", "-workers", "2",
+                "--audit"]
+        assert main(args + ["--inject-fault", "crash:0:2",
+                            "--timeout", "20"]) == 1
+        captured = capsys.readouterr()
+        assert "worker 0 died" in captured.err
+        assert "Audit clean" not in captured.out
+        assert main(args + ["--report"]) == 0
+        out = capsys.readouterr().out
+        assert "Bytes Copied" in out and "Audit clean (430 events)" in out
+
+
+# ----------------------------------------------------------------------
+# Sinks compose: audit + sanitizer + conformance capture + span recorder
+# ----------------------------------------------------------------------
+def _stencil():
+    return [TaskGraph(timesteps=6, max_width=4,
+                      dependence=DependenceType.STENCIL_1D)]
+
+
+class TestSinksCompose:
+    @pytest.mark.parametrize("runtime", [
+        "serial", "threads", "dataflow", "processes", "shm_processes",
+        "cluster_uds",
+    ])
+    def test_all_four_at_once(self, runtime):
+        graphs = _stencil()
+        with capturing_outputs() as want:
+            make_executor("serial").run(graphs)
+        ex = None
+        try:
+            with trace.capture() as spans, instrument() as san, \
+                    capturing_outputs() as got:
+                ex = make_executor(runtime, workers=2)  # with sanitized locks
+                audit = audit_run(ex, graphs)
+                tr = spans.collect()
+            alone = audit_run(ex, graphs)
+        finally:
+            getattr(ex, "close", lambda: None)()
+        assert got == want
+        assert audit.ok and findings(san.diagnostics) == []
+        assert check_trace(tr, graphs) == []
+        assert audit.num_events == alone.num_events == 118
+        assert san.stats.reads_checked == graphs[0].total_dependencies()
+        # Acquire instants only where a task acquired its inputs live, on
+        # the thread that did; a row retired after the fact leaves none.
+        live = runtime in ("threads", "dataflow")
+        acquires = [r for r in tr.instants if r.name == "acquire"]
+        assert len(acquires) == (san.stats.reads_checked if live else 0)
+        kernels = {r.args["task"]: (r.pid, r.tid) for r in tr.kernel_spans()}
+        assert all(kernels[r.args["task"]] == (r.pid, r.tid) for r in acquires)
+
+    def test_two_of_one_kind_is_an_error(self):
+        with tracing(TraceRecorder()), capturing_outputs(), \
+                instrument(), trace.capture():
+            for again, message in (
+                (lambda: tracing(TraceRecorder()),
+                 "a trace recorder is already installed"),
+                (capturing_outputs, "an output capture is already active"),
+                (instrument, "a lock sanitizer is already installed"),
+                (trace.capture, "a span recorder is already active"),
+            ):
+                with pytest.raises(RuntimeError, match=message):
+                    with again():
+                        pass
+            assert len(_common._sinks) == 4
+        assert _common._sinks == ()
+        assert threading.Lock is _REAL_LOCK and not trace.enabled
+
+    def test_failed_run_leaves_no_sink_behind(self):
+        with pytest.raises(ValidationError):
+            with trace.capture(), instrument(), capturing_outputs():
+                audit_run(UnluckyDroppedEdgeExecutor(), _stencil())
+        assert _common._sinks == ()
+        assert threading.Lock is _REAL_LOCK and not trace.enabled
+
+    def test_sink_alone_sees_every_event_of_a_rank_run(self):
+        """No recorder beside it: ``cluster_*`` used to surface its ranks'
+        rows to a recorder only."""
+        graphs = _stencil()
+        with instrument() as san:
+            ex = make_executor("cluster_uds", workers=2)
+            try:
+                ex.run(graphs)
+            finally:
+                ex.close()
+        assert san.stats.reads_checked == graphs[0].total_dependencies()
+        assert san.stats.publishes_seen == 20  # every row but the last
