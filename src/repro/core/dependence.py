@@ -23,22 +23,29 @@ space grows as the tree fans out.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple, TypeVar
+
+import numpy as np
 
 from .types import DependenceType
 
 Interval = Tuple[int, int]
+
+#: What ``_splitmix64`` hashes: one Python int, or a ``uint64`` array of them.
+_Hashed = TypeVar("_Hashed", int, np.ndarray)
 
 #: Upper bound on shifts used for the FFT pattern so ``2 ** s`` never
 #: overflows for degenerate graph widths.
 _MAX_SHIFT = 62
 
 
-def _splitmix64(x: int) -> int:
+def _splitmix64(x: _Hashed) -> _Hashed:
     """One round of the splitmix64 mixing function (public-domain constant
     set).  Used to derive deterministic pseudo-random dependence edges that
     can be evaluated consistently from either endpoint of the edge.
+
+    Every step is masked to 64 bits, which is what a ``uint64`` array does
+    by wrapping: given one, this hashes it elementwise to the same values.
     """
     x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
     z = x
@@ -47,7 +54,6 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-@lru_cache(maxsize=256)
 def _edge_hash_prefix(seed: int, t: int, i: int) -> int:
     """The three rounds every candidate edge into ``(t, i)`` shares."""
     h = _splitmix64(seed)
@@ -55,14 +61,11 @@ def _edge_hash_prefix(seed: int, t: int, i: int) -> int:
     return _splitmix64(h ^ (i & 0xFFFFFFFFFFFFFFFF))
 
 
-@lru_cache(maxsize=1024)
 def _edge_hash_u01(seed: int, t: int, i: int, j: int) -> float:
     """Deterministic uniform value in ``[0, 1)`` for the directed edge
     ``(t-1, j) -> (t, i)``.  Both ``dependencies`` and
     ``reverse_dependencies`` evaluate the same hash, so the random pattern is
-    consistent when queried from either side — and memoised (a few rows'
-    worth), so the side asked second, as when a table compiles a timestep's
-    reverse relation after its forward one, hashes nothing.
+    consistent when queried from either side.
     """
     h = _splitmix64(_edge_hash_prefix(seed, t, i) ^ (j & 0xFFFFFFFFFFFFFFFF))
     return h / 2.0**64
@@ -308,6 +311,39 @@ class DependenceSpec:
         """Number of inputs of task ``(t, i)``."""
         return count_points(self.dependencies(t, i))
 
+    def dependency_columns_batch(
+        self, t0: int, t1: int
+    ) -> List[List[Tuple[int, ...]]]:
+        """Every task's dependency columns for timesteps ``[t0, t1)``, cut
+        off at the end of the graph: ``rows[t - t0][k]`` is
+        ``tuple(dependency_points(t, offset_at_timestep(t) + k))``.
+
+        The one query compiled tables are built from.  The regular patterns
+        have few distinct rows and loop the scalar methods; ``random_nearest``
+        decides every candidate edge of the batch in one array pass over a
+        (timesteps x width x window) grid, because hashed one at a time its
+        edges are what set-up costs.
+        """
+        self._check_timestep(t0)
+        t1 = min(t1, self.height)
+        w = self.width
+        if self.dtype is not DependenceType.RANDOM_NEAREST:
+            rows = []
+            for t in range(t0, t1):
+                off = self.offset_at_timestep(t)
+                rows.append([tuple(self.dependency_points(t, i)) for i in
+                             range(off, off + self.width_at_timestep(t))])
+            return rows
+        first = max(t0, min(t1, 1))  # the first timestep reads nothing
+        hashes, cols = self._edge_hashes(first, t1)
+        edge = (hashes / 2.0**64 < self.fraction) & (cols >= 0) & (cols < w)
+        picked = np.broadcast_to(cols, edge.shape)[edge].tolist()
+        ends = np.cumsum(edge.sum(axis=2)).tolist()
+        deps = [tuple(picked[a:b]) for a, b in zip([0] + ends, ends)]
+        return [[()] * w] * (first - t0) + [
+            deps[n:n + w] for n in range(0, len(deps), w)
+        ]
+
     def max_dependencies(self) -> int:
         """Upper bound on the number of dependencies of any task.
 
@@ -404,6 +440,24 @@ class DependenceSpec:
             return t % self.period if self.period > 0 else t
         raise AssertionError(f"unhandled dependence type {d}")  # pragma: no cover
 
+    def dependence_set_cycle(self) -> Tuple[int, int]:
+        """``(lead, cycle)`` with ``lead >= 1``: from timestep ``lead`` on the
+        set ids repeat every ``cycle`` timesteps, below it no two timesteps
+        ``>= 1`` share one.  ``t if t < lead else lead + (t - lead) % cycle``
+        is therefore the first timestep ``>= 1`` with the set id of ``t`` —
+        what a cache of structures keys on, in O(1) arithmetic.
+        """
+        d = self.dtype
+        if d is DependenceType.FFT:
+            return 1, self._fft_stages
+        if d is DependenceType.TREE:
+            return max(0, math.ceil(math.log2(self.width))) + 1, 1
+        if d is DependenceType.SPREAD:
+            return 1, self.width
+        if d is DependenceType.RANDOM_NEAREST:
+            return 1, self.period if self.period > 0 else self.height
+        return 1, 1
+
     # ------------------------------------------------------------------
     # Pattern internals
     # ------------------------------------------------------------------
@@ -458,6 +512,25 @@ class DependenceSpec:
         """Whether the random-nearest edge ``(t-1, j) -> (t, i)`` exists."""
         teff = t % self.period if self.period > 0 else t
         return _edge_hash_u01(self.seed, teff, i, j) < self.fraction
+
+    def _edge_hashes(self, t0: int, t1: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(hashes, cols)`` for consumer timesteps ``[t0, t1)``:
+        ``hashes[t - t0, i, r]`` is the 64-bit hash ``_edge_hash_u01`` scales,
+        of the edge ``(t-1, cols[i, r]) -> (t, i)``, for every column of the
+        unclipped nearest window (``cols`` outside the row: the caller's to
+        mask).  One scalar round on the seed and three on arrays, whatever
+        the batch holds.
+        """
+        w, r = self.width, self.radix
+        t = np.arange(t0, t1, dtype=np.uint64)
+        if self.period > 0:
+            t %= np.uint64(self.period)
+        i = np.arange(w, dtype=np.int64)
+        cols = i[:, None] + np.arange(-min((r - 1) // 2, w - 1),
+                                      min(r // 2, w - 1) + 1)
+        h = _splitmix64(np.uint64(_splitmix64(self.seed)) ^ t)
+        h = _splitmix64(h[:, None] ^ i.astype(np.uint64))
+        return _splitmix64(h[:, :, None] ^ cols.astype(np.uint64)), cols
 
     # ------------------------------------------------------------------
     # Validation helpers

@@ -9,60 +9,68 @@ wiring completion notifications.  The paper's C++ core library pays
 little for this, and here the cost is avoided because dependence relations
 are *periodic*: ``dependence_set_at_timestep(t)`` assigns every timestep
 an equivalence-class id, and two timesteps with the same id have identical
-dependence intervals for every column and the same active window (see
+dependencies for every column and the same active window (see
 ``DependenceSpec.max_dependence_sets``).  There are at most
 ``max_dependence_sets()`` distinct structures — one for most patterns, a
-handful for FFT/tree/spread — regardless of graph height.
+handful for FFT/tree/spread, one per timestep for ``random_nearest`` —
+regardless of graph height.
 
-:class:`DependenceTable` compiles each distinct structure **once**, on first
-touch, directly from the spec at the first timestep that exhibits it — so
-agreement with ``dependencies()``/``reverse_dependencies()`` is bit-exact by
-construction — and stores it in CSR form as NumPy arrays:
+:class:`DependenceTable` keeps one entry per distinct structure, under the
+first timestep that exhibits it (``DependenceSpec.dependence_set_cycle``
+gets there from any timestep with one comparison and one modulo), so a
+graph of a million timesteps of a stencil holds what a graph of three
+does.  An entry is a pair of :class:`_Rel`: the *forward* structure of
+consumer timestep ``u`` — per column, the ascending tuple of columns read
+at ``u - 1`` — and the *reverse* structure of ``u - 1`` — per column, the
+columns of ``u`` that read it.  The second is the transpose of the first,
+so each edge is decided once.
 
-``starts[k] : starts[k+1]``
-    slice of ``los``/``his`` holding the closed intervals of local column
-    ``k`` (``k = i - offset``),
-``counts[k]``
-    total number of points covered (the dependency count on the forward
-    table, the consumer count on the reverse table).
+A miss compiles a **batch**: the missing entries of as many consecutive
+timesteps as hold ``_BATCH`` tasks, from one
+``DependenceSpec.dependency_columns_batch`` call — which is what makes the
+never-repeating ``random_nearest`` cheap to set up: its edges are hashed by
+four ``_splitmix64`` calls per batch instead of four per candidate edge.
+The table computes nothing about dependencies itself; agreement with the
+scalar ``dependencies()`` / ``reverse_dependencies()`` is what the property
+tests check of the bulk query.
 
-Subsequent queries for any ``(t, i)`` are O(1) dictionary + array lookups;
-flattened column tuples are materialized lazily per (set id, column) and
-shared by every timestep in the equivalence class.
+On top of the pairs sits the :class:`RowPlan`: everything an executor that
+owns a contiguous column block needs to run a whole timestep row — the
+row's window, every task's dependency columns and their CSR flattening, and
+both sides of the reference count (reads of the previous row, consumers in
+the next) — built once per distinct (forward, reverse) combination and
+cached the same way.  :meth:`TaskGraph.execute_row` runs a block of a row
+from it with one input count check, one bulk comparison and one output
+stamp.
 
-On top of the two relations sits the :class:`RowPlan`: everything an
-executor that owns a contiguous column block needs to run a whole timestep
-row — the row's window, every task's dependency columns and their CSR
-flattening, and both sides of the reference count (reads of the previous
-row, consumers in the next) — compiled once per distinct (forward, reverse)
-structure pair and front-cached by timestep like the relations themselves.
-:meth:`TaskGraph.execute_row` runs a block of a row from it with one input
-count check, one bulk comparison and one output stamp.
+Both caches are bounded by ``_MAX_SETS`` entries, evicted first in, first
+out (only ``random_nearest`` with ``period=-1`` on a graph taller than that
+ever evicts; what it recompiles is equal to what it dropped).  Hits are
+lock-free ``dict.get`` probes; every insert and eviction happens under the
+table's lock.
 
 Every :class:`~repro.core.task_graph.TaskGraph` dependence query is served
 from its table; :mod:`repro.core.dependence` is what tables are compiled
 *from* and the oracle the property tests compare them against.  The
-*forward* table is only consulted for ``1 <= t``, the reverse table for
+*forward* structure is only consulted for ``1 <= t``, the reverse one for
 ``t < height - 1``; boundary timesteps (and out-of-range points, for the
 canonical error) go to the spec directly.
 
 Module-level ``counters()`` expose how many lookups were served from
 compiled structures (*hits*) and how many structures were compiled
-(*compiles*); executors fold the per-run delta into
-:class:`~repro.core.metrics.DataPlaneStats` under ``--report``.  Counter
-increments are plain int updates (no lock): they are statistics, and the
-occasional lost increment under free-running threads is acceptable.
+(*compiles*: two per entry, one per direction); executors fold the per-run
+delta into :class:`~repro.core.metrics.DataPlaneStats` under ``--report``.
+Counter increments are plain int updates (no lock): they are statistics,
+and the occasional lost increment under free-running threads is acceptable.
 """
 
 from __future__ import annotations
 
 import threading
 from functools import lru_cache
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-import numpy as np
-
-from .dependence import DependenceSpec, Interval, count_points
+from .dependence import DependenceSpec, Interval, count_points, merge_intervals
 
 __all__ = [
     "DependenceTable",
@@ -72,11 +80,17 @@ __all__ = [
     "reset_counters",
 ]
 
-#: Cap on distinct dependence-set structures cached per table per direction.
+#: Cap on the structures (and on the row plans) cached per table.
 #: ``random_nearest`` with ``period=-1`` never repeats, so its set count
-#: equals the graph height; beyond the cap the oldest structure is evicted
+#: equals the graph height; beyond the cap the oldest entries are evicted
 #: (plain FIFO) so unbounded graphs cannot exhaust memory.
 _MAX_SETS = 1024
+
+#: Tasks per compile: a miss compiles the missing structures of
+#: ``_BATCH // width`` consecutive timesteps (at least one) in one bulk
+#: query.  Counted in tasks, not timesteps, so that what a single lookup can
+#: cost, in time and in memory, does not grow with the graph's width.
+_BATCH = 512
 
 _hits: int = 0
 _compiles: int = 0
@@ -94,62 +108,17 @@ def reset_counters() -> None:
 
 
 class _Rel:
-    """One compiled dependence structure: the CSR interval table of a single
-    (dependence-set id, direction) pair, covering every column of the active
-    window of its representative timestep."""
+    """One compiled dependence structure, one direction: the window of its
+    timestep and, per local column ``k = i - off``, the ascending tuple of
+    columns on the other side of its edges and how many there are."""
 
-    __slots__ = ("off", "width", "starts", "los", "his", "counts",
-                 "counts_list", "ivals", "_cols")
+    __slots__ = ("off", "width", "cols", "counts")
 
-    def __init__(self, off: int, width: int, starts: np.ndarray,
-                 los: np.ndarray, his: np.ndarray, counts: np.ndarray,
-                 ivals: List[Tuple[Interval, ...]]) -> None:
+    def __init__(self, off: int, cols: Sequence[Sequence[int]]) -> None:
         self.off = off
-        self.width = width
-        self.starts = starts
-        self.los = los
-        self.his = his
-        self.counts = counts
-        #: Python-int twin of ``counts`` so per-task lookups skip numpy
-        #: scalar boxing.
-        self.counts_list: List[int] = counts.tolist()
-        self.ivals = ivals
-        self._cols: List[Tuple[int, ...] | None] = [None] * width
-
-    def columns(self, k: int) -> Tuple[int, ...]:
-        """Flattened ascending column tuple for local column ``k``."""
-        cols = self._cols[k]
-        if cols is None:
-            out: List[int] = []
-            for lo, hi in self.ivals[k]:
-                out.extend(range(lo, hi + 1))
-            cols = tuple(out)
-            self._cols[k] = cols
-        return cols
-
-
-def _compile_rel(spec: DependenceSpec, t: int, *, reverse: bool) -> _Rel:
-    """Compile the dependence structure exhibited at timestep ``t`` by
-    querying the spec itself — bit-exact with the spec by construction."""
-    off = spec.offset_at_timestep(t)
-    width = spec.width_at_timestep(t)
-    fn = spec.reverse_dependencies if reverse else spec.dependencies
-    starts = np.zeros(width + 1, dtype=np.int64)
-    los: List[int] = []
-    his: List[int] = []
-    ivals: List[Tuple[Interval, ...]] = []
-    for k in range(width):
-        intervals = fn(t, off + k)
-        ivals.append(tuple((int(lo), int(hi)) for lo, hi in intervals))
-        for lo, hi in intervals:
-            los.append(lo)
-            his.append(hi)
-        starts[k + 1] = len(los)
-    los_a = np.asarray(los, dtype=np.int64)
-    his_a = np.asarray(his, dtype=np.int64)
-    sizes = np.concatenate(([0], np.cumsum(his_a - los_a + 1)))
-    counts = sizes[starts[1:]] - sizes[starts[:-1]]
-    return _Rel(off, width, starts, los_a, his_a, counts, ivals)
+        self.width = len(cols)
+        self.cols = tuple(map(tuple, cols))
+        self.counts: List[int] = [len(c) for c in cols]
 
 
 class RowPlan:
@@ -207,46 +176,38 @@ class RowPlan:
         return cols
 
 
-def _fifo_insert(cache: Dict[Any, Any], key: Any, value: Any) -> None:
+def _fifo_insert(cache: Dict[Any, Any], key: Any, value: Any) -> Any:
     """Insert into a cache bounded by ``_MAX_SETS``, evicting the oldest
     entries first.  The caller holds the table's lock."""
     while len(cache) >= _MAX_SETS:
         cache.pop(next(iter(cache)))
     cache[key] = value
+    return value
 
 
 class DependenceTable:
     """O(1) dependence queries for one :class:`DependenceSpec`, compiled
-    lazily per dependence-set id.
+    lazily, a batch of dependence sets at a time.
 
-    The forward map is keyed by ``dependence_set_at_timestep(t)`` (valid for
-    ``t >= 1``: the first timestep of a graph has no inputs regardless of
-    its set id).  The reverse map is keyed by
-    ``dependence_set_at_timestep(t + 1)``: the edges *leaving* timestep
-    ``t`` are the inverse of the edges *entering* ``t + 1``, so their
-    structure — including the producer window at ``t`` — is determined by
-    the consumer timestep's equivalence class (for the tree pattern, an
-    expanding set id pins the exact timestep; every steady timestep has the
-    full-width window).
+    ``_sets[u]`` is the ``(forward, reverse)`` pair of consumer timestep
+    ``u >= 1``, the first timestep with its set id: the edges entering ``u``
+    as ``u`` reads them and as ``u - 1`` is read.  The edges *leaving* a
+    timestep ``t`` are therefore found under ``t + 1``: their structure —
+    including the producer window at ``t`` — is determined by the consumer
+    timestep's equivalence class (for the tree pattern, an expanding set id
+    pins the exact timestep; every steady timestep has the full-width
+    window).
     """
 
     def __init__(self, spec: DependenceSpec) -> None:
         self.spec = spec
-        self._fwd: Dict[int, _Rel] = {}
-        self._rev: Dict[int, _Rel] = {}
-        # Timestep-keyed front caches: map t directly to its compiled
-        # structure so steady-state queries skip the set-id computation
-        # entirely (one dict probe instead of interval math + classing).
-        # Entries reference the sid-keyed structures; both levels are
-        # bounded by _MAX_SETS and mutated only under ``_lock``.
-        self._fwd_t: Dict[int, _Rel] = {}
-        self._rev_t: Dict[int, _Rel] = {}
-        # Row plans, keyed by the (forward, reverse) structures they were
-        # built from (the objects, so an evicted structure's identity cannot
-        # be reused under a live plan) and front-cached by timestep; same
-        # bounds, same lock.
-        self._plans: Dict[Tuple[_Rel | None, _Rel | None], RowPlan] = {}
-        self._plan_t: Dict[int, RowPlan] = {}
+        self._last = spec.height - 1
+        self._lead, self._cycle = spec.dependence_set_cycle()
+        self._sets: Dict[int, Tuple[_Rel, _Rel]] = {}
+        # Row plans, under the first timestep with the same set ids on both
+        # sides (the first and the last row under their own: one has no
+        # inputs and the other no consumers, whatever their set ids say).
+        self._plans: Dict[int, RowPlan] = {}
         self._totals: Tuple[int, int] | None = None
         self._lock = threading.Lock()
 
@@ -262,90 +223,77 @@ class DependenceTable:
     # ------------------------------------------------------------------
     # Structure lookup / lazy compilation
     # ------------------------------------------------------------------
-    def _structure(self, cache: Dict[int, _Rel], t: int,
-                   reverse: bool) -> _Rel:
-        """Find (or compile) the structure of timestep ``t``'s dependence
-        set.  The caller holds the table's lock."""
+    def _pair(self, u: int) -> Tuple[_Rel, _Rel]:
+        """The compiled pair of consumer timestep ``u``
+        (``1 <= u < height``): one lock-free probe unless it is missing."""
+        global _hits
+        lead = self._lead
+        key = u if u < lead else lead + (u - lead) % self._cycle
+        pair = self._sets.get(key)
+        if pair is None:
+            return self._compile(key)
+        _hits += 1
+        return pair
+
+    def _compile(self, key: int) -> Tuple[_Rel, _Rel]:
+        """Compile the pair filed under timestep ``key`` and, from the same
+        bulk query, those of the timesteps after it — as far as the batch,
+        the graph, the distinct set ids and the missing entries go."""
         global _hits, _compiles
-        sid = self.spec.dependence_set_at_timestep(t + 1 if reverse else t)
-        rel = cache.get(sid)
-        if rel is None:
-            rel = _compile_rel(self.spec, t, reverse=reverse)
-            _fifo_insert(cache, sid, rel)
-            _compiles += 1
-        else:
-            _hits += 1
-        return rel
-
-    def _miss(self, front: Dict[int, _Rel], cache: Dict[int, _Rel], t: int,
-              reverse: bool) -> _Rel:
-        """Front-cache miss for timestep ``t``: find (or compile) the
-        structure of its dependence set and install it in ``front``.
-
-        Every mutation of either cache — insert and FIFO eviction — happens
-        under the table's lock, so concurrent misses cannot evict the same
-        key twice or resize a dict another thread is iterating; hits stay
-        lock-free ``dict.get`` probes.
-        """
+        spec = self.spec
         with self._lock:
-            rel = self._structure(cache, t, reverse)
-            if t not in front:
-                _fifo_insert(front, t, rel)
-        return rel
-
-    def _fwd_rel(self, t: int) -> _Rel:
-        """Compiled forward structure for timestep ``t`` (``t >= 1``)."""
-        rel = self._fwd_t.get(t)
-        if rel is not None:
-            global _hits
-            _hits += 1
-            return rel
-        return self._miss(self._fwd_t, self._fwd, t, False)
-
-    def _rev_rel(self, t: int) -> _Rel:
-        """Compiled reverse structure for timestep ``t``
-        (``t < height - 1``)."""
-        rel = self._rev_t.get(t)
-        if rel is not None:
-            global _hits
-            _hits += 1
-            return rel
-        return self._miss(self._rev_t, self._rev, t, True)
+            pair = self._sets.get(key)
+            if pair is not None:  # compiled while this thread waited
+                _hits += 1
+                return pair
+            stop = min(key + max(1, _BATCH // spec.width), spec.height,
+                       self._lead + self._cycle)
+            end = key + 1
+            while end < stop and end not in self._sets:
+                end += 1
+            pairs = []
+            for u, deps in enumerate(spec.dependency_columns_batch(key, end),
+                                     key):
+                off, before = (spec.offset_at_timestep(u),
+                               spec.offset_at_timestep(u - 1))
+                readers: List[List[int]] = [
+                    [] for _ in range(spec.width_at_timestep(u - 1))]
+                for i, cols in enumerate(deps, off):
+                    for j in cols:
+                        readers[j - before].append(i)
+                pairs.append(_fifo_insert(self._sets, u, (
+                    _Rel(off, deps), _Rel(before, readers))))
+            _compiles += 2 * len(pairs)
+        return pairs[0]
 
     def row_plan(self, t: int) -> RowPlan:
         """The compiled :class:`RowPlan` of timestep ``t`` (shared by every
-        timestep with the same structure pair; callers must not mutate
-        it)."""
-        plan = self._plan_t.get(t)
+        timestep with the same structures; callers must not mutate it)."""
+        global _hits
+        last = self._last
+        lead = self._lead
+        if lead <= t < last:
+            key = lead + (t - lead) % self._cycle
+        else:
+            if not 0 <= t <= last:
+                self.spec._check_timestep(t)  # raises: a key could hit
+            key = t
+        plan = self._plans.get(key)
         if plan is not None:
-            global _hits
             _hits += 1
             return plan
         spec = self.spec
-        spec._check_timestep(t)
-        with self._lock:
-            # The first timestep has no inputs and the last no consumers,
-            # whatever their set ids say.  One lock hold for the whole miss:
-            # a graph taller than the front cache misses once per row.
-            fwd = self._structure(self._fwd, t, False) if t > 0 else None
-            rev = (self._structure(self._rev, t, True)
-                   if t < spec.height - 1 else None)
-            plan = self._plans.get((fwd, rev))
-            if plan is None:
-                width = spec.width_at_timestep(t)
-                plan = RowPlan(
-                    spec.offset_at_timestep(t),
-                    width,
-                    tuple(fwd.columns(k) if fwd is not None else ()
-                          for k in range(width)),
-                    spec.offset_at_timestep(t - 1) if t > 0 else 0,
-                    spec.width_at_timestep(t - 1) if t > 0 else 0,
-                    rev.counts_list if rev is not None else [0] * width,
-                )
-                _fifo_insert(self._plans, (fwd, rev), plan)
-            if t not in self._plan_t:
-                _fifo_insert(self._plan_t, t, plan)
-        return plan
+        off, width = spec.offset_at_timestep(t), spec.width_at_timestep(t)
+        deps: Tuple[Tuple[int, ...], ...] = ((),) * width
+        prev_off = prev_width = 0
+        if t > 0:
+            fwd, prev = self._pair(t)
+            deps, prev_off, prev_width = fwd.cols, prev.off, prev.width
+        plan = RowPlan(
+            off, width, deps, prev_off, prev_width,
+            self._pair(t + 1)[1].counts if t < last else [0] * width)
+        with self._lock:  # two threads may have built it: the first stays
+            return self._plans.get(key) or _fifo_insert(self._plans, key, plan)
 
     def totals(self) -> Tuple[int, int]:
         """``(tasks, dependence edges)`` of the whole graph, summed over its
@@ -369,68 +317,48 @@ class DependenceTable:
     # Queries (same semantics as DependenceSpec / TaskGraph)
     # ------------------------------------------------------------------
     def dependencies(self, t: int, i: int) -> List[Interval]:
-        spec = self.spec
-        if t == 0 or not 0 <= t < spec.height:
-            return spec.dependencies(t, i)  # boundary / error path
-        rel = self._fwd_rel(t)
-        return list(rel.ivals[self._local(rel, t, i)])
+        if not 0 < t <= self._last:
+            return self.spec.dependencies(t, i)  # boundary / error path
+        rel = self._pair(t)[0]
+        return merge_intervals(rel.cols[self._local(rel, t, i)])
 
     def reverse_dependencies(self, t: int, i: int) -> List[Interval]:
-        spec = self.spec
-        if t == spec.height - 1 or not 0 <= t < spec.height:
-            return spec.reverse_dependencies(t, i)
-        rel = self._rev_rel(t)
-        return list(rel.ivals[self._local(rel, t, i)])
+        if not 0 <= t < self._last:
+            return self.spec.reverse_dependencies(t, i)
+        rel = self._pair(t + 1)[1]
+        return merge_intervals(rel.cols[self._local(rel, t, i)])
 
     def dependency_columns(self, t: int, i: int) -> Tuple[int, ...]:
-        """Ascending columns at ``t - 1`` read by ``(t, i)`` as a shared,
-        cached tuple (the canonical gather/validation order)."""
-        # The happy path is fully inlined — one dict probe, one list index —
-        # because this runs several times per task in every executor.
-        rel = self._fwd_t.get(t)
-        if rel is None:
-            if t == 0 or not 0 <= t < self.spec.height:
-                return tuple(self.spec.dependency_points(t, i))
-            rel = self._fwd_rel(t)
-        else:
-            global _hits
-            _hits += 1
+        """Ascending columns at ``t - 1`` read by ``(t, i)`` as a shared
+        tuple (the canonical gather/validation order)."""
+        if not 0 < t <= self._last:
+            return tuple(self.spec.dependency_points(t, i))
+        rel = self._pair(t)[0]
+        # The window test is inlined here and below, not left to ``_local``:
+        # these run several times per task in every task-by-task executor.
         k = i - rel.off
         if 0 <= k < rel.width:
-            cols = rel._cols[k]
-            return cols if cols is not None else rel.columns(k)
-        return rel.columns(self._local(rel, t, i))
+            return rel.cols[k]
+        return rel.cols[self._local(rel, t, i)]
 
     def reverse_dependency_columns(self, t: int, i: int) -> Tuple[int, ...]:
-        """Ascending columns at ``t + 1`` that read ``(t, i)``, cached."""
-        rel = self._rev_t.get(t)
-        if rel is None:
-            spec = self.spec
-            if t == spec.height - 1 or not 0 <= t < spec.height:
-                return tuple(spec.reverse_dependency_points(t, i))
-            rel = self._rev_rel(t)
-        else:
-            global _hits
-            _hits += 1
+        """Ascending columns at ``t + 1`` that read ``(t, i)``, shared."""
+        if not 0 <= t < self._last:
+            return tuple(self.spec.reverse_dependency_points(t, i))
+        rel = self._pair(t + 1)[1]
         k = i - rel.off
         if 0 <= k < rel.width:
-            cols = rel._cols[k]
-            return cols if cols is not None else rel.columns(k)
-        return rel.columns(self._local(rel, t, i))
+            return rel.cols[k]
+        return rel.cols[self._local(rel, t, i)]
 
     def num_dependencies(self, t: int, i: int) -> int:
-        rel = self._fwd_t.get(t)
-        if rel is None:
-            if t == 0 or not 0 <= t < self.spec.height:
-                return self.spec.num_dependencies(t, i)
-            rel = self._fwd_rel(t)
-        else:
-            global _hits
-            _hits += 1
+        if not 0 < t <= self._last:
+            return self.spec.num_dependencies(t, i)
+        rel = self._pair(t)[0]
         k = i - rel.off
         if 0 <= k < rel.width:
-            return rel.counts_list[k]
-        return rel.counts_list[self._local(rel, t, i)]
+            return rel.counts[k]
+        return rel.counts[self._local(rel, t, i)]
 
     def row_task_counts(self, t: int) -> Tuple[int, List[int]]:
         """``(offset, per-column dependency counts)`` for every task at
@@ -439,35 +367,21 @@ class DependenceTable:
         list is the compiled structure's own; callers must not mutate it.
         """
         spec = self.spec
-        if not 0 <= t < spec.height:
-            spec._check_timestep(t)
-            raise AssertionError("unreachable")
-        if t == 0:
+        if not 0 < t <= self._last:
             # The first timestep has no inputs regardless of its set id.
-            return spec.offset_at_timestep(0), [0] * spec.width_at_timestep(0)
-        rel = self._fwd_t.get(t)
-        if rel is None:
-            rel = self._fwd_rel(t)
-        else:
-            global _hits
-            _hits += 1
-        return rel.off, rel.counts_list
+            return spec.offset_at_timestep(t), [0] * spec.width_at_timestep(t)
+        rel = self._pair(t)[0]
+        return rel.off, rel.counts
 
     def consumer_count(self, t: int, i: int) -> int:
         """How many tasks at ``t + 1`` read the output of ``(t, i)``."""
-        rel = self._rev_t.get(t)
-        if rel is None:
-            spec = self.spec
-            if t == spec.height - 1 or not 0 <= t < spec.height:
-                return count_points(spec.reverse_dependencies(t, i))
-            rel = self._rev_rel(t)
-        else:
-            global _hits
-            _hits += 1
+        if not 0 <= t < self._last:
+            return count_points(self.spec.reverse_dependencies(t, i))
+        rel = self._pair(t + 1)[1]
         k = i - rel.off
         if 0 <= k < rel.width:
-            return rel.counts_list[k]
-        return rel.counts_list[self._local(rel, t, i)]
+            return rel.counts[k]
+        return rel.counts[self._local(rel, t, i)]
 
 
 @lru_cache(maxsize=256)

@@ -125,7 +125,7 @@ def _expected(seed: int, graph_index: int, t: int, cols: Tuple[int, ...],
 
     Memoised in insertion order up to ``_MEMO_BYTES``: hits are lock-free
     dict probes, inserts and evictions hold the memo's lock (the
-    idiom of :mod:`~repro.core.fastpath`'s front caches).  The writer of row
+    idiom of :mod:`~repro.core.fastpath`'s caches).  The writer of row
     ``t`` leaves here what the validation of row ``t + 1`` looks up, and an
     evicted 64 KiB pattern is the allocation the next one reuses."""
     global _memo_held

@@ -317,6 +317,21 @@ class TestDependenceSets:
 
     @pytest.mark.parametrize("dtype", ALL_TYPES)
     @pytest.mark.parametrize("width", [1, 5, 8])
+    @pytest.mark.parametrize("period", [-1, 1, 3])
+    def test_set_cycle_names_each_sets_first_timestep(self, dtype, width, period):
+        """``dependence_set_cycle`` is ``dependence_set_at_timestep`` in
+        O(1): it sends a timestep to the first one (>= 1) with its set id."""
+        s = DependenceSpec(dtype, width, 14, radix=3, period=period)
+        lead, cycle = s.dependence_set_cycle()
+        assert lead >= 1 and cycle >= 1
+        first = {}
+        for t in range(1, 14):
+            first.setdefault(s.dependence_set_at_timestep(t), t)
+            rep = t if t < lead else lead + (t - lead) % cycle
+            assert rep == first[s.dependence_set_at_timestep(t)], (dtype, t)
+
+    @pytest.mark.parametrize("dtype", ALL_TYPES)
+    @pytest.mark.parametrize("width", [1, 5, 8])
     def test_equal_sets_imply_equal_structure(self, dtype, width):
         """The defining property: same set id -> same dependencies for
         every column (among timesteps that have a predecessor)."""

@@ -5,15 +5,17 @@ query must agree bit-exactly with the :class:`~repro.core.dependence.
 DependenceSpec` interval math it was compiled from (the oracle here), the
 memoized validation patterns must equal the tiled-header bytes, bulk
 validation must reject exactly what a per-input walk would, and the batched
-wire framing must deliver exactly what per-message framing would.  Plus the
-regressions: put-time consumer counts, kernel buffer reuse, and front-cache
-eviction under concurrent lookups.
+wire framing must deliver exactly what per-message framing would.  The bulk
+query tables are compiled from must equal the scalar spec edge for edge and
+hash for hash.  Plus the regressions: put-time consumer counts, kernel
+buffer reuse, and cache eviction under concurrent lookups.
 """
 
 import pickle
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import wire
 from repro.core import DependenceType, Kernel, KernelType, TaskGraph, fastpath
+from repro.core import dependence
 from repro.core.dependence import (
     DependenceSpec,
     _edge_hash_u01,
@@ -162,23 +165,158 @@ class TestDependenceTableEquivalence:
         for t, i in _all_points(s):
             table.dependencies(t, i)
         hits, compiles = fastpath.counters()
-        # One steady-state structure compiled; every later timestep hits.
-        assert compiles == 1
+        # One steady-state set compiled — its forward structure and, from
+        # the same edges, the reverse one; every later timestep hits.
+        assert compiles == 2
         assert hits >= 8 * 17
 
 
-class TestEdgeHashMemo:
+class TestEdgeHash:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**64 - 1), st.integers(0, 2**20),
            st.integers(0, 2**20), st.integers(0, 2**20))
-    def test_memoised_hash_is_the_four_plain_rounds(self, seed, t, i, j):
-        """Hoisting the (seed, t, i) prefix and memoising the value changes
-        how often an edge is hashed, never what it hashes to."""
+    def test_scalar_hash_is_the_four_plain_rounds(self, seed, t, i, j):
+        """Hoisting the (seed, t, i) prefix changes how the rounds are
+        grouped, never what an edge hashes to."""
         h = _splitmix64(seed)
         for x in (t, i, j):
             h = _splitmix64(h ^ x)
         assert _edge_hash_u01(seed, t, i, j) == h / 2.0**64
-        assert _edge_hash_u01(seed, t, i, j) == h / 2.0**64  # now a hit
+
+
+#: Like ``specs``, with seeds on both sides of what 64 bits hold (the scalar
+#: hash masks them) and graphs tall enough for a period to come round.
+bulk_specs = st.builds(
+    DependenceSpec,
+    st.sampled_from(list(DependenceType)),
+    st.integers(min_value=1, max_value=24),
+    st.integers(min_value=1, max_value=10),
+    radix=st.integers(min_value=0, max_value=30),
+    period=st.sampled_from([-1, 1, 2, 3, 5]),
+    fraction=st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]),
+    seed=st.integers(min_value=-2**63, max_value=2**65),
+)
+
+NAMED_SPECS = {
+    "negative seed": DependenceSpec(
+        DependenceType.RANDOM_NEAREST, 8, 6, radix=5, fraction=0.5, seed=-7),
+    "seed >= 2**63": DependenceSpec(
+        DependenceType.RANDOM_NEAREST, 8, 6, radix=5, fraction=0.5,
+        seed=2**63 + 11),
+    "t >= period": DependenceSpec(
+        DependenceType.RANDOM_NEAREST, 8, 11, radix=5, period=3, fraction=0.5),
+    "radix 0": DependenceSpec(
+        DependenceType.RANDOM_NEAREST, 8, 4, radix=0, fraction=0.5),
+    "radix > width": DependenceSpec(
+        DependenceType.RANDOM_NEAREST, 5, 4, radix=40, fraction=0.5),
+    "fraction 0": DependenceSpec(
+        DependenceType.RANDOM_NEAREST, 8, 4, radix=5, fraction=0.0),
+    "fraction 1": DependenceSpec(
+        DependenceType.RANDOM_NEAREST, 8, 4, radix=5, fraction=1.0),
+    "width 1": DependenceSpec(
+        DependenceType.RANDOM_NEAREST, 1, 4, radix=3, fraction=0.5),
+    "height 1": DependenceSpec(
+        DependenceType.RANDOM_NEAREST, 8, 1, radix=3, fraction=0.5),
+    "tree expanding": DependenceSpec(DependenceType.TREE, 16, 8),
+}
+
+
+def _check_bulk(s, t0, t1):
+    """``dependency_columns_batch(t0, t1)`` against the scalar spec: every
+    row forward, and transposed against the reverse relation."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # uint64 wrap-around must be silent
+        rows = s.dependency_columns_batch(t0, t1)
+    assert len(rows) == min(t1, s.height) - t0
+    for t, row in enumerate(rows, t0):
+        off, width = s.offset_at_timestep(t), s.width_at_timestep(t)
+        assert row == [tuple(s.dependency_points(t, i))
+                       for i in range(off, off + width)]
+        if t == 0:
+            continue
+        readers = {}
+        for i, cols in enumerate(row, off):
+            for j in cols:
+                readers.setdefault(j, []).append(i)
+        before = s.offset_at_timestep(t - 1)
+        for j in range(before, before + s.width_at_timestep(t - 1)):
+            assert tuple(readers.get(j, ())) == tuple(
+                s.reverse_dependency_points(t - 1, j))
+
+
+class TestBulkQuery:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), bulk_specs)
+    def test_batch_equals_scalar_spec_both_ways(self, data, s):
+        t0 = data.draw(st.integers(0, s.height - 1), label="t0")
+        t1 = data.draw(st.integers(t0, s.height + 3), label="t1")
+        _check_bulk(s, t0, t1)
+
+    @pytest.mark.parametrize("name", NAMED_SPECS)
+    def test_named_cases(self, name):
+        s = NAMED_SPECS[name]
+        _check_bulk(s, 0, s.height)
+        # A batch that begins mid-graph and straddles its end.
+        _check_bulk(s, s.height // 2, s.height + 5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), bulk_specs)
+    def test_array_hashes_are_the_scalar_chain(self, data, s):
+        """The raw 64-bit hashes, not only the thresholded edges: a rounding
+        difference between the two paths could hide behind ``< fraction``."""
+        t0 = data.draw(st.integers(1, s.height), label="t0")
+        t1 = data.draw(st.integers(t0, s.height), label="t1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hashes, cols = s._edge_hashes(t0, t1)
+        assert hashes.dtype == np.uint64
+        assert hashes.shape == (t1 - t0, s.width, cols.shape[1])
+        for i in range(s.width):
+            window = [j for j in cols[i].tolist() if 0 <= j < s.width]
+            assert window == list(s._nearest_window(i))
+        for t in range(t0, t1):
+            teff = t % s.period if s.period > 0 else t
+            for i in range(s.width):
+                for r, j in enumerate(cols[i].tolist()):
+                    if 0 <= j < s.width:
+                        h = _splitmix64(s.seed)
+                        for x in (teff, i, j):
+                            h = _splitmix64(h ^ x)
+                        assert int(hashes[t - t0, i, r]) == h
+                        assert (h / 2.0**64 < s.fraction) == s._random_edge(
+                            t, i, j)
+
+    def test_random_edges_are_hashed_per_batch_not_per_edge(self, monkeypatch):
+        """Compiling ``dense_random``'s shape calls ``_splitmix64`` four times
+        a batch (once on the seed, three times on arrays)."""
+        calls = []
+        plain = dependence._splitmix64
+        monkeypatch.setattr(dependence, "_splitmix64",
+                            lambda x: calls.append(1) or plain(x))
+        s = DependenceSpec(DependenceType.RANDOM_NEAREST, 8, 250, radix=7,
+                           fraction=0.75, seed=0xD5E)
+        table = DependenceTable(s)
+        edges = sum(len(cols) for t in range(s.height)
+                    for cols in table.row_plan(t).deps)
+        batches = -(-(s.height - 1) // (fastpath._BATCH // s.width))
+        assert len(calls) == 4 * batches
+        assert edges > 100 * len(calls)
+
+    def test_wide_random_graph_compiles_far_below_width_squared(self):
+        s = DependenceSpec(DependenceType.RANDOM_NEAREST, 4096, 64, radix=5,
+                           fraction=0.5)
+        table = DependenceTable(s)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            assert table.dependency_columns(1, 7) == tuple(
+                s.dependency_points(1, 7))
+            assert table.consumer_count(0, 7) == count_points(
+                s.reverse_dependencies(0, 7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < s.width**2 // 4, f"compile held {peak - base} B"
 
 
 class TestValidationEquivalence:
@@ -278,8 +416,9 @@ class TestConsumerCountRegression:
 
 
 class TestFrontCacheEviction:
-    """Graphs taller than ``_MAX_SETS`` timesteps evict from the
-    timestep-keyed front caches; insert + evict must be atomic."""
+    """Caches are bounded by distinct structures, not by timesteps: a tall
+    periodic graph holds a handful and never evicts (the never-repeating
+    one that does is hammered in ``test_row_plan``)."""
 
     def test_concurrent_lookups_over_tall_spec(self):
         s = DependenceSpec(DependenceType.STENCIL_1D, 8, 3000)
@@ -308,8 +447,18 @@ class TestFrontCacheEviction:
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in threads)
         assert not errors, errors
-        assert len(table._fwd_t) <= fastpath._MAX_SETS
-        assert len(table._rev_t) <= fastpath._MAX_SETS
+        assert len(table._sets) == 1
+
+    def test_second_sweep_of_a_tall_stencil_only_hits(self):
+        s = DependenceSpec(DependenceType.STENCIL_1D, 8, 3000)
+        table = DependenceTable(s)
+        plans = [table.row_plan(t) for t in range(s.height)]
+        fastpath.reset_counters()
+        for t in range(s.height):
+            assert table.row_plan(t) is plans[t]
+        assert fastpath.counters() == (s.height, 0)
+        # One set (two structures), and the first, steady and last plans.
+        assert (len(table._sets), len(table._plans)) == (1, 3)
 
     def test_threads_run_taller_than_front_cache(self):
         g = TaskGraph(timesteps=1500, max_width=8,

@@ -150,8 +150,9 @@ class TestRowPlanFields:
             g.row_plan(-1)
 
     def test_concurrent_lookups_past_front_cache(self):
-        """3000 never-repeating rows under 4 threads: plan insertion and
-        FIFO eviction stay atomic, and evicted plans recompile equal."""
+        """3000 never-repeating rows under 4 threads: insertion and FIFO
+        eviction — of whole batches of structures and of plans — stay
+        atomic, and what was evicted recompiles equal."""
         s = DependenceSpec(DependenceType.RANDOM_NEAREST, 8, 3000, radix=5,
                            period=-1, fraction=0.5, seed=7)
         table = DependenceTable(s)
@@ -180,8 +181,8 @@ class TestRowPlanFields:
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in threads)
         assert not errors, errors
-        assert len(table._plan_t) <= fastpath._MAX_SETS
-        assert len(table._plans) <= fastpath._MAX_SETS
+        assert len(table._plans) == fastpath._MAX_SETS
+        assert len(table._sets) == fastpath._MAX_SETS
 
 
 class TestExecuteRowEquivalence:
