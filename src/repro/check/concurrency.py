@@ -942,7 +942,5 @@ def sanitized_run(
             audit = audit_run(ex, graphs, validate=validate)
         finally:
             if owned is not None:
-                close = getattr(owned, "close", None)
-                if close is not None:
-                    close()
+                owned.close()
     return SanitizeResult.of(audit, san, ex.name)

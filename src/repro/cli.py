@@ -102,9 +102,7 @@ def run_config(app: AppConfig) -> RunResult:
                 attempt += 1
     finally:
         # One-shot CLI run: worker pools / rank meshes must not outlive it.
-        close = getattr(executor, "close", None)
-        if close is not None:
-            close()
+        executor.close()
 
 
 def run_metg(app: AppConfig, target: float, *, report: bool = False) -> str:

@@ -5,7 +5,10 @@ It forks ``ranks`` daemon processes running :func:`repro.cluster.rank.rank_main`
 performs the address exchange (every rank binds its listener first, then
 all addresses are broadcast, so mesh connection can never deadlock), and
 then drives runs: one ``("run", spec)`` control message per rank per
-epoch, one ``("done", stats, captured)`` reply each.
+epoch, one ``("done", stats)`` reply each — preceded, on an observed run
+only, by one ``("rows", epoch, t, blocks)`` per timestep a rank ran tasks
+in, whose row blocks are checked and retired as they arrive
+(:class:`_RowStream`).
 
 Supervision follows the same discipline as the fork pool
 (:mod:`repro.runtimes._procpool`):
@@ -34,12 +37,14 @@ import shutil
 import tempfile
 import time
 import weakref
+from collections import deque
 from multiprocessing.connection import Connection, wait as conn_wait
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.metrics import WireStats
 from ..core.task_graph import TaskGraph
 from ..faults import FaultSpec
+from ..runtimes._common import block_owner
 from ..runtimes._procpool import WorkerCrashError, WorkerTimeoutError
 from ..trace import recorder as trace_recorder
 from ..trace.merge import align_offset
@@ -97,6 +102,65 @@ def _shutdown(
             pass
     if uds_dir is not None:
         shutil.rmtree(uds_dir, ignore_errors=True)
+
+
+def _rows(graphs: Sequence[TaskGraph], ranks: int) -> Iterator[tuple]:
+    """Every row of a run, as ``(graph, timestep, first column, owning rank
+    of each column)``, in the order its sinks see them: timestep-major and
+    graph-interleaved — a valid linearization of the real schedule (a rank
+    cannot run timestep ``t+1`` of a column before its timestep-``t`` inputs
+    were published)."""
+    for t in range(max(g.timesteps for g in graphs)):
+        for g in graphs:
+            if t < g.timesteps:
+                lo = g.offset_at_timestep(t)
+                yield g, t, lo, [
+                    block_owner(i, g.max_width, ranks)
+                    for i in range(lo, lo + g.width_at_timestep(t))
+                ]
+
+
+class _RowStream:
+    """The parent's end of one observed epoch's ``rows`` messages.
+
+    A row goes to ``retire(g, t, lo, hi, outputs)`` as soon as every rank
+    owning a block of it has reported and every row before it in sink order
+    has gone; only blocks waiting for that are held — rows in flight, never
+    the run.  What a rank reports must be exactly what it owes next
+    (timestep, graph, first column and task count under ``block_owner``):
+    anything else — a column it does not own, a block sent twice — raises
+    :class:`WireError` instead of reaching a sink.
+    """
+
+    def __init__(
+        self, graphs: Sequence[TaskGraph], ranks: int, retire: Callable[..., None]
+    ) -> None:
+        self._order = _rows(graphs, ranks)
+        self._due = next(self._order, None)
+        self._held: List[deque] = [deque() for _ in range(ranks)]
+        self._retire = retire
+
+    def add(self, rank: int, t: int, blocks: list) -> None:
+        self._held[rank].extend((t, *block) for block in blocks)
+        while self._due and all(self._held[r] for r in self._due[3]):
+            g, t, lo, owners = self._due
+            row: list = []
+            for r in dict.fromkeys(owners):
+                *got, outputs = self._held[r].popleft()
+                owed = [t, g.graph_index, lo + len(row), owners.count(r)]
+                if got + [len(outputs)] != owed:
+                    raise WireError(
+                        f"rank {r} reported row block {got + [len(outputs)]} "
+                        f"where it owed {owed} (timestep, graph, column, tasks)"
+                    )
+                row += outputs
+            self._retire(g, t, lo, lo + len(row), row)
+            self._due = next(self._order, None)
+
+    def finish(self) -> None:
+        """Every rank said ``done``: nothing may be owed or left over."""
+        if self._due or any(self._held):
+            raise WireError("a rank finished without reporting every row block")
 
 
 class Cluster:
@@ -241,21 +305,25 @@ class Cluster:
         graphs: Sequence[TaskGraph],
         *,
         validate: bool = True,
+        rows: Callable[..., None] | None = None,
         capture: bool = False,
         trace: bool = False,
-    ) -> Tuple[
-        WireStats, Dict[Tuple[int, int, int], bytes], Optional[List[RankTrace]]
-    ]:
+    ) -> Tuple[WireStats, Optional[List[RankTrace]]]:
         """Execute one epoch across the mesh.
 
-        Returns the merged per-rank :class:`WireStats` delta, the
-        ``{task: bytes}`` output snapshots when ``capture``, and — when
-        ``trace`` — each rank's span-buffer dump with its clock-alignment
-        offset (``None`` otherwise).  Any failure tears the whole cluster
-        down before raising (see the module docstring): crash evidence
-        raises ``WorkerCrashError``, a missed deadline
-        ``WorkerTimeoutError``, and a rank-side application error (e.g. a
-        ``ValidationError``) is re-raised as itself.
+        With ``rows`` the run is observed: the ranks report every timestep
+        as it ends and ``rows(g, t, lo, hi, outputs)`` — the signature of
+        :func:`repro.runtimes._common.retire_rows` — is called for each row
+        as soon as it is complete and its turn in timestep-major order,
+        ``outputs`` holding the ``bytes`` snapshot its rank took of each task
+        that has readers when ``capture`` and ``None`` otherwise.  Returns the merged
+        per-rank :class:`WireStats` delta and — when ``trace`` — each rank's
+        span-buffer dump with its clock-alignment offset (``None``
+        otherwise).  Any failure tears the whole cluster down before raising
+        (see the module docstring): crash evidence raises
+        ``WorkerCrashError``, a missed deadline ``WorkerTimeoutError``, and
+        a rank-side application error (e.g. a ``ValidationError``) or one
+        raised by ``rows`` is re-raised as itself.
         """
         if self.dead or not self._finalizer.alive:
             raise RuntimeError("cluster is closed")
@@ -268,30 +336,33 @@ class Cluster:
             "graphs": stale,
             "order": [g.graph_index for g in graphs],
             "validate": validate,
+            "rows": rows is not None,
             "capture": capture,
             "trace": trace,
         }
+        stream = None if rows is None else _RowStream(graphs, self.ranks, rows)
         try:
-            for conn in self._conns:
-                conn.send(("run", spec))
-        except (BrokenPipeError, OSError) as exc:
-            self.crashes += 1
-            self._destroy()
-            raise WorkerCrashError(
-                "a rank died before the run was dispatched"
-            ) from exc
-        stats, captured = self._collect_run()
-        traces = self._pull_traces() if trace else None
-        return stats, captured, traces
+            try:
+                for conn in self._conns:
+                    conn.send(("run", spec))
+            except (BrokenPipeError, OSError) as exc:
+                self.crashes += 1
+                raise WorkerCrashError(
+                    "a rank died before the run was dispatched"
+                ) from exc
+            stats = self._collect_run(stream)
+            if stream is not None:
+                stream.finish()
+            return stats, self._pull_traces() if trace else None
+        except BaseException:
+            self._destroy()  # the mesh is broken beyond repair
+            raise
 
-    def _collect_run(
-        self,
-    ) -> Tuple[WireStats, Dict[Tuple[int, int, int], bytes]]:
+    def _collect_run(self, stream: _RowStream | None) -> WireStats:
         deadline = (
             None if self.timeout is None else time.monotonic() + self.timeout
         )
         stats = WireStats()
-        captured: Dict[Tuple[int, int, int], bytes] = {}
         crashed: List[int] = []
         peer_died = False
         app_error: BaseException | None = None
@@ -304,7 +375,6 @@ class Cluster:
                     break  # failure already explained; stop draining
                 laggards = sorted(pending.values())
                 self.timeouts += 1
-                self._destroy()
                 raise WorkerTimeoutError(
                     f"ranks {laggards} missed the "
                     f"{self.timeout:g}s run "
@@ -324,10 +394,11 @@ class Cluster:
                     crashed.append(r)
                     self.crashes += 1
                     continue
-                if msg[0] == "done":
+                if msg[:2] == ("rows", self.epoch) and stream is not None:
+                    stream.add(r, *msg[2:])
+                elif msg[0] == "done":
                     del pending[conn]  # type: ignore[arg-type]
                     stats = stats.merged(msg[1])
-                    captured.update(msg[2])
                 elif msg[0] == "error":
                     del pending[conn]  # type: ignore[arg-type]
                     exc, tb = msg[1], msg[2]
@@ -338,10 +409,11 @@ class Cluster:
                     elif app_error is None:
                         exc.add_note(f"rank {r} traceback:\n{tb}")
                         app_error = exc
-                else:  # pragma: no cover - protocol violation
+                else:  # protocol violation (e.g. rows of another epoch)
                     del pending[conn]  # type: ignore[arg-type]
                     app_error = app_error or RuntimeError(
-                        f"rank {r} sent unexpected {msg[0]!r}"
+                        f"rank {r} sent unexpected {msg[:2]!r} in epoch "
+                        f"{self.epoch}"
                     )
             if (crashed or peer_died or app_error is not None) and pending:
                 # Give the remaining ranks a bounded drain window: they
@@ -349,16 +421,14 @@ class Cluster:
                 grace = time.monotonic() + _DRAIN_GRACE
                 deadline = grace if deadline is None else min(deadline, grace)
         if app_error is not None:
-            self._destroy()
             raise app_error
         if crashed or peer_died:
-            self._destroy()
             names = f"ranks {sorted(crashed)}" if crashed else "a rank"
             raise WorkerCrashError(
                 f"{names} died mid-run (socket/pipe EOF); the cluster has "
                 "been torn down (the next run relaunches it)"
             )
-        return stats, captured
+        return stats
 
     def _pull_traces(self) -> List[RankTrace]:
         """Drain every rank's span recorder after a successful run.
@@ -378,7 +448,6 @@ class Cluster:
                 while not conn.poll(HEARTBEAT_SECONDS):
                     if time.monotonic() >= deadline:
                         self.timeouts += 1
-                        self._destroy()
                         raise WorkerTimeoutError(
                             f"rank {r} missed the trace-collection deadline"
                         )
@@ -386,18 +455,15 @@ class Cluster:
                 t1 = trace_recorder.now()
             except (EOFError, BrokenPipeError, OSError) as exc:
                 self.crashes += 1
-                self._destroy()
                 raise WorkerCrashError(
                     f"rank {r} died during trace collection"
                 ) from exc
             if msg[0] != "trace":
-                self._destroy()
                 raise WorkerCrashError(
                     f"rank {r} replied {msg[0]!r} to a trace pull"
                 )
             decoded = decode(memoryview(msg[1]))
             if decoded[0] != MSG_TRACE:
-                self._destroy()
                 raise WireError("trace pull returned a non-TRACE frame")
             _, _rank, clock_ns, buffers = decoded
             out.append((r, align_offset(t0, t1, clock_ns), buffers))

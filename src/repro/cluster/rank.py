@@ -15,8 +15,10 @@ The rank talks to the launcher over a control pipe::
     rank <- ("peers", [addr, ...])     all ranks' addresses
     rank -> ("ready",)                 mesh connected
     rank <- ("run", spec)              one epoch of work
-    rank -> ("done", WireStats, {...}) epoch complete (stats delta,
-                                       captured outputs if requested)
+    rank -> ("rows", epoch, t, blocks) observed runs only: timestep ``t`` is
+                                       done; one ``(graph_index, lo,
+                                       snapshots)`` per row block it ran
+    rank -> ("done", WireStats)        epoch complete (wire-stats delta)
     rank -> ("error", exc, traceback)  epoch failed; the rank exits
     rank <- ("shutdown",) or EOF       orderly exit
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import traceback
 from multiprocessing.connection import Connection
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +53,11 @@ Key = Tuple[int, int, int]
 
 #: Per-timestep send coalescing buffer: dest rank -> [(key, payload), ...].
 Outbatch = Dict[int, List[Tuple[Key, np.ndarray]]]
+
+#: One row block as the sinks will see it: (graph_index, first column, one
+#: entry per column — the output's snapshot where a sink asked for it and
+#: the task has readers, else ``None``).
+RowBlock = Tuple[int, int, List[Optional[bytes]]]
 
 
 class _RefStore:
@@ -158,12 +165,17 @@ class RankDriver:
         epoch: int,
         *,
         validate: bool,
+        rows: Callable[[tuple], None] | None,
         capture: bool,
         fault: FaultSpec | None,
-    ) -> Dict[Key, bytes]:
+    ) -> None:
+        """Run this rank's share of ``graphs``.  On an observed run ``rows``
+        (the control pipe's ``send``) gets one ``("rows", epoch, t, blocks)``
+        at every timestep boundary, so the rank holds one timestep of
+        snapshots, never the run's."""
         local = _RefStore("local")
         remote = _RefStore("remote")
-        captured: Dict[Key, bytes] = {}
+        blocks: List[RowBlock] = []
         max_t = max(g.timesteps for g in graphs)
         # Coalesce this timestep's sends to each peer into one DATA_BATCH
         # frame, posted at the timestep boundary.  Safe because
@@ -197,14 +209,20 @@ class RankDriver:
                     if g.scratch_bytes_per_task else None,
                     validate=validate,
                 )
-                for i, out in zip(owned, outputs):
+                snaps = [
                     self._deliver(
-                        g, t, i, epoch, out, local, captured, outbatch,
-                        capture=capture,
+                        g, t, i, epoch, out, local, outbatch, capture=capture
                     )
+                    for i, out in zip(owned, outputs)
+                ]
+                if rows is not None:
+                    blocks.append((g.graph_index, owned[0], snaps))
             for dest, items in outbatch.items():
                 self.endpoint.post_batch(dest, epoch, items)
             outbatch.clear()
+            if blocks:
+                rows(("rows", epoch, t, blocks))
+                blocks = []
         local.assert_drained()
         remote.assert_drained()
         stray = self.endpoint.pending(epoch)
@@ -213,7 +231,6 @@ class RankDriver:
                 f"rank {self.rank} received {stray} messages it never "
                 "consumed this epoch"
             )
-        return captured
 
     def _gather(
         self,
@@ -273,21 +290,21 @@ class RankDriver:
         epoch: int,
         out: np.ndarray,
         local: _RefStore,
-        captured: Dict[Key, bytes],
         outbatch: Outbatch,
         *,
         capture: bool,
-    ) -> None:
+    ) -> Optional[bytes]:
+        """Route one output to its consumers; returns its snapshot when
+        ``capture`` and somebody reads it."""
         per_rank: Dict[int, int] = {}
         for jj in g.reverse_dependency_points(t, i):
             dest = block_owner(jj, g.max_width, self.nranks)
             per_rank[dest] = per_rank.get(dest, 0) + 1
         if not per_rank:
-            return
+            return None
         key = (g.graph_index, t, i)
         t0 = trace.begin() if trace.enabled else 0
-        if capture:
-            captured[key] = out.tobytes()
+        snap = out.tobytes() if capture else None
         for dest, consumers in per_rank.items():
             if dest == self.rank:
                 local.put(key, out, consumers)
@@ -297,6 +314,7 @@ class RankDriver:
                 outbatch.setdefault(dest, []).append((key, out))
         if t0:
             trace.complete("publish", trace.CAT_PUBLISH, t0, {"task": key})
+        return snap
 
 
 def rank_main(
@@ -320,6 +338,12 @@ def rank_main(
         if msg[0] != "peers":
             raise RuntimeError(f"expected peers, got {msg[0]!r}")
         endpoint = Endpoint(rank, nranks, listener, msg[1])
+        # An epoch's wire stats are the counters' growth since the previous
+        # ``done`` (first: since here, before any run spec exists).  The
+        # launcher sends epoch N only after every ``done`` of N-1, so no
+        # frame of N can be counted before its base — a base taken on
+        # receiving the spec would race a peer already sending timestep 0.
+        base = endpoint.counters.snapshot()
         ctl.send(("ready",))
         driver = RankDriver(rank, nranks, endpoint, recv_timeout=recv_timeout)
         first_run = True
@@ -344,17 +368,19 @@ def rank_main(
                     trace.worker_begin()
                 driver.install(spec["graphs"])
                 graphs = driver.graphs_for(spec["order"])
-                base = endpoint.counters.snapshot()
-                captured = driver.run_epoch(
+                driver.run_epoch(
                     graphs,
                     spec["epoch"],
                     validate=spec["validate"],
+                    rows=ctl.send if spec["rows"] else None,
                     capture=spec["capture"],
                     fault=fault if first_run else None,
                 )
                 first_run = False
                 endpoint.flush()
-                ctl.send(("done", endpoint.counters.snapshot(base), captured))
+                delta = endpoint.counters.snapshot(base)
+                base = base.merged(delta)
+                ctl.send(("done", delta))
             except BaseException as exc:  # noqa: BLE001 - shipped to launcher
                 tb = traceback.format_exc()
                 try:

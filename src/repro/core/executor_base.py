@@ -73,6 +73,17 @@ class Executor(abc.ABC):
         """
         return 0
 
+    def close(self) -> None:
+        """Release out-of-process state (worker pools, rank meshes) now
+        rather than at garbage collection.  Idempotent; executors that hold
+        none have nothing to release (the default no-op)."""
+
+    def __enter__(self) -> "Executor":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
     @abc.abstractmethod
     def execute_graphs(
         self, graphs: Sequence[TaskGraph], *, validate: bool = True

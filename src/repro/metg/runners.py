@@ -133,9 +133,7 @@ class RealRunner:
         Persistent-substrate executors stay warm across a sweep's probes;
         once the sweep is over the caller closes the runner so process
         trees and socket directories do not outlive the measurement."""
-        close = getattr(self.executor, "close", None)
-        if close is not None:
-            close()
+        self.executor.close()
 
 
 def calibrate_kernel_flops(iterations: int = 20_000, repeats: int = 3) -> float:

@@ -83,13 +83,14 @@ def capture_output(key: TaskKey, value: "bufpool.Payload") -> None:
             sink.output(key, value)
 
 
-def capture_active() -> bool:
-    """Whether an installed sink wants outputs.
+def capture_active() -> bool | None:
+    """Whether an installed sink wants outputs; ``None`` with no sink at all.
 
-    The cluster executors check this before a run so their ranks ship
-    output snapshots back only when somebody is listening.
+    The cluster executors check this before a run so their ranks report
+    rows only when somebody is watching, and ship output snapshots with
+    them only when somebody is listening.
     """
-    return any(sink.wants_output for sink in _sinks)
+    return any(sink.wants_output for sink in _sinks) if _sinks else None
 
 
 @dataclass(frozen=True)
@@ -153,8 +154,9 @@ class _OutputCapture:
         pass
 
     def output(self, key: TaskKey, value: "bufpool.Payload") -> None:
-        # memoryview: a rank's snapshot arrives as bytes, the rest as arrays.
-        data = memoryview(bufpool.as_array(value)).tobytes()
+        # A rank's snapshot arrives as bytes: immutable, so kept uncopied.
+        data = value if type(value) is bytes else memoryview(
+            bufpool.as_array(value)).tobytes()
         with _capture_lock:
             prev = self.outputs.get(key)
             if prev is not None and prev != data:

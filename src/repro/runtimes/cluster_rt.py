@@ -27,14 +27,15 @@ relaunch is accounted as ``workers`` respawns.
 Run observability: each run's merged :class:`~repro.core.metrics.WireStats`
 (bytes and messages on the wire, serialize/decode time) is attached to the
 run's :class:`~repro.core.metrics.DataPlaneStats`.  Kernels execute in the
-rank processes, so the parent surfaces the schedule to the installed sinks
-by retiring its rows in their deterministic timestep-major order, each with
-the output snapshots its ranks captured if a sink asked for them.
+rank processes, so on an observed run the ranks report every timestep as it
+ends and the launcher retires each row to the installed sinks once it is
+complete — in the deterministic timestep-major order, with the output
+snapshots its ranks took if a sink asked for them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, ClassVar, Dict, Sequence, Tuple
+from typing import TYPE_CHECKING, ClassVar, Sequence
 
 from ..core.executor_base import Executor
 from ..core.metrics import DataPlaneStats, FaultStats
@@ -170,8 +171,13 @@ class _ClusterExecutor(Executor):
         cluster = self._ensure_cluster()
         traced = trace.enabled
         t0 = trace.begin() if traced else 0
-        wire, captured, rank_traces = cluster.run(
-            graphs, validate=validate, capture=capture_active(), trace=traced
+        capture = capture_active()
+        wire, rank_traces = cluster.run(
+            graphs,
+            validate=validate,
+            rows=None if capture is None else retire_rows,
+            capture=bool(capture),
+            trace=traced,
         )
         if t0:
             trace.complete(
@@ -180,32 +186,6 @@ class _ClusterExecutor(Executor):
         for r, offset_ns, buffers in rank_traces or []:
             trace.ingest(f"rank-{r}", buffers, offset_ns=offset_ns)
         self._data_plane = DataPlaneStats(wire=wire)
-        self._surface_run(graphs, captured)
-
-    def _surface_run(
-        self,
-        graphs: Sequence[TaskGraph],
-        captured: Dict[Tuple[int, int, int], bytes],
-    ) -> None:
-        """Retire the run's rows to the installed sinks.
-
-        Kernels ran in the rank processes; the earliest point their
-        schedule can be surfaced is here, once the run completed — in the
-        deterministic timestep-major order the ranks execute, which is a
-        valid linearization of the real schedule (ranks cannot run timestep
-        ``t+1`` of a column before its timestep-``t`` inputs were
-        published) — each output that has readers with the snapshot its
-        rank took, when a sink asked for them."""
-        for t in range(max(g.timesteps for g in graphs)):
-            for g in graphs:
-                if t < g.timesteps:
-                    gi = g.graph_index
-                    lo = g.offset_at_timestep(t)
-                    hi = lo + g.width_at_timestep(t)
-                    retire_rows(
-                        g, t, lo, hi,
-                        (captured.get((gi, t, i)) for i in range(lo, hi)),
-                    )
 
 
 class ClusterTCPExecutor(_ClusterExecutor):

@@ -707,11 +707,8 @@ def _abort_record(job: _Job, message: str) -> Dict[str, Any]:
 
 
 def _close_executor(executor: Any) -> None:
-    close = getattr(executor, "close", None)
-    if close is None:
-        return
     try:
-        close()
+        executor.close()
     except Exception:
         pass
 

@@ -172,11 +172,8 @@ class WarmPool:
 
 
 def _close_quietly(executor: Executor) -> None:
-    close = getattr(executor, "close", None)
-    if close is None:
-        return
     try:
-        close()
+        executor.close()
     except Exception:
         pass
 

@@ -76,3 +76,17 @@ class TestRunContract:
     def test_abstract_base_unusable(self):
         with pytest.raises(TypeError):
             Executor()
+
+    def test_close_is_part_of_the_contract(self):
+        """Every executor can be closed, twice, and used as a context
+        manager — also one that holds nothing to release."""
+        from repro.runtimes import available_runtimes, make_executor
+
+        ex = CountingExecutor()
+        with ex as entered:
+            assert entered is ex and ex.run([graph()]).validated
+        ex.close()
+        for name in available_runtimes():
+            with make_executor(name, workers=2) as ex:
+                pass  # never ran: nothing was launched, nothing may raise
+            ex.close()

@@ -468,7 +468,8 @@ class TestSinksCompose:
                 tr = spans.collect()
             alone = audit_run(ex, graphs)
         finally:
-            getattr(ex, "close", lambda: None)()
+            if ex is not None:
+                ex.close()
         assert got == want
         assert audit.ok and findings(san.diagnostics) == []
         assert check_trace(tr, graphs) == []
