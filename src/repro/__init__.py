@@ -18,25 +18,17 @@ Subpackages
     Regeneration of every figure/table of the paper's evaluation.
 """
 
-from .core import (
-    DependenceType,
-    Executor,
-    Kernel,
-    KernelType,
-    RunResult,
-    TaskGraph,
-    ValidationError,
-)
+from ._exports import export
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DependenceType",
-    "Executor",
-    "Kernel",
-    "KernelType",
-    "RunResult",
-    "TaskGraph",
-    "ValidationError",
-    "__version__",
-]
+_EXPORTS = {
+    "core.executor_base": ("Executor",),
+    "core.kernels": ("Kernel",),
+    "core.metrics": ("RunResult",),
+    "core.task_graph": ("TaskGraph",),
+    "core.types": ("DependenceType", "KernelType"),
+    "core.validation": ("ValidationError",),
+}
+__getattr__, __dir__, __all__ = export(__name__, _EXPORTS)
+__all__.append("__version__")

@@ -1,75 +1,26 @@
 """Figure/table regeneration for the paper's evaluation (§5)."""
 
-from .experiments import ExperimentGrid, PatternSpec, ResultTable, run_grid
-from .figures import (
-    FigureConfig,
-    FigureData,
-    Series,
-    figure2_3,
-    suite_series,
-    figure4,
-    figure5,
-    figure6_7,
-    figure8,
-    figure9,
-    figure10,
-    figure11,
-    figure12,
-    figure13,
-)
-from .archive import (
-    compare_figures,
-    figure_from_dict,
-    figure_to_dict,
-    load_figure_json,
-    save_figure_json,
-)
-from .plot import ascii_plot, sparkline
-from .timeline import idle_fraction, per_graph_spans, render_gantt
-from .report import (
-    format_quantity,
-    granularity_at_efficiency,
-    render_all,
-    render_efficiency_summary,
-    render_markdown_table,
-    render_series_table,
-    summarize_extremes,
-)
+from .._exports import export
 
-__all__ = [
-    "ExperimentGrid",
-    "FigureConfig",
-    "FigureData",
-    "PatternSpec",
-    "ResultTable",
-    "Series",
-    "figure10",
-    "figure11",
-    "figure12",
-    "figure13",
-    "figure2_3",
-    "suite_series",
-    "figure4",
-    "figure5",
-    "figure6_7",
-    "figure8",
-    "figure9",
-    "ascii_plot",
-    "compare_figures",
-    "figure_from_dict",
-    "figure_to_dict",
-    "format_quantity",
-    "granularity_at_efficiency",
-    "render_all",
-    "render_efficiency_summary",
-    "idle_fraction",
-    "per_graph_spans",
-    "render_gantt",
-    "render_markdown_table",
-    "load_figure_json",
-    "render_series_table",
-    "run_grid",
-    "save_figure_json",
-    "sparkline",
-    "summarize_extremes",
-]
+_EXPORTS = {
+    "archive": (
+        "compare_figures", "figure_from_dict", "figure_to_dict",
+        "load_figure_json", "save_figure_json",
+    ),
+    "experiments": (
+        "ExperimentGrid", "PatternSpec", "ResultTable", "run_grid",
+    ),
+    "figures": (
+        "FigureConfig", "FigureData", "Series", "figure10", "figure11",
+        "figure12", "figure13", "figure2_3", "figure4", "figure5",
+        "figure6_7", "figure8", "figure9", "suite_series",
+    ),
+    "plot": ("ascii_plot", "sparkline"),
+    "report": (
+        "format_quantity", "granularity_at_efficiency", "render_all",
+        "render_efficiency_summary", "render_markdown_table",
+        "render_series_table", "summarize_extremes",
+    ),
+    "timeline": ("idle_fraction", "per_graph_spans", "render_gantt"),
+}
+__getattr__, __dir__, __all__ = export(__name__, _EXPORTS)

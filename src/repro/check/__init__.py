@@ -24,33 +24,18 @@ records:
 All four are wired into the ``task-bench check`` CLI subcommand.
 """
 
-from .api_lint import lint_executor_api, lint_runtime_sources
-from .concurrency import (
-    LockSanitizer,
-    SanitizeResult,
-    active_sanitizer,
-    instrument,
-    lint_concurrency,
-    lint_concurrency_sources,
-    sanitized_run,
-)
-from .graph_lint import critical_path_seconds, lint_graphs, peak_payload_bytes
-from .hb_audit import AuditResult, audit_run, audit_trace
+from .._exports import export
 
-__all__ = [
-    "AuditResult",
-    "LockSanitizer",
-    "SanitizeResult",
-    "active_sanitizer",
-    "audit_run",
-    "audit_trace",
-    "critical_path_seconds",
-    "instrument",
-    "lint_concurrency",
-    "lint_concurrency_sources",
-    "lint_executor_api",
-    "lint_graphs",
-    "lint_runtime_sources",
-    "peak_payload_bytes",
-    "sanitized_run",
-]
+_EXPORTS = {
+    "api_lint": ("lint_executor_api", "lint_runtime_sources"),
+    "concurrency": (
+        "LockSanitizer", "SanitizeResult", "active_sanitizer",
+        "instrument", "lint_concurrency", "lint_concurrency_sources",
+        "sanitized_run",
+    ),
+    "graph_lint": (
+        "critical_path_seconds", "lint_graphs", "peak_payload_bytes",
+    ),
+    "hb_audit": ("AuditResult", "audit_run", "audit_trace"),
+}
+__getattr__, __dir__, __all__ = export(__name__, _EXPORTS)

@@ -49,10 +49,6 @@ from .runtimes.registry import (
     describe_runtimes,
     make_executor,
 )
-from .sim.machine import MachineSpec
-from .sim.network import ARIES
-from .sim.simulator import simulate
-from .sim.systems import all_systems, get_system, scaled_for
 
 
 def _executor_kwargs(app: AppConfig) -> dict:
@@ -67,6 +63,13 @@ def _executor_kwargs(app: AppConfig) -> dict:
     return kwargs
 
 
+def _machine(app: AppConfig):
+    """The simulated machine the ``-nodes`` / ``-cores`` options describe."""
+    from .sim.machine import MachineSpec
+
+    return MachineSpec(nodes=app.nodes, cores_per_node=app.cores_per_node or 32)
+
+
 def run_config(app: AppConfig) -> RunResult:
     """Execute a parsed configuration and return its result.
 
@@ -76,15 +79,16 @@ def run_config(app: AppConfig) -> RunResult:
     refork of the surviving workers.
     """
     if app.runtime.startswith("sim:"):
+        from .sim.network import ARIES
+        from .sim.simulator import simulate
+        from .sim.systems import get_system, scaled_for
+
         system = get_system(app.runtime[len("sim:"):])
-        machine = MachineSpec(
-            nodes=app.nodes,
-            cores_per_node=app.cores_per_node or 32,
-        )
+        machine = _machine(app)
         return simulate(app.graphs, machine, scaled_for(system, machine), ARIES)
     import time
 
-    from .metg.efficiency import RETRY_BACKOFF_SECONDS, TRANSIENT_ERRORS
+    from .faults import RETRY_BACKOFF_SECONDS, TRANSIENT_ERRORS
 
     executor = make_executor(
         app.runtime, workers=app.workers, **_executor_kwargs(app)
@@ -126,10 +130,7 @@ def run_metg(app: AppConfig, target: float, *, report: bool = False) -> str:
         ]
 
     if app.runtime.startswith("sim:"):
-        machine = MachineSpec(
-            nodes=app.nodes, cores_per_node=app.cores_per_node or 32
-        )
-        runner = SimRunner(app.runtime[len("sim:"):], machine)
+        runner = SimRunner(app.runtime[len("sim:"):], _machine(app))
         max_iterations = 1 << 36
     else:
         runner = RealRunner(
@@ -180,11 +181,9 @@ def run_check(args: List[str]) -> int:
     happens-before schedule audit.  Exit codes: 0 clean, 1 findings, 2
     usage error.
     """
-    from .check import (
-        lint_concurrency_sources,
-        lint_graphs,
-        lint_runtime_sources,
-    )
+    from .check.api_lint import lint_runtime_sources
+    from .check.concurrency import lint_concurrency_sources
+    from .check.graph_lint import lint_graphs
     from .check.hb_audit import audited
     from .core.diagnostics import findings, render_report
 
@@ -218,12 +217,9 @@ def run_check(args: List[str]) -> int:
         except (ConfigError, ValueError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
-        machine = MachineSpec(
-            nodes=app.nodes, cores_per_node=app.cores_per_node or 32
-        )
-        diagnostics.extend(
-            lint_graphs(app.graphs, machine, time_budget_seconds=time_budget)
-        )
+        diagnostics.extend(lint_graphs(
+            app.graphs, _machine(app), time_budget_seconds=time_budget
+        ))
         # Audit only schedulable configs: a deadlocked replay means the
         # real run would hang too.
         if not app.runtime.startswith("sim:") and not any(
@@ -254,15 +250,14 @@ def run_suite_cmd(args: List[str]) -> int:
     a killed suite.  Exit codes: 0 all cells terminal, 1 failed cells,
     2 usage error.
     """
-    from .suite import (
-        SpecError,
+    from .suite.scheduler import run_suite
+    from .suite.spec import SpecError, load_spec
+    from .suite.store import (
         StoreError,
         SuiteStore,
         aggregate_rows,
-        load_spec,
         render_csv,
         render_table,
-        run_suite,
     )
 
     jobs = 1
@@ -404,7 +399,7 @@ def run_serve_cmd(args: List[str]) -> int:
 
     from .core.envvars import UsageError
     from .core.janitor import sweep_host
-    from .serve import Server, ServeConfig
+    from .serve.server import Server, ServeConfig
 
     socket_path: str | None = None
     overrides: dict = {}
@@ -516,7 +511,7 @@ def run_submit_cmd(args: List[str]) -> int:
     """
     import json
 
-    from .serve import ServeClient, ServeError
+    from .serve.client import ServeClient, ServeError
     from .serve.protocol import ProtocolError
 
     socket_path: str | None = None
@@ -595,7 +590,7 @@ def run_svc_stats_cmd(args: List[str]) -> int:
     """``task-bench svc-stats``: print a running daemon's counters."""
     import json
 
-    from .serve import ServeClient, ServeError
+    from .serve.client import ServeClient, ServeError
     from .serve.protocol import ProtocolError
 
     socket_path: str | None = None
@@ -776,12 +771,20 @@ def main(argv: Sequence[str] | None = None) -> int:
                   file=sys.stderr)
             return 2
     from .core.diagnostics import findings, render_report
-    from .metg import METGUnachievable
-    from .runtimes import WorkerCrashError, WorkerTimeoutError
+    from .faults import TRANSIENT_ERRORS
 
     try:
         if metg_target is not None:
-            print(run_metg(app, metg_target, report=report_enabled))
+            from .metg.metg import METGUnachievable
+
+            try:
+                print(run_metg(app, metg_target, report=report_enabled))
+            except METGUnachievable as e:
+                # The target efficiency is out of reach at any granularity
+                # on this configuration — a legitimate finding (paper §5.3
+                # omits such combinations), not a crash.
+                print(f"METG unachievable: {e}", file=sys.stderr)
+                return 1
             return 0
         result, summaries, diagnostics = _observed_run(
             app, audit=audit_enabled, sanitize=sanitize_enabled,
@@ -790,13 +793,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except METGUnachievable as e:
-        # The target efficiency is out of reach at any granularity on this
-        # configuration — a legitimate finding (paper §5.3 omits such
-        # combinations), not a crash.
-        print(f"METG unachievable: {e}", file=sys.stderr)
-        return 1
-    except (WorkerCrashError, WorkerTimeoutError) as e:
+    except TRANSIENT_ERRORS as e:
         # Exhausted retries on a worker/rank failure: a detected fault, not
         # a hang — report it and fail cleanly.
         print(f"error: {e}", file=sys.stderr)
@@ -927,6 +924,7 @@ def render_trace_gantt(tr) -> str:
 
 def _usage() -> str:
     from .core.scenarios import SCENARIOS
+    from .sim.systems import all_systems
 
     runtimes = ", ".join(available_runtimes())
     systems = ", ".join(sorted(all_systems()))

@@ -23,34 +23,17 @@ register as ``cluster_tcp`` / ``cluster_uds``, so METG sweeps,
 distributed run unchanged.
 """
 
-from .launcher import Cluster, sweep_orphaned_socket_dirs
-from .rank import RankDriver, block_owner, rank_main
-from .transport import Endpoint, FrameSocket, PeerDiedError, TransportError
-from .wire import (
-    MSG_DATA,
-    MSG_HELLO,
-    WireCounters,
-    WireError,
-    decode,
-    encode_data,
-    encode_hello,
-)
+from .._exports import export
 
-__all__ = [
-    "Cluster",
-    "Endpoint",
-    "FrameSocket",
-    "MSG_DATA",
-    "MSG_HELLO",
-    "PeerDiedError",
-    "RankDriver",
-    "TransportError",
-    "WireCounters",
-    "WireError",
-    "block_owner",
-    "decode",
-    "encode_data",
-    "encode_hello",
-    "rank_main",
-    "sweep_orphaned_socket_dirs",
-]
+_EXPORTS = {
+    "launcher": ("Cluster", "sweep_orphaned_socket_dirs"),
+    "rank": ("RankDriver", "block_owner", "rank_main"),
+    "transport": (
+        "Endpoint", "FrameSocket", "PeerDiedError", "TransportError",
+    ),
+    "wire": (
+        "MSG_DATA", "MSG_HELLO", "WireCounters", "WireError", "decode",
+        "encode_data", "encode_hello",
+    ),
+}
+__getattr__, __dir__, __all__ = export(__name__, _EXPORTS)

@@ -15,10 +15,10 @@ Supervision follows the same discipline as the fork pool
 
 * collection is ``wait``-based with a heartbeat slice and an optional
   per-run deadline — a wedged rank surfaces as
-  :class:`~repro.runtimes._procpool.WorkerTimeoutError` instead of a hang;
+  :class:`~repro.faults.WorkerTimeoutError` instead of a hang;
 * a rank that dies EOFs its control pipe (and its peer sockets, which the
   surviving ranks report as ``PeerDiedError``); both kinds of evidence
-  collapse into one :class:`~repro.runtimes._procpool.WorkerCrashError`;
+  collapse into one :class:`~repro.faults.WorkerCrashError`;
 * after any failure the mesh is broken beyond repair (sockets half-dead,
   epochs desynchronized), so the whole cluster is torn down — the owning
   executor relaunches a fresh mesh on the next run and accounts the
@@ -43,9 +43,8 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from ..core.metrics import WireStats
 from ..core.task_graph import TaskGraph
-from ..faults import FaultSpec
+from ..faults import FaultSpec, WorkerCrashError, WorkerTimeoutError
 from ..runtimes._common import block_owner
-from ..runtimes._procpool import WorkerCrashError, WorkerTimeoutError
 from ..trace import recorder as trace_recorder
 from ..trace.merge import align_offset
 from .transport import HEARTBEAT_SECONDS, PeerDiedError, TRANSPORTS

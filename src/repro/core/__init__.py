@@ -6,70 +6,28 @@ and result reporting.  Runtime shims (``repro.runtimes``) and the simulator
 substrate (``repro.sim``) are both built on this package.
 """
 
-from .config import AppConfig, ConfigError, default_graph, parse_args
-from .dependence import (
-    DependenceSpec,
-    Interval,
-    clip_intervals,
-    count_points,
-    interval_points,
-    merge_intervals,
-)
-from .executor_base import Executor
-from .kernels import (
-    FLOPS_PER_ITERATION,
-    KERNEL_VECTOR_WIDTH,
-    Kernel,
-    KernelTimeModel,
-    execute_kernel_busy_wait,
-    execute_kernel_compute,
-    execute_kernel_compute2,
-    execute_kernel_io,
-    execute_kernel_memory,
-)
-from .metrics import RunResult, summarize_graphs
-from .scenarios import SCENARIOS, Scenario, get_scenario
-from .task_graph import DEFAULT_SEED, TaskGraph
-from .types import DependenceType, KernelType
-from .validation import (
-    ValidationError,
-    expected_inputs,
-    task_output,
-    validate_inputs,
-)
+from .._exports import export
 
-__all__ = [
-    "AppConfig",
-    "ConfigError",
-    "DEFAULT_SEED",
-    "DependenceSpec",
-    "DependenceType",
-    "Executor",
-    "FLOPS_PER_ITERATION",
-    "Interval",
-    "KERNEL_VECTOR_WIDTH",
-    "Kernel",
-    "KernelTimeModel",
-    "KernelType",
-    "RunResult",
-    "SCENARIOS",
-    "Scenario",
-    "TaskGraph",
-    "ValidationError",
-    "clip_intervals",
-    "count_points",
-    "default_graph",
-    "execute_kernel_busy_wait",
-    "execute_kernel_compute",
-    "execute_kernel_compute2",
-    "execute_kernel_io",
-    "execute_kernel_memory",
-    "expected_inputs",
-    "get_scenario",
-    "interval_points",
-    "merge_intervals",
-    "parse_args",
-    "summarize_graphs",
-    "task_output",
-    "validate_inputs",
-]
+_EXPORTS = {
+    "config": ("AppConfig", "ConfigError", "default_graph", "parse_args"),
+    "dependence": (
+        "DependenceSpec", "Interval", "clip_intervals", "count_points",
+        "interval_points", "merge_intervals",
+    ),
+    "executor_base": ("Executor",),
+    "kernels": (
+        "FLOPS_PER_ITERATION", "KERNEL_VECTOR_WIDTH", "Kernel",
+        "KernelTimeModel", "execute_kernel_busy_wait",
+        "execute_kernel_compute", "execute_kernel_compute2",
+        "execute_kernel_io", "execute_kernel_memory",
+    ),
+    "metrics": ("RunResult", "summarize_graphs"),
+    "scenarios": ("SCENARIOS", "Scenario", "get_scenario"),
+    "task_graph": ("DEFAULT_SEED", "TaskGraph"),
+    "types": ("DependenceType", "KernelType"),
+    "validation": (
+        "ValidationError", "expected_inputs", "task_output",
+        "validate_inputs",
+    ),
+}
+__getattr__, __dir__, __all__ = export(__name__, _EXPORTS)

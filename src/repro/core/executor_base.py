@@ -8,13 +8,14 @@ system only implements this small interface, and every benchmark is just a
 An executor receives a list of task graphs (possibly heterogeneous, executed
 concurrently — paper §2) and must:
 
-1. execute every task, calling ``graph.execute_point`` exactly once per point,
+1. execute every point exactly once, through ``run_task`` (one task) or
+   ``graph.execute_row`` (a block of one timestep's columns),
 2. deliver each task's output buffer to all of its reverse dependencies,
 3. return a :class:`~repro.core.metrics.RunResult` with the elapsed time.
 
-Because ``execute_point`` validates its inputs against the graph
-specification, any scheduling or communication bug in an executor surfaces
-as a :class:`~repro.core.validation.ValidationError`.
+Because both validate every input against the graph specification, any
+scheduling or communication bug in an executor surfaces as a
+:class:`~repro.core.validation.ValidationError`.
 """
 
 from __future__ import annotations

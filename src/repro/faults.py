@@ -14,6 +14,11 @@ of the fault-tolerance layer:
   environment variable;
 * :func:`apply_fault` *executes* a fault inside a worker process (called
   by :mod:`repro.runtimes._procpool` at the chosen round);
+* :class:`WorkerCrashError` / :class:`WorkerTimeoutError` are what a
+  supervised pool or rank mesh raises for a dead or wedged worker, and
+  :data:`TRANSIENT_ERRORS` / :data:`RETRY_BACKOFF_SECONDS` the retry policy
+  the CLI and the METG probes apply to them — defined here, so that
+  catching a worker failure does not import a process pool;
 * :func:`default_timeout` / :func:`default_max_retries` read the
   environment-level defaults (``TASKBENCH_TIMEOUT``,
   ``TASKBENCH_MAX_RETRIES``) so test suites and CI chaos legs can arm
@@ -44,6 +49,26 @@ import time
 from dataclasses import dataclass
 
 from .core.envvars import env_float, env_int
+
+
+class WorkerCrashError(RuntimeError):
+    """A worker process died without reporting a Python exception."""
+
+
+class WorkerTimeoutError(RuntimeError):
+    """A worker missed the pool's per-round deadline (wedged or starved);
+    the offending worker has been killed and can be respawned via
+    :meth:`~repro.runtimes._procpool.ForkWorkerPool.heal`."""
+
+
+#: Failures considered transient at the probe level: the pool supervised
+#: them, reaped the dead worker, and will self-heal on the next run — so
+#: re-running the probe is sound and cheap (no refork of survivors).
+TRANSIENT_ERRORS = (WorkerCrashError, WorkerTimeoutError)
+
+#: First retry backoff; doubles per attempt (a crashed probe's respawn is
+#: cheap, but a timeout often means the host is momentarily oversubscribed).
+RETRY_BACKOFF_SECONDS = 0.05
 
 #: Recognized fault kinds.
 FAULT_KINDS = ("crash", "wedge", "delay")

@@ -6,44 +6,21 @@ simulator substrate (:class:`~repro.metg.runners.SimRunner`) and real
 executors (:class:`~repro.metg.runners.RealRunner`).
 """
 
-from .efficiency import (
-    GraphFactory,
-    Measurement,
-    compute_workload,
-    efficiency_curve,
-    measure,
-    memory_workload,
-)
-from .metg import METGResult, METGUnachievable, metg
-from .runners import (
-    RealRunner,
-    SimRunner,
-    calibrate_kernel_flops,
-    peak_flops_per_core,
-)
-from .scaling import (
-    ScalingPoint,
-    strong_scaling,
-    strong_scaling_limit_nodes,
-    weak_scaling,
-)
+from .._exports import export
 
-__all__ = [
-    "GraphFactory",
-    "METGResult",
-    "METGUnachievable",
-    "Measurement",
-    "RealRunner",
-    "ScalingPoint",
-    "SimRunner",
-    "calibrate_kernel_flops",
-    "compute_workload",
-    "efficiency_curve",
-    "measure",
-    "memory_workload",
-    "metg",
-    "peak_flops_per_core",
-    "strong_scaling",
-    "strong_scaling_limit_nodes",
-    "weak_scaling",
-]
+_EXPORTS = {
+    "efficiency": (
+        "GraphFactory", "Measurement", "compute_workload",
+        "efficiency_curve", "measure", "memory_workload",
+    ),
+    "metg": ("METGResult", "METGUnachievable", "metg"),
+    "runners": (
+        "RealRunner", "SimRunner", "calibrate_kernel_flops",
+        "peak_flops_per_core",
+    ),
+    "scaling": (
+        "ScalingPoint", "strong_scaling", "strong_scaling_limit_nodes",
+        "weak_scaling",
+    ),
+}
+__getattr__, __dir__, __all__ = export(__name__, _EXPORTS)

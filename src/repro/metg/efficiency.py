@@ -17,16 +17,7 @@ from ..core.kernels import Kernel
 from ..core.metrics import FaultStats, RunResult
 from ..core.task_graph import TaskGraph
 from ..core.types import KernelType
-from ..runtimes._procpool import WorkerCrashError, WorkerTimeoutError
-
-#: Failures considered transient at the probe level: the pool supervised
-#: them, reaped the dead worker, and will self-heal on the next run — so
-#: re-running the probe is sound and cheap (no refork of survivors).
-TRANSIENT_ERRORS = (WorkerCrashError, WorkerTimeoutError)
-
-#: First retry backoff; doubles per attempt (a crashed probe's respawn is
-#: cheap, but a timeout often means the host is momentarily oversubscribed).
-RETRY_BACKOFF_SECONDS = 0.05
+from ..faults import RETRY_BACKOFF_SECONDS, TRANSIENT_ERRORS
 
 
 @dataclass(frozen=True)

@@ -8,59 +8,34 @@ a centralized controller, timestep-phased process offload, and — via
 :mod:`repro.cluster` — distributed-memory rank processes over real
 sockets (``cluster_tcp`` / ``cluster_uds``).
 
-All executors drive the same core library (``repro.core``) through the same
-``execute_point`` entry point; every graph validates its own execution.
+All executors drive the same core library (``repro.core``) and execute
+every point exactly once, through ``run_task`` / ``execute_row``
+(:mod:`repro.runtimes._common`, :class:`~repro.core.task_graph.TaskGraph`);
+every graph validates its own execution.  Importing this package loads no
+executor: a name below is resolved on first use, and
+:func:`make_executor` imports the one module it is asked for.
 """
 
-from .actors import ActorExecutor
-from .async_rt import AsyncioExecutor
-from .bulk_sync import BulkSyncExecutor
-from .centralized import CentralizedExecutor
-from .cluster_rt import ClusterTCPExecutor, ClusterUDSExecutor
-from .dataflow import DataflowExecutor, STFScheduler
-from .futures_rt import FuturesExecutor
-from .p2p import Mailbox, P2PExecutor, block_owner
-from .processes import ProcessPoolExecutor
-from .ptg import ExpandedGraph, PTGExecutor, expand
-from .registry import (
-    available_runtimes,
-    describe_runtimes,
-    make_executor,
-    runtime_core_cost,
-    runtime_isolation,
-)
-from .serial import SerialExecutor
-from .threads import ThreadPoolTaskExecutor
-from ._common import OutputStore, ScratchPool
-from ._procpool import ForkWorkerPool, WorkerCrashError, WorkerTimeoutError
+from .._exports import export
 
-__all__ = [
-    "ActorExecutor",
-    "AsyncioExecutor",
-    "BulkSyncExecutor",
-    "CentralizedExecutor",
-    "ClusterTCPExecutor",
-    "ClusterUDSExecutor",
-    "DataflowExecutor",
-    "ExpandedGraph",
-    "ForkWorkerPool",
-    "FuturesExecutor",
-    "Mailbox",
-    "OutputStore",
-    "P2PExecutor",
-    "PTGExecutor",
-    "ProcessPoolExecutor",
-    "STFScheduler",
-    "ScratchPool",
-    "SerialExecutor",
-    "ThreadPoolTaskExecutor",
-    "WorkerCrashError",
-    "WorkerTimeoutError",
-    "available_runtimes",
-    "block_owner",
-    "describe_runtimes",
-    "expand",
-    "make_executor",
-    "runtime_core_cost",
-    "runtime_isolation",
-]
+_EXPORTS = {
+    "_common": ("OutputStore", "ScratchPool"),
+    "_procpool": ("ForkWorkerPool", "WorkerCrashError", "WorkerTimeoutError"),
+    "actors": ("ActorExecutor",),
+    "async_rt": ("AsyncioExecutor",),
+    "bulk_sync": ("BulkSyncExecutor",),
+    "centralized": ("CentralizedExecutor",),
+    "cluster_rt": ("ClusterTCPExecutor", "ClusterUDSExecutor"),
+    "dataflow": ("DataflowExecutor", "STFScheduler"),
+    "futures_rt": ("FuturesExecutor",),
+    "p2p": ("Mailbox", "P2PExecutor", "block_owner"),
+    "processes": ("ProcessPoolExecutor",),
+    "ptg": ("ExpandedGraph", "PTGExecutor", "expand"),
+    "registry": (
+        "available_runtimes", "describe_runtimes", "make_executor",
+        "runtime_core_cost", "runtime_isolation",
+    ),
+    "serial": ("SerialExecutor",),
+    "threads": ("ThreadPoolTaskExecutor",),
+}
+__getattr__, __dir__, __all__ = export(__name__, _EXPORTS)

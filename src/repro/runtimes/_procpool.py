@@ -46,7 +46,9 @@ import weakref
 from multiprocessing.connection import Connection
 from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
 
-from ..faults import FaultSpec, apply_fault
+from ..faults import (
+    FaultSpec, WorkerCrashError, WorkerTimeoutError, apply_fault,
+)
 from ..trace import recorder as trace
 
 #: Liveness-check interval while waiting on a worker reply (seconds).
@@ -61,16 +63,6 @@ _REAP_GRACE = 1.0
 #: Minimum time allowed for draining a round's surviving workers after a
 #: crash/timeout, so their pending replies leave the pipes (seconds).
 _DRAIN_GRACE = 0.5
-
-
-class WorkerCrashError(RuntimeError):
-    """A worker process died without reporting a Python exception."""
-
-
-class WorkerTimeoutError(RuntimeError):
-    """A worker missed the pool's per-round deadline (wedged or starved);
-    the offending worker has been killed and can be respawned via
-    :meth:`ForkWorkerPool.heal`."""
 
 
 def _worker_main(

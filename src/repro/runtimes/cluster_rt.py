@@ -16,9 +16,9 @@ would swamp the measurement), with the same graph-delta broadcast and
 cache-coherence rules as the process executors.
 
 Supervision mirrors the fork pool's semantics: a killed rank surfaces as
-:class:`~repro.runtimes._procpool.WorkerCrashError` (detected through
+:class:`~repro.faults.WorkerCrashError` (detected through
 control-pipe EOF *and* peer-socket EOF), a wedged one as
-:class:`~repro.runtimes._procpool.WorkerTimeoutError` once the per-run
+:class:`~repro.faults.WorkerTimeoutError` once the per-run
 deadline fires.  Unlike the fork pool, a broken mesh cannot be healed
 rank-by-rank — sockets are half-dead and epochs desynchronized — so a
 failure tears the whole cluster down and the next run relaunches it; the

@@ -36,10 +36,13 @@ import numpy as np
 from ..core.executor_base import Executor
 from ..core.metrics import DataPlaneStats, FaultStats
 from ..core.task_graph import TaskGraph
-from ..faults import FaultSpec, default_timeout, fault_from_env
+from ..faults import (
+    FaultSpec, WorkerCrashError, WorkerTimeoutError, default_timeout,
+    fault_from_env,
+)
 from ..trace import recorder as trace
 from ._common import OutputStore, retire_rows
-from ._procpool import ForkWorkerPool, WorkerCrashError, WorkerTimeoutError
+from ._procpool import ForkWorkerPool
 
 # Per-process caches, initialized lazily inside workers.
 _WORKER_GRAPHS: Dict[int, TaskGraph] = {}

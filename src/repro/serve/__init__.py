@@ -28,22 +28,13 @@ Surfaced on the command line as ``task-bench serve`` (daemon),
 ``task-bench submit`` (one cell), and ``task-bench svc-stats``.
 """
 
-from .client import ServeClient, ServeError
-from .protocol import PROTOCOL_VERSION, ProtocolError, VERBS
-from .results import ResultCache, cell_fingerprint
-from .server import Server, ServeConfig, ServeStats
-from .warmpool import WarmPool
+from .._exports import export
 
-__all__ = [
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "ResultCache",
-    "Server",
-    "ServeClient",
-    "ServeConfig",
-    "ServeError",
-    "ServeStats",
-    "VERBS",
-    "WarmPool",
-    "cell_fingerprint",
-]
+_EXPORTS = {
+    "client": ("ServeClient", "ServeError"),
+    "protocol": ("PROTOCOL_VERSION", "ProtocolError", "VERBS"),
+    "results": ("ResultCache", "cell_fingerprint"),
+    "server": ("ServeConfig", "ServeStats", "Server"),
+    "warmpool": ("WarmPool",),
+}
+__getattr__, __dir__, __all__ = export(__name__, _EXPORTS)

@@ -6,61 +6,25 @@ network, and runtime-system cost models.  See DESIGN.md §2 for the
 substitution rationale.
 """
 
-from .gpu import (
-    GPUNodeSpec,
-    PIZ_DAINT,
-    cpu_time_per_timestep,
-    crossover_problem_size,
-    figure13_series,
-    gpu_time_per_timestep_w1,
-    gpu_time_per_timestep_w4,
-)
-from .machine import CORI_HASWELL, TINY, MachineSpec, column_to_core
-from .network import ARIES, IDEAL, NetworkModel
-from .analytic import (
-    PhasedPrediction,
-    interior_comm_counts,
-    predict,
-    predicted_metg_seconds,
-)
-from .runtime_model import RuntimeModel
-from .simulator import SimStats, simulate, simulate_with_stats
-from .systems import (
-    FIGURE9_SYSTEMS,
-    FIGURE11_SYSTEMS,
-    FIGURE12_SYSTEMS,
-    all_systems,
-    get_system,
-    scaled_for,
-)
+from .._exports import export
 
-__all__ = [
-    "ARIES",
-    "CORI_HASWELL",
-    "FIGURE11_SYSTEMS",
-    "FIGURE12_SYSTEMS",
-    "FIGURE9_SYSTEMS",
-    "GPUNodeSpec",
-    "IDEAL",
-    "MachineSpec",
-    "NetworkModel",
-    "PhasedPrediction",
-    "PIZ_DAINT",
-    "RuntimeModel",
-    "SimStats",
-    "TINY",
-    "all_systems",
-    "column_to_core",
-    "cpu_time_per_timestep",
-    "crossover_problem_size",
-    "figure13_series",
-    "get_system",
-    "gpu_time_per_timestep_w1",
-    "gpu_time_per_timestep_w4",
-    "interior_comm_counts",
-    "predict",
-    "predicted_metg_seconds",
-    "scaled_for",
-    "simulate",
-    "simulate_with_stats",
-]
+_EXPORTS = {
+    "analytic": (
+        "PhasedPrediction", "interior_comm_counts", "predict",
+        "predicted_metg_seconds",
+    ),
+    "gpu": (
+        "GPUNodeSpec", "PIZ_DAINT", "cpu_time_per_timestep",
+        "crossover_problem_size", "figure13_series",
+        "gpu_time_per_timestep_w1", "gpu_time_per_timestep_w4",
+    ),
+    "machine": ("CORI_HASWELL", "MachineSpec", "TINY", "column_to_core"),
+    "network": ("ARIES", "IDEAL", "NetworkModel"),
+    "runtime_model": ("RuntimeModel",),
+    "simulator": ("SimStats", "simulate", "simulate_with_stats"),
+    "systems": (
+        "FIGURE11_SYSTEMS", "FIGURE12_SYSTEMS", "FIGURE9_SYSTEMS",
+        "all_systems", "get_system", "scaled_for",
+    ),
+}
+__getattr__, __dir__, __all__ = export(__name__, _EXPORTS)

@@ -11,48 +11,20 @@ Surfaced on the command line as ``task-bench suite SPEC [--jobs N]
 [--resume] [--report]``.
 """
 
-from .scheduler import (
-    Claim,
-    SuiteSummary,
-    admit,
-    claim_for_cell,
-    run_cell,
-    run_suite,
-)
-from .spec import (
-    Cell,
-    SpecError,
-    SuiteSpec,
-    load_spec,
-    spec_from_mapping,
-    validate_cell,
-)
-from .store import (
-    StoreError,
-    SuiteStore,
-    aggregate_rows,
-    load_rows,
-    render_csv,
-    render_table,
-)
+from .._exports import export
 
-__all__ = [
-    "Cell",
-    "Claim",
-    "SpecError",
-    "StoreError",
-    "SuiteSpec",
-    "SuiteStore",
-    "SuiteSummary",
-    "admit",
-    "aggregate_rows",
-    "claim_for_cell",
-    "load_rows",
-    "load_spec",
-    "render_csv",
-    "render_table",
-    "run_cell",
-    "run_suite",
-    "spec_from_mapping",
-    "validate_cell",
-]
+_EXPORTS = {
+    "scheduler": (
+        "Claim", "SuiteSummary", "admit", "claim_for_cell", "run_cell",
+        "run_suite",
+    ),
+    "spec": (
+        "Cell", "SpecError", "SuiteSpec", "load_spec",
+        "spec_from_mapping", "validate_cell",
+    ),
+    "store": (
+        "StoreError", "SuiteStore", "aggregate_rows", "load_rows",
+        "render_csv", "render_table",
+    ),
+}
+__getattr__, __dir__, __all__ = export(__name__, _EXPORTS)

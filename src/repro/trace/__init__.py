@@ -13,36 +13,15 @@ Public surface:
   the ``traceconf`` test tier.
 """
 
-from .conformance import check_trace
-from .export import load_chrome, to_chrome, validate_chrome, write_chrome
-from .merge import align_offset, merge_dumps
-from .recorder import (
-    CAT_DISPATCH,
-    CAT_KERNEL,
-    CAT_PUBLISH,
-    CAT_SCHED,
-    CAT_WIRE,
-    SpanRecorder,
-    Trace,
-    TraceRecord,
-    capture,
-)
+from .._exports import export
 
-__all__ = [
-    "CAT_DISPATCH",
-    "CAT_KERNEL",
-    "CAT_PUBLISH",
-    "CAT_SCHED",
-    "CAT_WIRE",
-    "SpanRecorder",
-    "Trace",
-    "TraceRecord",
-    "align_offset",
-    "capture",
-    "check_trace",
-    "load_chrome",
-    "merge_dumps",
-    "to_chrome",
-    "validate_chrome",
-    "write_chrome",
-]
+_EXPORTS = {
+    "conformance": ("check_trace",),
+    "export": ("load_chrome", "to_chrome", "validate_chrome", "write_chrome"),
+    "merge": ("align_offset", "merge_dumps"),
+    "recorder": (
+        "CAT_DISPATCH", "CAT_KERNEL", "CAT_PUBLISH", "CAT_SCHED",
+        "CAT_WIRE", "SpanRecorder", "Trace", "TraceRecord", "capture",
+    ),
+}
+__getattr__, __dir__, __all__ = export(__name__, _EXPORTS)
