@@ -1,142 +1,16 @@
-"""Command-line front end for the analysis package.
-
-Subcommands::
-
-    python -m repro.analysis figures [--fast] [--plot] [--out DIR]
-        Regenerate every paper figure at reduced scale; print tables and
-        optionally write .txt/.json archives to DIR.
-
-    python -m repro.analysis plot FIGURE.json [--linear]
-        Render an archived figure as an ASCII plot.
-
-    python -m repro.analysis compare A.json B.json [--rel FRAC]
-        Diff two archived figures (e.g. runs at different scales or code
-        versions); exits non-zero when they differ beyond the tolerance.
-"""
+"""``python -m repro.analysis figures | plot | compare``: the analysis
+commands of ``task-bench`` (:mod:`repro.cli` declares and runs them)."""
 
 from __future__ import annotations
 
-import pathlib
 import sys
-from typing import List, Sequence
-
-from .archive import compare_figures, load_figure_json, save_figure_json
-from .figures import (
-    FigureConfig,
-    figure2_3,
-    figure4,
-    figure5,
-    figure8,
-    figure9,
-    figure10,
-    figure12,
-    figure13,
-)
-from .plot import ascii_plot
-from .report import render_series_table
-
-
-def _cmd_figures(args: List[str]) -> int:
-    fast = "--fast" in args
-    plot = "--plot" in args
-    out_dir = None
-    if "--out" in args:
-        pos = args.index("--out")
-        if pos + 1 >= len(args):
-            print("error: --out requires a directory", file=sys.stderr)
-            return 2
-        out_dir = pathlib.Path(args[pos + 1])
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    cfg = FigureConfig(
-        cores_per_node=4,
-        steps=10 if fast else 20,
-        node_counts=(1, 4, 16) if fast else (1, 4, 16, 64),
-        problem_sizes=tuple(8**e for e in range(7 if fast else 8)),
-    )
-    subset = ("mpi_p2p", "mpi_bulk_sync", "charmpp", "realm", "spark")
-
-    figures = []
-    f23 = figure2_3(cfg)
-    figures += [f23["flops"], f23["efficiency"]]
-    figures.append(figure4(cfg))
-    figures.append(figure5(cfg))
-    figures.append(figure8(cfg, systems=subset[:4]))
-    figures.append(figure9("a", cfg.with_(systems=subset)))
-    figures.append(figure10(cfg.with_(systems=subset[:4], cores_per_node=12),
-                            radices=(0, 3, 5)))
-    figures.append(figure12(cfg.with_(systems=("mpi_bulk_sync", "charmpp",
-                                               "chapel_distrib"),
-                                      cores_per_node=8)))
-    figures.append(figure13())
-
-    for fig in figures:
-        print(render_series_table(fig))
-        if plot:
-            print()
-            print(ascii_plot(fig, logy=fig.ylabel != "efficiency"))
-        print()
-        if out_dir is not None:
-            (out_dir / f"{fig.figure_id}.txt").write_text(
-                render_series_table(fig) + "\n"
-            )
-            save_figure_json(fig, out_dir / f"{fig.figure_id}.json")
-    if out_dir is not None:
-        print(f"archived {len(figures)} figures to {out_dir}/")
-    return 0
-
-
-def _cmd_plot(args: List[str]) -> int:
-    linear = "--linear" in args
-    paths = [a for a in args if not a.startswith("--")]
-    if len(paths) != 1:
-        print("usage: python -m repro.analysis plot FIGURE.json [--linear]",
-              file=sys.stderr)
-        return 2
-    fig = load_figure_json(paths[0])
-    print(ascii_plot(fig, logx=not linear, logy=not linear))
-    return 0
-
-
-def _cmd_compare(args: List[str]) -> int:
-    rel = 0.0
-    if "--rel" in args:
-        pos = args.index("--rel")
-        try:
-            rel = float(args[pos + 1])
-        except (IndexError, ValueError):
-            print("error: --rel requires a number", file=sys.stderr)
-            return 2
-        args = args[:pos] + args[pos + 2:]
-    paths = [a for a in args if not a.startswith("--")]
-    if len(paths) != 2:
-        print("usage: python -m repro.analysis compare A.json B.json "
-              "[--rel FRAC]", file=sys.stderr)
-        return 2
-    a, b = (load_figure_json(p) for p in paths)
-    diffs = compare_figures(a, b, rel=rel)
-    if not diffs:
-        print(f"{a.figure_id}: figures agree (rel tolerance {rel})")
-        return 0
-    for d in diffs:
-        print(d)
-    return 1
+from typing import Sequence
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-    if not args or args[0] in ("-h", "--help"):
-        print(__doc__)
-        return 0
-    command, rest = args[0], args[1:]
-    if command == "figures":
-        return _cmd_figures(rest)
-    if command == "plot":
-        return _cmd_plot(rest)
-    if command == "compare":
-        return _cmd_compare(rest)
-    print(f"error: unknown command {command!r}", file=sys.stderr)
-    return 2
+    from ..cli import main as task_bench
+
+    return task_bench(list(sys.argv[1:] if argv is None else argv) or ["--help"])
 
 
 if __name__ == "__main__":  # pragma: no cover

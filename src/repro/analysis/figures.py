@@ -491,3 +491,30 @@ def figure13() -> FigureData:
         ylabel="FLOP/s",
         series=series,
     )
+
+
+def reduced_scale_figures(fast: bool = False) -> List[FigureData]:
+    """Every figure ``task-bench figures`` regenerates, at a scale that
+    takes seconds (``fast``: fewer node counts and problem sizes)."""
+    cfg = FigureConfig(
+        cores_per_node=4,
+        steps=10 if fast else 20,
+        node_counts=(1, 4, 16) if fast else (1, 4, 16, 64),
+        problem_sizes=tuple(8**e for e in range(7 if fast else 8)),
+    )
+    subset = ("mpi_p2p", "mpi_bulk_sync", "charmpp", "realm", "spark")
+    f23 = figure2_3(cfg)
+    return [
+        f23["flops"],
+        f23["efficiency"],
+        figure4(cfg),
+        figure5(cfg),
+        figure8(cfg, systems=subset[:4]),
+        figure9("a", cfg.with_(systems=subset)),
+        figure10(cfg.with_(systems=subset[:4], cores_per_node=12),
+                 radices=(0, 3, 5)),
+        figure12(cfg.with_(systems=("mpi_bulk_sync", "charmpp",
+                                    "chapel_distrib"),
+                           cores_per_node=8)),
+        figure13(),
+    ]

@@ -16,9 +16,10 @@ of the fault-tolerance layer:
   by :mod:`repro.runtimes._procpool` at the chosen round);
 * :class:`WorkerCrashError` / :class:`WorkerTimeoutError` are what a
   supervised pool or rank mesh raises for a dead or wedged worker, and
-  :data:`TRANSIENT_ERRORS` / :data:`RETRY_BACKOFF_SECONDS` the retry policy
-  the CLI and the METG probes apply to them — defined here, so that
-  catching a worker failure does not import a process pool;
+  :data:`TRANSIENT_ERRORS` / :data:`RETRY_BACKOFF_SECONDS` /
+  :func:`retrying` the retry policy the CLI and the METG probes apply to
+  them — defined here, so that catching a worker failure does not import a
+  process pool;
 * :func:`default_timeout` / :func:`default_max_retries` read the
   environment-level defaults (``TASKBENCH_TIMEOUT``,
   ``TASKBENCH_MAX_RETRIES``) so test suites and CI chaos legs can arm
@@ -47,8 +48,11 @@ import os
 import signal
 import time
 from dataclasses import dataclass
+from typing import Callable, Tuple, TypeVar
 
 from .core.envvars import env_float, env_int
+
+T = TypeVar("T")
 
 
 class WorkerCrashError(RuntimeError):
@@ -69,6 +73,23 @@ TRANSIENT_ERRORS = (WorkerCrashError, WorkerTimeoutError)
 #: First retry backoff; doubles per attempt (a crashed probe's respawn is
 #: cheap, but a timeout often means the host is momentarily oversubscribed).
 RETRY_BACKOFF_SECONDS = 0.05
+
+
+def retrying(attempt: Callable[[], T], max_retries: int) -> Tuple[T, int]:
+    """Call ``attempt`` until it returns, and return its value with the
+    number of retries that took: a :data:`TRANSIENT_ERRORS` failure is
+    retried up to ``max_retries`` times, after a backoff that doubles from
+    :data:`RETRY_BACKOFF_SECONDS`; the next one propagates."""
+    retries = 0
+    while True:
+        try:
+            return attempt(), retries
+        except TRANSIENT_ERRORS:
+            if retries >= max_retries:
+                raise
+            time.sleep(RETRY_BACKOFF_SECONDS * 2 ** retries)
+            retries += 1
+
 
 #: Recognized fault kinds.
 FAULT_KINDS = ("crash", "wedge", "delay")

@@ -15,7 +15,7 @@ _EXPORTS = {
     ),
     "metg": ("METGResult", "METGUnachievable", "metg"),
     "runners": (
-        "RealRunner", "SimRunner", "calibrate_kernel_flops",
+        "RealRunner", "SimRunner", "calibrate_kernel_flops", "make_runner",
         "peak_flops_per_core",
     ),
     "scaling": (

@@ -9,7 +9,6 @@ mean task granularity.
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
@@ -17,7 +16,7 @@ from ..core.kernels import Kernel
 from ..core.metrics import FaultStats, RunResult
 from ..core.task_graph import TaskGraph
 from ..core.types import KernelType
-from ..faults import RETRY_BACKOFF_SECONDS, TRANSIENT_ERRORS
+from ..faults import retrying
 
 
 @dataclass(frozen=True)
@@ -137,37 +136,27 @@ def measure(runner, factory: GraphFactory, iterations: int,
     or ``"bytes"`` (memory-bound), against the runner's calibrated peak.
 
     Transient worker failures (a crashed or deadline-killed worker — see
-    :data:`TRANSIENT_ERRORS`) are retried with exponential backoff up to
-    ``max_retries`` times (default: the runner's ``max_retries`` attribute,
-    else 0), so one injected or real crash costs one probe rather than the
-    whole sweep.  Retries that occurred are recorded in the measurement's
-    ``result.faults.probe_retries``.
+    :func:`repro.faults.retrying`) are retried with exponential backoff up
+    to ``max_retries`` times (default: the runner's ``max_retries``
+    attribute, else 0), so one injected or real crash costs one probe
+    rather than the whole sweep.  Retries that occurred are recorded in the
+    measurement's ``result.faults.probe_retries``.
     """
     budget = (
         max_retries
         if max_retries is not None
         else getattr(runner, "max_retries", 0)
     )
-    attempt = 0
-    while True:
-        # Fresh graphs on every attempt: a partially-executed run may have
-        # mutated graph or validation state (worker-side caches key on the
-        # graph object), and a retry must observe none of it.
-        graphs = factory(iterations)
-        try:
-            result = runner.run(graphs)
-            break
-        except TRANSIENT_ERRORS:
-            if attempt >= budget:
-                raise
-            time.sleep(RETRY_BACKOFF_SECONDS * (2 ** attempt))
-            attempt += 1
-    if attempt:
+    # Fresh graphs on every attempt: a partially-executed run may have
+    # mutated graph or validation state (worker-side caches key on the
+    # graph object), and a retry must observe none of it.
+    result, retries = retrying(lambda: runner.run(factory(iterations)), budget)
+    if retries:
         faults = result.faults or FaultStats()
         result = dataclasses.replace(
             result,
             faults=dataclasses.replace(
-                faults, probe_retries=faults.probe_retries + attempt
+                faults, probe_retries=faults.probe_retries + retries
             ),
         )
     if metric == "flops":

@@ -15,6 +15,7 @@ from ..core.executor_base import Executor
 from ..core.kernels import FLOPS_PER_ITERATION, execute_kernel_compute
 from ..core.metrics import RunResult
 from ..core.task_graph import TaskGraph
+from ..runtimes.registry import make_executor
 from ..sim.machine import MachineSpec
 from ..sim.network import ARIES, NetworkModel
 from ..sim.runtime_model import RuntimeModel
@@ -67,6 +68,9 @@ class SimRunner:
 
     def run(self, graphs: Sequence[TaskGraph]) -> RunResult:
         return simulate(graphs, self.machine, self.model, self.network)
+
+    def close(self) -> None:
+        """Nothing to release; every runner can be closed."""
 
 
 class RealRunner:
@@ -134,6 +138,22 @@ class RealRunner:
         once the sweep is over the caller closes the runner so process
         trees and socket directories do not outlive the measurement."""
         self.executor.close()
+
+
+def make_runner(
+    runtime: str, *, workers: int = 2, nodes: int = 1, cores_per_node: int = 0,
+    max_retries: int | None = None, **options,
+) -> SimRunner | RealRunner:
+    """The runner a runtime name selects: ``sim:<system>`` is that system on
+    ``nodes`` simulated nodes (``cores_per_node`` 0: 32 cores), anything
+    else a real executor with ``workers`` and its ``options``."""
+    if runtime.startswith("sim:"):
+        machine = MachineSpec(nodes=nodes, cores_per_node=cores_per_node or 32)
+        return SimRunner(runtime[len("sim:"):], machine)
+    return RealRunner(
+        make_executor(runtime, workers=workers, **options),
+        max_retries=max_retries,
+    )
 
 
 def calibrate_kernel_flops(iterations: int = 20_000, repeats: int = 3) -> float:

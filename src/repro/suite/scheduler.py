@@ -42,18 +42,8 @@ from typing import Callable, List, Optional, Sequence
 
 from ..metg.efficiency import measure
 from ..metg.metg import METGUnachievable, metg
-from ..metg.runners import (
-    PEAK_FLOPS_ENV,
-    RealRunner,
-    SimRunner,
-    peak_flops_per_core,
-)
-from ..runtimes.registry import (
-    make_executor,
-    runtime_core_cost,
-    runtime_isolation,
-)
-from ..sim.machine import MachineSpec
+from ..metg.runners import PEAK_FLOPS_ENV, make_runner, peak_flops_per_core
+from ..runtimes.registry import runtime_core_cost, runtime_isolation
 from .spec import Cell, SuiteSpec
 from .store import SuiteStore
 
@@ -97,15 +87,10 @@ class SuiteSummary:
 # Cell execution (runs inside a forked worker process)
 # ---------------------------------------------------------------------------
 def _make_runner(cell: Cell):
-    if cell.is_simulated:
-        machine = MachineSpec(
-            nodes=cell.nodes, cores_per_node=cell.cores_per_node or 32
-        )
-        return SimRunner(cell.runtime[len("sim:"):], machine)
-    kwargs: dict = {}
-    if cell.timeout is not None:
-        kwargs["timeout"] = cell.timeout
-    return RealRunner(make_executor(cell.runtime, workers=cell.workers, **kwargs))
+    return make_runner(
+        cell.runtime, workers=cell.workers, nodes=cell.nodes,
+        cores_per_node=cell.cores_per_node, timeout=cell.timeout,
+    )
 
 
 def run_cell(cell: Cell, runner=None) -> dict:
@@ -158,12 +143,10 @@ def run_cell(cell: Cell, runner=None) -> dict:
         status, error = "failed", f"{type(e).__name__}: {e}"
     finally:
         if owns_runner and runner is not None:
-            close = getattr(runner, "close", None)
-            if close is not None:
-                try:
-                    close()
-                except Exception:
-                    pass
+            try:
+                runner.close()
+            except Exception:
+                pass
     record = {
         "key": cell.key,
         "cell": cell.params(),

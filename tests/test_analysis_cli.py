@@ -28,7 +28,8 @@ class TestPlotCommand:
 
     def test_usage_error(self, capsys):
         assert main(["plot"]) == 2
-        assert "usage" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "required: FIGURE.json" in err
 
 
 class TestCompareCommand:
@@ -66,7 +67,7 @@ class TestTopLevel:
 
     def test_unknown_command(self, capsys):
         assert main(["dance"]) == 2
-        assert "unknown command" in capsys.readouterr().err
+        assert "unknown flag 'dance'" in capsys.readouterr().err
 
     def test_figures_fast_archives(self, tmp_path, capsys):
         rc = main(["figures", "--fast", "--out", str(tmp_path)])

@@ -31,7 +31,13 @@ from repro.core.bufpool import (
     orphaned_segments,
     sweep_orphaned_segments,
 )
-from repro.faults import FaultSpec, apply_fault, parse_fault
+from repro.faults import (
+    RETRY_BACKOFF_SECONDS,
+    FaultSpec,
+    apply_fault,
+    parse_fault,
+    retrying,
+)
 from repro.metg.efficiency import measure
 from repro.metg.runners import RealRunner
 from repro.runtimes import make_executor
@@ -419,6 +425,53 @@ class TestBufpoolRecovery:
 # ----------------------------------------------------------------------
 # METG probe retry
 # ----------------------------------------------------------------------
+class TestRetrying:
+    """The one retry loop (``cli.run_config`` and ``metg.efficiency.measure``
+    both call it)."""
+
+    @pytest.fixture()
+    def naps(self, monkeypatch):
+        import repro.faults
+
+        slept = []
+        monkeypatch.setattr(repro.faults.time, "sleep", slept.append)
+        return slept
+
+    def _flaky(self, failures, error=WorkerCrashError):
+        calls = []
+
+        def attempt():
+            calls.append(len(calls))
+            if len(calls) <= failures:
+                raise error(f"attempt {len(calls)}")
+            return "done"
+
+        return attempt, calls
+
+    def test_first_success_is_no_retry(self, naps):
+        attempt, calls = self._flaky(0)
+        assert retrying(attempt, 3) == ("done", 0)
+        assert (calls, naps) == ([0], [])
+
+    def test_transient_failures_are_retried_with_doubling_backoff(self, naps):
+        attempt, calls = self._flaky(3, WorkerTimeoutError)
+        assert retrying(attempt, 3) == ("done", 3)
+        assert len(calls) == 4
+        assert naps == [RETRY_BACKOFF_SECONDS * k for k in (1, 2, 4)]
+
+    def test_the_failure_past_the_budget_propagates(self, naps):
+        attempt, calls = self._flaky(3)
+        with pytest.raises(WorkerCrashError, match="attempt 3"):
+            retrying(attempt, 2)
+        assert len(calls) == 3 and len(naps) == 2
+
+    def test_other_errors_are_not_retried(self, naps):
+        attempt, calls = self._flaky(1, ValueError)
+        with pytest.raises(ValueError):
+            retrying(attempt, 5)
+        assert (calls, naps) == ([0], [])
+
+
 def test_metg_probe_retry_costs_one_probe():
     """An injected transient crash during a sweep costs one retried probe,
     visible in the measurement's fault counters."""
