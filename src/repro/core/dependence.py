@@ -23,6 +23,7 @@ space grows as the tree fans out.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterator, List, Sequence, Tuple, TypeVar
 
 import numpy as np
@@ -313,36 +314,37 @@ class DependenceSpec:
 
     def dependency_columns_batch(
         self, t0: int, t1: int
-    ) -> List[List[Tuple[int, ...]]]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Every task's dependency columns for timesteps ``[t0, t1)``, cut
-        off at the end of the graph: ``rows[t - t0][k]`` is
-        ``tuple(dependency_points(t, offset_at_timestep(t) + k))``.
+        off at the end of the graph, as one CSR ``(cols, counts)``: tasks in
+        program order (timestep, then column of its window), ``counts[n]``
+        the number of inputs of the ``n``-th and ``cols`` every task's
+        ``dependency_points`` laid end to end — both ``int64``.
 
-        The one query compiled tables are built from.  The regular patterns
+        The one query compiled rows are built from.  The regular patterns
         have few distinct rows and loop the scalar methods; ``random_nearest``
         decides every candidate edge of the batch in one array pass over a
         (timesteps x width x window) grid, because hashed one at a time its
-        edges are what set-up costs.
+        edges are what set-up costs — and the pass costs per call what it
+        costs per thousand candidates, so callers ask for many rows at once.
         """
         self._check_timestep(t0)
         t1 = min(t1, self.height)
         w = self.width
         if self.dtype is not DependenceType.RANDOM_NEAREST:
-            rows = []
-            for t in range(t0, t1):
-                off = self.offset_at_timestep(t)
-                rows.append([tuple(self.dependency_points(t, i)) for i in
-                             range(off, off + self.width_at_timestep(t))])
-            return rows
+            deps = [list(self.dependency_points(t, i)) for t in range(t0, t1)
+                    for i in range(self.offset_at_timestep(t),
+                                   self.offset_at_timestep(t)
+                                   + self.width_at_timestep(t))]
+            return (np.fromiter(chain.from_iterable(deps), dtype=np.int64),
+                    np.array([len(d) for d in deps], dtype=np.int64))
         first = max(t0, min(t1, 1))  # the first timestep reads nothing
         hashes, cols = self._edge_hashes(first, t1)
         edge = (hashes / 2.0**64 < self.fraction) & (cols >= 0) & (cols < w)
-        picked = np.broadcast_to(cols, edge.shape)[edge].tolist()
-        ends = np.cumsum(edge.sum(axis=2)).tolist()
-        deps = [tuple(picked[a:b]) for a, b in zip([0] + ends, ends)]
-        return [[()] * w] * (first - t0) + [
-            deps[n:n + w] for n in range(0, len(deps), w)
-        ]
+        found = np.flatnonzero(edge)  # (timestep, column, window slot), flat
+        counts = np.bincount(found // cols.shape[1] + (first - t0) * w,
+                             minlength=(t1 - t0) * w)
+        return cols.ravel()[found % cols.size], counts
 
     def max_dependencies(self) -> int:
         """Upper bound on the number of dependencies of any task.

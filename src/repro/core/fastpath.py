@@ -1,96 +1,96 @@
-"""Precompiled dependence tables: how the core library answers dependence
-queries.
+"""Compiled rows: how the core library answers dependence queries.
 
 Computed per call, Python interval math would be the hottest non-kernel
-code in the harness: every ``run_point`` needs a task's forward
-dependencies (gather + validation), every ``OutputStore.put`` its reverse
-dependencies (consumer counting), and schedulers need both again when
-wiring completion notifications.  The paper's C++ core library pays
-little for this, and here the cost is avoided because dependence relations
-are *periodic*: ``dependence_set_at_timestep(t)`` assigns every timestep
-an equivalence-class id, and two timesteps with the same id have identical
-dependencies for every column and the same active window (see
-``DependenceSpec.max_dependence_sets``).  There are at most
-``max_dependence_sets()`` distinct structures — one for most patterns, a
-handful for FFT/tree/spread, one per timestep for ``random_nearest`` —
-regardless of graph height.
+code in the harness: every task needs its forward dependencies (gather +
+validation), every publish its reverse dependencies (consumer counting),
+and schedulers need both again when wiring completion notifications.  The
+paper's C++ core library pays little for this, and here the cost is avoided
+because dependence relations are *periodic*: ``dependence_set_at_timestep(t)``
+assigns every timestep an equivalence-class id, and two timesteps with the
+same id have identical dependencies for every column and the same active
+window (see ``DependenceSpec.max_dependence_sets``) — one structure for
+most patterns, a handful for FFT/tree/spread, one per timestep for
+``random_nearest`` — regardless of graph height.
 
-:class:`DependenceTable` keeps one entry per distinct structure, under the
-first timestep that exhibits it (``DependenceSpec.dependence_set_cycle``
-gets there from any timestep with one comparison and one modulo), so a
-graph of a million timesteps of a stencil holds what a graph of three
-does.  An entry is a pair of :class:`_Rel`: the *forward* structure of
-consumer timestep ``u`` — per column, the ascending tuple of columns read
-at ``u - 1`` — and the *reverse* structure of ``u - 1`` — per column, the
-columns of ``u`` that read it.  The second is the transpose of the first,
-so each edge is decided once.
-
-A miss compiles a **batch**: the missing entries of as many consecutive
-timesteps as hold ``_BATCH`` tasks, from one
-``DependenceSpec.dependency_columns_batch`` call — which is what makes the
-never-repeating ``random_nearest`` cheap to set up: its edges are hashed by
-four ``_splitmix64`` calls per batch instead of four per candidate edge.
-The table computes nothing about dependencies itself; agreement with the
-scalar ``dependencies()`` / ``reverse_dependencies()`` is what the property
-tests check of the bulk query.
-
-On top of the pairs sits the :class:`RowPlan`: everything an executor that
-owns a contiguous column block needs to run a whole timestep row — the
-row's window, every task's dependency columns and their CSR flattening, and
-both sides of the reference count (reads of the previous row, consumers in
-the next) — built once per distinct (forward, reverse) combination and
-cached the same way.  :meth:`TaskGraph.execute_row` runs a block of a row
+**The row is the compiled form.**  :class:`DependenceTable` keeps one
+:class:`RowPlan` per distinct timestep row, under the first timestep that
+exhibits it (``DependenceSpec.dependence_set_cycle`` gets there from any
+timestep with one comparison and one modulo), so a graph of a million
+timesteps of a stencil holds what a graph of three does: the first row, the
+steady one and the last (its class's plan with nobody reading it).  A plan
+is everything an executor that owns a contiguous column block needs to run
+a whole timestep row — the window, the CSR of every task's inputs as
+positions in the previous row, the block's column key and both sides of the
+reference count — and :meth:`TaskGraph.execute_row` runs a block of a row
 from it with one input count check, one bulk comparison and one output
 stamp.
 
-Both caches are bounded by ``_MAX_SETS`` entries, evicted first in, first
-out (only ``random_nearest`` with ``period=-1`` on a graph taller than that
-ever evicts; what it recompiles is equal to what it dropped).  Hits are
-lock-free ``dict.get`` probes; every insert and eviction happens under the
-table's lock.
+**Arrays are its only source.**  A miss compiles a **batch**: the missing
+rows of as many consecutive timesteps as hold ``_BATCH`` tasks, cut with
+array operations out of one ``DependenceSpec.dependency_columns_batch`` call
+(producer columns + per-task counts, one timestep past the batch: what a row
+is read by is what the next one reads) and converted with one ``tolist()``
+per field — what is left per row is slicing those lists, never a Python
+step per edge, which is what makes the never-repeating ``random_nearest``
+cheap to set up (and a batch large: the array pass costs per call what it
+costs per thousand candidate edges).  The table computes
+nothing about dependencies itself; agreement with the scalar
+``dependencies()`` / ``reverse_dependencies()`` is what the property tests
+check of every field.
 
-Every :class:`~repro.core.task_graph.TaskGraph` dependence query is served
-from its table; :mod:`repro.core.dependence` is what tables are compiled
-*from* and the oracle the property tests compare them against.  The
-*forward* structure is only consulted for ``1 <= t``, the reverse one for
-``t < height - 1``; boundary timesteps (and out-of-range points, for the
-canonical error) go to the spec directly.
+**Each edge is held once.**  The per-task queries (``dependency_columns``,
+``consumer_count``, ...) read the same plans; the two per-task views — every
+column's dependency tuple (:attr:`RowPlan.deps`) and its transpose
+(:attr:`RowPlan.readers`) — are derived from a plan the first time a
+task-by-task executor asks and kept on it.
+
+**Bounded by what it holds.**  The plans of a table are budgeted in edges
+(``_MAX_EDGES``; a task counts as one more), not in entries, so a wide
+graph keeps few rows and a narrow one many, and evicted oldest first
+(:class:`Bounded`): a sweep over a graph that does not fit misses on every
+row under any order, and the oldest is the one found without bookkeeping on
+a hit.  Only ``random_nearest`` with ``period=-1`` ever evicts; what it
+recompiles is equal to what it dropped.  Hits are lock-free ``dict.get``
+probes; every insert and eviction happens under the table's lock.
+
+:mod:`repro.core.dependence` is what rows are compiled *from* and the
+oracle the property tests compare them against; out-of-range points go to
+the spec for the canonical error.
 
 Module-level ``counters()`` expose how many lookups were served from
-compiled structures (*hits*) and how many structures were compiled
-(*compiles*: two per entry, one per direction); executors fold the per-run
-delta into :class:`~repro.core.metrics.DataPlaneStats` under ``--report``.
-Counter increments are plain int updates (no lock): they are statistics,
-and the occasional lost increment under free-running threads is acceptable.
+compiled rows (*hits*) and how many structures were compiled (*compiles*:
+two per row that has inputs, the edges as it reads them and as the row
+before is read); executors fold the per-run delta into
+:class:`~repro.core.metrics.DataPlaneStats` under ``--report``.  Counter
+increments are plain int updates (no lock): they are statistics, and the
+occasional lost increment under free-running threads is acceptable.
 """
 
 from __future__ import annotations
 
 import threading
-from functools import lru_cache
-from typing import Any, Dict, List, Sequence, Tuple
+from collections import deque
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
+from itertools import accumulate, pairwise
+from typing import Any, Deque, Dict, List, Tuple
 
-from .dependence import DependenceSpec, Interval, count_points, merge_intervals
+import numpy as np
 
-__all__ = [
-    "DependenceTable",
-    "RowPlan",
-    "table_for",
-    "counters",
-    "reset_counters",
-]
+from .dependence import DependenceSpec, Interval, merge_intervals
 
-#: Cap on the structures (and on the row plans) cached per table.
-#: ``random_nearest`` with ``period=-1`` never repeats, so its set count
-#: equals the graph height; beyond the cap the oldest entries are evicted
-#: (plain FIFO) so unbounded graphs cannot exhaust memory.
-_MAX_SETS = 1024
+#: What the row plans of one table may hold, in dependence edges plus tasks
+#: (an edgeless row still holds its per-task fields): about 20 MB of lists
+#: at worst.  ``random_nearest`` with ``period=-1`` never repeats, so it has
+#: as many plans as timesteps: an 8-wide one keeps 3,600 rows at any radix,
+#: a 4,096-wide one a few dozen.
+_MAX_EDGES = 1 << 18
 
-#: Tasks per compile: a miss compiles the missing structures of
-#: ``_BATCH // width`` consecutive timesteps (at least one) in one bulk
-#: query.  Counted in tasks, not timesteps, so that what a single lookup can
-#: cost, in time and in memory, does not grow with the graph's width.
-_BATCH = 512
+#: Tasks per compile: a miss compiles the missing rows of ``_BATCH // width``
+#: consecutive timesteps (at least one) from one bulk query.  Counted in
+#: tasks, not timesteps, so that what a single lookup can cost, in time and
+#: in memory, does not grow with the graph's width.
+_BATCH = 2048
 
 _hits: int = 0
 _compiles: int = 0
@@ -107,32 +107,45 @@ def reset_counters() -> None:
     _compiles = 0
 
 
-class _Rel:
-    """One compiled dependence structure, one direction: the window of its
-    timestep and, per local column ``k = i - off``, the ascending tuple of
-    columns on the other side of its edges and how many there are."""
+class Bounded(Dict[Any, Any]):
+    """A ``dict`` bounded by what its values cost (each what :meth:`add` was
+    told, summed in ``held``, at most ``budget``), evicting the oldest
+    entries first.  Which is oldest comes off a queue of keys in O(1):
+    ``next(iter(d))`` walks every slot emptied before it.  Lookups are plain
+    lock-free ``dict`` probes; :meth:`add` is called under the owner's
+    lock, and entries leave by eviction only."""
 
-    __slots__ = ("off", "width", "cols", "counts")
+    def __init__(self, budget: int) -> None:
+        super().__init__()
+        self.budget = budget
+        self.held = 0
+        self._oldest: Deque[Tuple[Any, int]] = deque()
 
-    def __init__(self, off: int, cols: Sequence[Sequence[int]]) -> None:
-        self.off = off
-        self.width = len(cols)
-        self.cols = tuple(map(tuple, cols))
-        self.counts: List[int] = [len(c) for c in cols]
+    def add(self, key: Any, value: Any, cost: int) -> Any:
+        """File ``value`` under ``key`` unless something is there already
+        (the first stays) and return what is cached; then evict down to the
+        budget, sparing the newest entry whatever it costs."""
+        kept = self.setdefault(key, value)
+        if kept is value:
+            self._oldest.append((key, cost))
+            self.held += cost
+            while self.held > self.budget and len(self) > 1:
+                key, cost = self._oldest.popleft()
+                del self[key]
+                self.held -= cost
+        return kept
 
 
+@dataclass(eq=False)
 class RowPlan:
     """One timestep row, compiled: what a block-owning executor needs to
     gather, validate, run and publish every task of the row at once.
 
     ``off``/``width``
-        the row's active window.
-    ``deps[k]``
-        ascending columns at ``t - 1`` read by local column ``k`` (the
-        tuples of :meth:`DependenceTable.dependency_columns`).
+        the row's active window; ``prev_off`` is the previous row's offset.
     ``flat`` / ``starts``
-        CSR flattening of ``deps``: the inputs of local columns ``[a, b)``
-        are ``flat[starts[a]:starts[b]]``.  ``flat`` holds positions *in the
+        CSR of every task's inputs: those of local columns ``[a, b)`` are
+        ``flat[starts[a]:starts[b]]``.  ``flat`` holds positions *in the
         previous row* (column minus that row's offset), so a previous row
         kept as a plain list gathers with ``[row[j] for j in plan.flat]``.
     ``counts[k]`` / ``consumers[k]``
@@ -140,74 +153,75 @@ class RowPlan:
         ``t + 1`` read its output.
     ``reads[j]``
         how many tasks of this row read position ``j`` of the previous row.
-        Counted from the forward relation, where ``consumers`` comes from
-        the reverse one: ``plan(t).reads == plan(t - 1).consumers`` is the
+        Counted from this row's edges, where ``consumers`` is counted from
+        the next row's: ``plan(t).reads == plan(t - 1).consumers`` is the
         drained-store invariant of a run, checked per row.
+    ``cols``
+        the producer columns themselves, as one tuple: the key of the row's
+        expected block.
+
+    The sequences are plain lists (the warm row loop indexes and compares
+    them) and shared: callers must not mutate them.
     """
 
-    __slots__ = ("off", "width", "deps", "flat", "starts", "counts",
-                 "consumers", "reads", "_cols")
-
-    def __init__(self, off: int, width: int, deps: Tuple[Tuple[int, ...], ...],
-                 prev_off: int, prev_width: int, consumers: List[int]) -> None:
-        self.off = off
-        self.width = width
-        self.deps = deps
-        self.flat: List[int] = [j - prev_off for cols in deps for j in cols]
-        self.counts: List[int] = [len(cols) for cols in deps]
-        self.starts: List[int] = [0]
-        for n in self.counts:
-            self.starts.append(self.starts[-1] + n)
-        self.consumers = consumers
-        self.reads: List[int] = [0] * prev_width
-        for j in self.flat:
-            self.reads[j] += 1
-        self._cols: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+    # The fields in slots, the two views beside them in ``__dict__``: filling
+    # that would slow every read of a field that lived there too.
+    __slots__ = ("off", "width", "prev_off", "flat", "starts", "counts",
+                 "reads", "consumers", "cols", "__dict__")
+    off: int
+    width: int
+    prev_off: int
+    flat: List[int]
+    starts: List[int]
+    counts: List[int]
+    reads: List[int]
+    consumers: List[int]
+    cols: Tuple[int, ...]
 
     def columns(self, lo: int, hi: int) -> Tuple[int, ...]:
         """Producer columns of every input of columns ``[lo, hi)``, in
-        gather order, as one shared tuple (the key of the row's expected
-        block)."""
-        cols = self._cols.get((lo, hi))
-        if cols is None:
-            cols = tuple(j for k in range(lo - self.off, hi - self.off)
-                         for j in self.deps[k])
-            self._cols[(lo, hi)] = cols
-        return cols
+        gather order (the key of the block's expected bytes)."""
+        starts = self.starts  # (the whole of a tuple is the tuple itself)
+        return self.cols[starts[lo - self.off]:starts[hi - self.off]]
 
+    @cached_property
+    def deps(self) -> Tuple[Tuple[int, ...], ...]:
+        """``deps[k]``: ascending columns at ``t - 1`` read by local column
+        ``k`` — the per-task view of ``cols``."""
+        return tuple(self.cols[a:b] for a, b in pairwise(self.starts))
 
-def _fifo_insert(cache: Dict[Any, Any], key: Any, value: Any) -> Any:
-    """Insert into a cache bounded by ``_MAX_SETS``, evicting the oldest
-    entries first.  The caller holds the table's lock."""
-    while len(cache) >= _MAX_SETS:
-        cache.pop(next(iter(cache)))
-    cache[key] = value
-    return value
+    @cached_property
+    def readers(self) -> Tuple[Tuple[int, ...], ...]:
+        """``readers[j]``: ascending columns of this row that read position
+        ``j`` of the previous row — ``deps`` transposed (by a plain loop:
+        for one row it beats a stable ``argsort`` at every width)."""
+        readers: List[List[int]] = [[] for _ in self.reads]
+        for i, cols in enumerate(self.deps, self.off):
+            for j in cols:
+                readers[j - self.prev_off].append(i)
+        return tuple(map(tuple, readers))
 
 
 class DependenceTable:
     """O(1) dependence queries for one :class:`DependenceSpec`, compiled
-    lazily, a batch of dependence sets at a time.
+    lazily, a batch of rows at a time.
 
-    ``_sets[u]`` is the ``(forward, reverse)`` pair of consumer timestep
-    ``u >= 1``, the first timestep with its set id: the edges entering ``u``
-    as ``u`` reads them and as ``u - 1`` is read.  The edges *leaving* a
-    timestep ``t`` are therefore found under ``t + 1``: their structure —
-    including the producer window at ``t`` — is determined by the consumer
-    timestep's equivalence class (for the tree pattern, an expanding set id
-    pins the exact timestep; every steady timestep has the full-width
-    window).
+    ``_plans[t]`` is the :class:`RowPlan` of timestep ``t``, the first
+    timestep whose row looks like it: the edges entering ``t`` as ``t`` reads
+    them, and how often ``t + 1`` reads each of its outputs.  Every timestep
+    below ``_stop`` — where the set ids have come round once, or the graph
+    ends — is filed under itself, every later one but the last under the
+    timestep of the first cycle with its set id (whose successor has the set
+    id of its own), and the last row under itself again: nobody reads it,
+    whatever its set id says.
     """
 
     def __init__(self, spec: DependenceSpec) -> None:
         self.spec = spec
         self._last = spec.height - 1
         self._lead, self._cycle = spec.dependence_set_cycle()
-        self._sets: Dict[int, Tuple[_Rel, _Rel]] = {}
-        # Row plans, under the first timestep with the same set ids on both
-        # sides (the first and the last row under their own: one has no
-        # inputs and the other no consumers, whatever their set ids say).
-        self._plans: Dict[int, RowPlan] = {}
+        self._stop = min(self._lead + self._cycle, spec.height)
+        self._plans = Bounded(_MAX_EDGES)
         self._totals: Tuple[int, int] | None = None
         self._lock = threading.Lock()
 
@@ -221,167 +235,156 @@ class DependenceTable:
                                 s.period, s.fraction, s.seed))
 
     # ------------------------------------------------------------------
-    # Structure lookup / lazy compilation
+    # Row lookup / lazy compilation
     # ------------------------------------------------------------------
-    def _pair(self, u: int) -> Tuple[_Rel, _Rel]:
-        """The compiled pair of consumer timestep ``u``
-        (``1 <= u < height``): one lock-free probe unless it is missing."""
-        global _hits
-        lead = self._lead
-        key = u if u < lead else lead + (u - lead) % self._cycle
-        pair = self._sets.get(key)
-        if pair is None:
-            return self._compile(key)
-        _hits += 1
-        return pair
-
-    def _compile(self, key: int) -> Tuple[_Rel, _Rel]:
-        """Compile the pair filed under timestep ``key`` and, from the same
-        bulk query, those of the timesteps after it — as far as the batch,
-        the graph, the distinct set ids and the missing entries go."""
-        global _hits, _compiles
-        spec = self.spec
-        with self._lock:
-            pair = self._sets.get(key)
-            if pair is not None:  # compiled while this thread waited
-                _hits += 1
-                return pair
-            stop = min(key + max(1, _BATCH // spec.width), spec.height,
-                       self._lead + self._cycle)
-            end = key + 1
-            while end < stop and end not in self._sets:
-                end += 1
-            pairs = []
-            for u, deps in enumerate(spec.dependency_columns_batch(key, end),
-                                     key):
-                off, before = (spec.offset_at_timestep(u),
-                               spec.offset_at_timestep(u - 1))
-                readers: List[List[int]] = [
-                    [] for _ in range(spec.width_at_timestep(u - 1))]
-                for i, cols in enumerate(deps, off):
-                    for j in cols:
-                        readers[j - before].append(i)
-                pairs.append(_fifo_insert(self._sets, u, (
-                    _Rel(off, deps), _Rel(before, readers))))
-            _compiles += 2 * len(pairs)
-        return pairs[0]
-
     def row_plan(self, t: int) -> RowPlan:
         """The compiled :class:`RowPlan` of timestep ``t`` (shared by every
-        timestep with the same structures; callers must not mutate it)."""
+        timestep with the same structures; callers must not mutate it): one
+        lock-free probe unless it is missing."""
         global _hits
-        last = self._last
         lead = self._lead
-        if lead <= t < last:
+        if lead <= t < self._last:
             key = lead + (t - lead) % self._cycle
         else:
-            if not 0 <= t <= last:
+            if not 0 <= t <= self._last:
                 self.spec._check_timestep(t)  # raises: a key could hit
             key = t
         plan = self._plans.get(key)
-        if plan is not None:
-            _hits += 1
-            return plan
-        spec = self.spec
-        off, width = spec.offset_at_timestep(t), spec.width_at_timestep(t)
-        deps: Tuple[Tuple[int, ...], ...] = ((),) * width
-        prev_off = prev_width = 0
-        if t > 0:
-            fwd, prev = self._pair(t)
-            deps, prev_off, prev_width = fwd.cols, prev.off, prev.width
-        plan = RowPlan(
-            off, width, deps, prev_off, prev_width,
-            self._pair(t + 1)[1].counts if t < last else [0] * width)
-        with self._lock:  # two threads may have built it: the first stays
-            return self._plans.get(key) or _fifo_insert(self._plans, key, plan)
+        if plan is None:
+            return self._compile(key)
+        _hits += 1
+        return plan
+
+    def _compile(self, key: int) -> RowPlan:
+        """Compile the row filed under timestep ``key`` and, out of the same
+        bulk query, the rows after it — as far as the batch, the graph, the
+        distinct rows and the missing entries go."""
+        global _hits, _compiles
+        spec, plans = self.spec, self._plans
+        if key >= self._stop:  # the last row, of a class compiled before it
+            plan = self.row_plan(self._lead + (key - self._lead) % self._cycle)
+            plan = replace(plan, consumers=[0] * plan.width)
+            with self._lock:
+                return plans.add(key, plan, len(plan.flat) + plan.width)
+        with self._lock:
+            plan = plans.get(key)
+            if plan is not None:  # compiled while this thread waited
+                _hits += 1
+                return plan
+            end = key + 1
+            stop = min(key + max(1, _BATCH // spec.width), self._stop)
+            while end < stop and end not in plans:
+                end += 1
+            # One timestep past the batch: its reads are the batch's last
+            # row's consumers (the graph's last row has neither).  The
+            # windows from the row before the batch on: each is the next's
+            # previous row.
+            steps = range(key - 1, min(end + 1, spec.height))
+            csr_cols, csr_counts = spec.dependency_columns_batch(key, end + 1)
+            widths = [spec.width_at_timestep(t) if t >= 0 else 0 for t in steps]
+            offs = [spec.offset_at_timestep(t) if t >= 0 else 0 for t in steps]
+            task_at = [0, *accumulate(widths[1:])]
+            prev_at = [0, *accumulate(widths[:-1])]
+            per_row = np.add.reduceat(csr_counts, task_at[:-1])  # edges a row
+            csr_flat = csr_cols - np.repeat(offs[:-1], per_row)
+            csr_reads = np.bincount(
+                csr_flat + np.repeat(prev_at[:-1], per_row),
+                minlength=prev_at[-1]).tolist()
+            cols, flat = tuple(csr_cols.tolist()), csr_flat.tolist()
+            counts, edge_at = csr_counts.tolist(), [0, *accumulate(per_row.tolist())]
+            reads = [csr_reads[a:b] for a, b in pairwise(prev_at)]
+            row_counts = [counts[a:b] for a, b in pairwise(task_at)]
+            rows = map(
+                RowPlan, offs[1:], widths[1:], offs,
+                [flat[a:b] for a, b in pairwise(edge_at)],
+                [[0, *accumulate(row)] for row in row_counts], row_counts,
+                reads, reads[1:] + [[0] * widths[-1]],
+                [cols[a:b] for a, b in pairwise(edge_at)])
+            made = [plans.add(t, plan, len(plan.flat) + plan.width)
+                    for t, plan in zip(range(key, end), rows)]
+            _compiles += 2 * (end - max(key, 1))
+        return made[0]
 
     def totals(self) -> Tuple[int, int]:
-        """``(tasks, dependence edges)`` of the whole graph, summed over its
-        row plans once per table."""
-        totals = self._totals
-        if totals is None:
-            plans = [self.row_plan(t) for t in range(self.spec.height)]
-            totals = self._totals = (
-                sum(p.width for p in plans), sum(p.starts[-1] for p in plans)
-            )
-        return totals
+        """``(tasks, dependence edges)`` of the whole graph — the lead, one
+        cycle times how often it comes round, and the rest of the last one —
+        summed once per table: off the rows that are held, and for the
+        others off the bulk query's arrays, compiling nothing."""
+        if self._totals is None:
+            spec, plans, lead = self.spec, self._plans, self._lead
+            step = max(1, _BATCH // spec.width)
+            tasks = edges = 0
 
-    def _local(self, rel: _Rel, t: int, i: int) -> int:
-        k = i - rel.off
-        if not 0 <= k < rel.width:
-            self.spec._check_point(t, i)  # raises IndexError with the
-            raise AssertionError("unreachable")  # canonical message
-        return k
+            def count(t: int, t1: int, times: int = 1) -> None:
+                nonlocal tasks, edges
+                while t < t1:
+                    plan = plans.get(t)  # below ``_stop``: filed under itself
+                    if plan is not None:
+                        n, m, t = plan.width, len(plan.flat), t + 1
+                    else:
+                        cols, counts = spec.dependency_columns_batch(
+                            t, min(t + step, t1))
+                        n, m, t = len(counts), len(cols), t + step
+                    tasks, edges = tasks + times * n, edges + times * m
+
+            rounds, rest = divmod(max(0, spec.height - lead), self._cycle)
+            count(0, min(lead, spec.height))
+            count(lead, lead + self._cycle if rounds else lead, rounds)
+            count(lead, lead + rest)
+            self._totals = tasks, edges
+        return self._totals
 
     # ------------------------------------------------------------------
     # Queries (same semantics as DependenceSpec / TaskGraph)
     # ------------------------------------------------------------------
     def dependencies(self, t: int, i: int) -> List[Interval]:
-        if not 0 < t <= self._last:
-            return self.spec.dependencies(t, i)  # boundary / error path
-        rel = self._pair(t)[0]
-        return merge_intervals(rel.cols[self._local(rel, t, i)])
+        return merge_intervals(self.dependency_columns(t, i))
 
     def reverse_dependencies(self, t: int, i: int) -> List[Interval]:
-        if not 0 <= t < self._last:
-            return self.spec.reverse_dependencies(t, i)
-        rel = self._pair(t + 1)[1]
-        return merge_intervals(rel.cols[self._local(rel, t, i)])
+        return merge_intervals(self.reverse_dependency_columns(t, i))
 
     def dependency_columns(self, t: int, i: int) -> Tuple[int, ...]:
         """Ascending columns at ``t - 1`` read by ``(t, i)`` as a shared
         tuple (the canonical gather/validation order)."""
-        if not 0 < t <= self._last:
-            return tuple(self.spec.dependency_points(t, i))
-        rel = self._pair(t)[0]
-        # The window test is inlined here and below, not left to ``_local``:
-        # these run several times per task in every task-by-task executor.
-        k = i - rel.off
-        if 0 <= k < rel.width:
-            return rel.cols[k]
-        return rel.cols[self._local(rel, t, i)]
+        plan = self.row_plan(t)
+        k = i - plan.off
+        if not 0 <= k < plan.width:
+            self.spec._check_point(t, i)  # raises, with the canonical message
+        return plan.deps[k]
 
     def reverse_dependency_columns(self, t: int, i: int) -> Tuple[int, ...]:
         """Ascending columns at ``t + 1`` that read ``(t, i)``, shared."""
-        if not 0 <= t < self._last:
+        if not 0 <= t < self._last:  # nobody reads the last row
             return tuple(self.spec.reverse_dependency_points(t, i))
-        rel = self._pair(t + 1)[1]
-        k = i - rel.off
-        if 0 <= k < rel.width:
-            return rel.cols[k]
-        return rel.cols[self._local(rel, t, i)]
+        plan = self.row_plan(t + 1)
+        k = i - plan.prev_off
+        if not 0 <= k < len(plan.reads):
+            self.spec._check_point(t, i)  # raises
+        return plan.readers[k]
 
     def num_dependencies(self, t: int, i: int) -> int:
-        if not 0 < t <= self._last:
-            return self.spec.num_dependencies(t, i)
-        rel = self._pair(t)[0]
-        k = i - rel.off
-        if 0 <= k < rel.width:
-            return rel.counts[k]
-        return rel.counts[self._local(rel, t, i)]
+        plan = self.row_plan(t)
+        k = i - plan.off
+        if not 0 <= k < plan.width:
+            self.spec._check_point(t, i)  # raises
+        return plan.counts[k]
 
     def row_task_counts(self, t: int) -> Tuple[int, List[int]]:
         """``(offset, per-column dependency counts)`` for every task at
         timestep ``t`` — the bulk form scheduler initialization uses (one
         lookup per timestep instead of one query per task).  The returned
-        list is the compiled structure's own; callers must not mutate it.
+        list is the compiled row's own; callers must not mutate it.
         """
-        spec = self.spec
-        if not 0 < t <= self._last:
-            # The first timestep has no inputs regardless of its set id.
-            return spec.offset_at_timestep(t), [0] * spec.width_at_timestep(t)
-        rel = self._pair(t)[0]
-        return rel.off, rel.counts
+        plan = self.row_plan(t)
+        return plan.off, plan.counts
 
     def consumer_count(self, t: int, i: int) -> int:
         """How many tasks at ``t + 1`` read the output of ``(t, i)``."""
-        if not 0 <= t < self._last:
-            return count_points(self.spec.reverse_dependencies(t, i))
-        rel = self._pair(t + 1)[1]
-        k = i - rel.off
-        if 0 <= k < rel.width:
-            return rel.counts[k]
-        return rel.counts[self._local(rel, t, i)]
+        plan = self.row_plan(t)
+        k = i - plan.off
+        if not 0 <= k < plan.width:
+            self.spec._check_point(t, i)  # raises
+        return plan.consumers[k]
 
 
 @lru_cache(maxsize=256)

@@ -20,19 +20,34 @@ Every comparison is one C ``memcmp``: ``validate_inputs`` (one task) and
 compare them against the expected bytes of the whole block; an input too
 large to be worth joining is compared in place through the buffer protocol.
 Only a mismatch walks small inputs one by one, to name the offending slot.
-Expected patterns come from one memo bounded in bytes (:func:`_expected`).
+
+Expected patterns come from one memo bounded in bytes (``_memo``), keyed
+``(seed, graph_index, t, cols, nbytes)``: the outputs of producers
+``(t, col)`` for ``col`` in ``cols``, laid end to end — the inputs of one
+task or of a column block of row ``t + 1``, or what a task or a block of
+row ``t`` writes.  A single column of any size is one packed header tiled,
+and the inputs of one task are its columns' patterns joined
+(:func:`_expected`).  The block of a row owner is never made alone: the
+first row it compares or writes misses, and the miss stamps the same block
+of a **batch** of rows — as many as hold ``fastpath._BATCH`` tasks or
+``_BULK_BYTES`` of patterns — with one header-array store, cut into the
+memo row by row (:func:`_stamp`), so that a first pass over a small-payload
+graph costs a slice per row, not a header per input.  The column keys come
+from the row plans, the bytes from this arithmetic alone: nothing expected
+is ever derived from a buffer under test.
 """
 
 from __future__ import annotations
 
 import struct
 import threading
-from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from itertools import accumulate, chain
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
 from .bufpool import as_array
+from .fastpath import _BATCH, Bounded
 
 if TYPE_CHECKING:  # pragma: no cover
     from .bufpool import Payload
@@ -64,8 +79,11 @@ _BULK_BYTES = 1 << 16
 _MEMO_BYTES = 1 << 21
 _ENTRY_BYTES = 128
 
-_memo: Dict[tuple, bytearray] = {}
-_memo_held = 0
+#: Oldest first, like the row plans: a graph too tall for it misses on every
+#: row of every pass under any order.  Hits are lock-free probes; inserts
+#: and evictions hold the lock.  An evicted 64 KiB pattern is the allocation
+#: the next one reuses.
+_memo = Bounded(_MEMO_BYTES)
 _memo_lock = threading.Lock()
 
 
@@ -84,71 +102,63 @@ def _output_bytes(seed: int, graph_index: int, t: int, i: int, nbytes: int) -> b
     return (header * reps)[:nbytes]
 
 
-@lru_cache(maxsize=64)
-def _block_template(seed: int, graph_index: int, cols: Tuple[int, ...],
-                    nbytes: int) -> np.ndarray:
-    """Read-only ``(len(cols), reps, 4)`` int64 header template of the
-    outputs of columns ``cols`` with the timestep field left zero — one per
-    (graph identity, column tuple), shared by every timestep (the dependence
-    relation revisits the same columns each timestep, the timestep is
-    stamped per use).  Only blocks of several columns, which callers keep
-    at or below ``_BULK_BYTES``, are built from one; it is what makes the
-    first pass over a small-payload graph cost a copy and a strided store
-    per row, not a header packed per input."""
-    reps = -(-nbytes // HEADER_BYTES)  # ceil division
-    tmpl = np.empty((len(cols), reps, 4), dtype="<i8")
-    tmpl[:, :, 0] = 0
-    tmpl[:, :, 1] = np.asarray(cols, dtype="<i8").reshape(-1, 1)
-    tmpl[:, :, 2] = graph_index
-    tmpl[:, :, 3] = seed
-    tmpl.setflags(write=False)
-    return tmpl
+def _stamp(seed: int, graph_index: int, nbytes: int,
+           rows: Sequence[Tuple[int, Sequence[int]]]) -> bytearray:
+    """Memoise the pattern of every ``(t, cols)`` of ``rows`` and return the
+    first one's: all their headers are packed by one array store (``t``
+    repeated per column, the columns laid end to end), tiled, and sliced
+    into the memo a row at a time."""
+    counts = [len(cols) for _, cols in rows]
+    total = sum(counts)
+    headers = np.empty((total, 1, 4), dtype="<i8")
+    headers[:, 0, 0] = np.repeat([t for t, _ in rows], counts)
+    headers[:, 0, 1] = np.fromiter(
+        chain.from_iterable(cols for _, cols in rows), "<i8", total)
+    headers[:, 0, 2:] = graph_index, seed
+    tiled = np.broadcast_to(headers, (total, -(-nbytes // HEADER_BYTES), 4))
+    data = memoryview(
+        tiled.reshape(total, -1).view(np.uint8)[:, :nbytes].tobytes())
+    ends = [n * nbytes for n in accumulate(counts)]
+    with _memo_lock:
+        patterns = [
+            _memo.add((seed, graph_index, t, cols, nbytes),
+                      bytearray(data[a:b]), b - a + _ENTRY_BYTES)
+            for (t, cols), a, b in zip(rows, [0] + ends, ends)
+        ]
+    return patterns[0]
 
 
-def _stamped_block(seed: int, graph_index: int, t: int,
-                   cols: Tuple[int, ...], nbytes: int) -> np.ndarray:
-    """Fresh ``(len(cols), nbytes)`` uint8 array whose row ``k`` is the
-    output pattern of ``(t, cols[k])``: the cached template with ``t``
-    stamped in."""
-    block = _block_template(seed, graph_index, cols, nbytes).copy()
-    block[:, :, 0] = t
-    return block.reshape(len(cols), -1).view(np.uint8)[:, :nbytes]
+def _batch_of(graph: "TaskGraph", t: int, row_bytes: int) -> range:
+    """The timesteps from ``t`` on that one miss stamps together, at
+    ``row_bytes`` of patterns each."""
+    rows = min(_BATCH // graph.max_width, _BULK_BYTES // row_bytes)
+    return range(t, min(t + max(1, rows), graph.timesteps))
 
 
-def _expected(seed: int, graph_index: int, t: int, cols: Tuple[int, ...],
+def _expected(seed: int, graph_index: int, t: int, cols: Sequence[int],
               nbytes: int) -> bytearray:
     """The outputs of producers ``(t, col)`` for ``col`` in ``cols``, laid
-    end to end: the expected inputs of one task or of a whole row block, or
-    (one column) the pattern a task writes.  Shared — callers must not
-    mutate it.  A ``bytearray`` because that is the type whose ``==``
-    compares against any contiguous buffer with one ``memcmp``.
+    end to end, from the memo.  Shared — callers must not mutate it.  A
+    ``bytearray`` because that is the type whose ``==`` compares against
+    any contiguous buffer with one ``memcmp``.  The writer of row ``t``
+    leaves here what the validation of row ``t + 1`` looks up.
 
-    Memoised in insertion order up to ``_MEMO_BYTES``: hits are lock-free
-    dict probes, inserts and evictions hold the memo's lock (the
-    idiom of :mod:`~repro.core.fastpath`'s caches).  The writer of row
-    ``t`` leaves here what the validation of row ``t + 1`` looks up, and an
-    evicted 64 KiB pattern is the allocation the next one reuses."""
-    global _memo_held
+    A miss on one column packs its header and tiles it; a miss on several —
+    the inputs of one task, where no batch is in sight — joins theirs."""
     key = (seed, graph_index, t, cols, nbytes)
     try:
         return _memo[key]
     except KeyError:
         pass
-    if len(cols) == 1:  # any size: one packed header, tiled
+    if len(cols) == 1:
         pattern = bytearray(_HEADER.pack(t, cols[0], graph_index, seed))
         pattern *= -(-nbytes // HEADER_BYTES)  # ceil division
         del pattern[nbytes:]
     else:
-        pattern = bytearray(
-            _stamped_block(seed, graph_index, t, cols, nbytes).tobytes())
+        pattern = bytearray().join(
+            [_expected(seed, graph_index, t, (col,), nbytes) for col in cols])
     with _memo_lock:
-        if key not in _memo:
-            _memo[key] = pattern
-            _memo_held += len(pattern) + _ENTRY_BYTES
-            while _memo_held > _MEMO_BYTES:
-                oldest = _memo.pop(next(iter(_memo)))
-                _memo_held -= len(oldest) + _ENTRY_BYTES
-    return pattern
+        return _memo.add(key, pattern, len(pattern) + _ENTRY_BYTES)
 
 
 def task_output(graph: "TaskGraph", t: int, i: int) -> np.ndarray:
@@ -189,9 +199,10 @@ def task_outputs(
 
     With ``out`` (one destination array per task) each pattern is written in
     place and ``out`` is returned.  Otherwise a block of at most
-    ``_BULK_BYTES`` is one fresh buffer handed out as per-task views of it,
-    and a larger one (where one big copy costs more than it saves) a fresh
-    buffer per task.
+    ``_BULK_BYTES`` is one fresh buffer — one ``memcpy`` of the block's
+    memoised pattern, stamped with the same block of the rows after it on a
+    miss — handed out as per-task views of it, and a larger one (where one
+    big copy costs more than it saves) a fresh buffer per task.
     """
     if out is not None:
         for i, dest in zip(range(lo, hi), out):
@@ -199,8 +210,12 @@ def task_outputs(
         return out
     nbytes = graph.output_bytes_per_task
     if hi - lo > 1 and 0 < (hi - lo) * nbytes <= _BULK_BYTES:
-        return list(_stamped_block(graph.seed, graph.graph_index, t,
-                                   tuple(range(lo, hi)), nbytes))
+        seed, gidx, cols = graph.seed, graph.graph_index, range(lo, hi)
+        block = np.empty((hi - lo, nbytes), dtype=np.uint8)
+        block.data.cast("B")[:] = _memo.get((seed, gidx, t, cols, nbytes)) or _stamp(
+            seed, gidx, nbytes,
+            [(u, cols) for u in _batch_of(graph, t, (hi - lo) * nbytes)])
+        return list(block)
     return [task_output(graph, t, i) for i in range(lo, hi)]
 
 
@@ -230,23 +245,19 @@ def _as_flat_uint8(buf) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.uint8)
 
 
-def _matches_block(graph: "TaskGraph", t: int, cols: Tuple[int, ...],
-                   inputs: Sequence["Payload"]) -> bool:
-    """Whether ``inputs``, laid end to end, are byte for byte the outputs of
-    producers ``(t, col)`` for ``col`` in ``cols``: one ``memcmp`` against
-    the memoised expected block.  Contiguous arrays join as they are (buffer
+def _joined(inputs: Sequence["Payload"]) -> bytes | None:
+    """``inputs`` laid end to end, to be compared with the expected bytes of
+    a whole block by one ``memcmp`` (``None``, equal to nothing, when one of
+    them has no byte view).  Contiguous arrays join as they are (buffer
     protocol) — a raw copy of at most ``_BULK_BYTES``, far cheaper than
     per-input comparisons at this size."""
     try:
-        combined = b"".join(inputs)
+        return b"".join(inputs)
     except TypeError:  # pool handles, strided views or non-buffers among them
         try:
-            combined = b"".join([_as_flat_uint8(b) for b in inputs])
+            return b"".join([_as_flat_uint8(b) for b in inputs])
         except _NO_BYTE_VIEW:
-            return False
-    return _expected(
-        graph.seed, graph.graph_index, t, cols, graph.output_bytes_per_task
-    ) == combined
+            return None
 
 
 def validate_inputs(
@@ -270,15 +281,15 @@ def validate_inputs(
         )
     if not cols:
         return
+    seed, gidx = graph.seed, graph.graph_index
     nbytes = graph.output_bytes_per_task
-    if 0 < nbytes * len(cols) <= _BULK_BYTES and _matches_block(
-        graph, t - 1, cols, inputs
-    ):
+    if 0 < nbytes * len(cols) <= _BULK_BYTES and _expected(
+        seed, gidx, t - 1, cols, nbytes
+    ) == _joined(inputs):
         return
     # Large inputs, or a mismatch somewhere: the per-input walk pinpoints
     # the offending slot for the error message.  One memcmp per input, in
     # place: ``bytearray == buffer`` makes no temporary.
-    seed, gidx = graph.seed, graph.graph_index
     for slot, (col, buf) in enumerate(zip(cols, inputs)):
         try:
             arr = _as_flat_uint8(buf)
@@ -299,7 +310,9 @@ def validate_row(
     ``inputs`` is the tasks' canonical input lists laid end to end (the
     order of ``plan.flat``).  When the count is right and the block is small
     it is compared against the expected bytes of the whole block with one
-    ``memcmp``: every input byte of every task is still checked.  Anything
+    ``memcmp``: every input byte of every task is still checked (a block
+    the memo does not hold is stamped together with the same block of the
+    rows after it, as far as a batch goes and the rows hold it).  Anything
     else — a mismatch, a wrong count, a block above ``_BULK_BYTES`` — goes
     to :func:`validate_inputs` task by task, splitting ``inputs`` at the
     plan's CSR offsets (the last task takes the tail), so the error names
@@ -310,16 +323,30 @@ def validate_row(
     starts = plan.starts
     first = starts[lo - plan.off]
     count = starts[hi - plan.off] - first
+    nbytes = graph.output_bytes_per_task
     if len(inputs) == count and (
         not count
-        or 0 < graph.output_bytes_per_task * count <= _BULK_BYTES
-        and _matches_block(graph, t - 1, plan.columns(lo, hi), inputs)
+        or 0 < nbytes * count <= _BULK_BYTES
+        and (_memo.get((graph.seed, graph.graph_index, t - 1,
+                        plan.columns(lo, hi), nbytes))
+             or _stamp_rows(graph, t, lo, hi, nbytes * count)
+             ) == _joined(inputs)
     ):
         return
     for i in range(lo, hi):
         k = i - plan.off
         end = starts[k + 1] - first if i < hi - 1 else None
         validate_inputs(graph, t, i, inputs[starts[k] - first:end])
+
+
+def _stamp_rows(graph: "TaskGraph", t: int, lo: int, hi: int,
+                row_bytes: int) -> bytearray:
+    """The expected inputs of columns ``[lo, hi)`` of row ``t``, memoised
+    with those of the rows of its batch whose windows hold the block."""
+    plans = map(graph.row_plan, _batch_of(graph, t, row_bytes))
+    return _stamp(graph.seed, graph.graph_index, graph.output_bytes_per_task, [
+        (u - 1, plan.columns(lo, hi)) for u, plan in enumerate(plans, t)
+        if plan.off <= lo <= hi <= plan.off + plan.width])
 
 
 def _bad_input(

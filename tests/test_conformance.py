@@ -230,6 +230,19 @@ def test_cluster_side_matches_serial(runtime, dep, nbytes, serial_reference):
     assert _run_captured(runtime, factory()) == reference
 
 
+@pytest.mark.parametrize("runtime", ["threads", "cluster_uds"])
+def test_tall_random_graph_matches_serial(runtime, serial_reference):
+    """1,500 rows that never repeat — taller than one batch of compiled
+    rows, and than the 1,024 entries the table once stopped at: a
+    task-by-task executor (per-task views derived from the plans) and a
+    block owner (sub-row blocks of them) against the whole-row serial."""
+    factory = lambda: [TaskGraph(  # noqa: E731
+        timesteps=1500, max_width=8, dependence=DependenceType.RANDOM_NEAREST,
+        radix=7, fraction_connected=0.75, output_bytes_per_task=16)]
+    reference = serial_reference("tall-dense-random", factory)
+    assert _run_captured(runtime, factory()) == reference
+
+
 @pytest.mark.parametrize("scenario", sorted(HETEROGENEOUS), ids=str)
 @pytest.mark.parametrize("runtime", THREAD_SIDE + PROCESS_SIDE + CLUSTER_SIDE)
 def test_heterogeneous_graphs_match_serial(runtime, scenario, serial_reference):

@@ -16,6 +16,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -222,14 +223,18 @@ NAMED_SPECS = {
 
 
 def _check_bulk(s, t0, t1):
-    """``dependency_columns_batch(t0, t1)`` against the scalar spec: every
-    row forward, and transposed against the reverse relation."""
+    """``dependency_columns_batch(t0, t1)`` against the scalar spec: the CSR
+    cut back into rows, every one forward, and transposed against the
+    reverse relation."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # uint64 wrap-around must be silent
-        rows = s.dependency_columns_batch(t0, t1)
-    assert len(rows) == min(t1, s.height) - t0
-    for t, row in enumerate(rows, t0):
+        cols, counts = s.dependency_columns_batch(t0, t1)
+    assert cols.dtype == counts.dtype == np.int64
+    assert cols.ndim == counts.ndim == 1 and len(cols) == counts.sum()
+    deps = iter(np.split(cols, np.cumsum(counts)[:-1]) if len(counts) else ())
+    for t in range(t0, min(t1, s.height)):
         off, width = s.offset_at_timestep(t), s.width_at_timestep(t)
+        row = [tuple(next(deps).tolist()) for _ in range(width)]
         assert row == [tuple(s.dependency_points(t, i))
                        for i in range(off, off + width)]
         if t == 0:
@@ -242,6 +247,7 @@ def _check_bulk(s, t0, t1):
         for j in range(before, before + s.width_at_timestep(t - 1)):
             assert tuple(readers.get(j, ())) == tuple(
                 s.reverse_dependency_points(t - 1, j))
+    assert next(deps, None) is None  # every task accounted for, none over
 
 
 class TestBulkQuery:
@@ -298,7 +304,7 @@ class TestBulkQuery:
         table = DependenceTable(s)
         edges = sum(len(cols) for t in range(s.height)
                     for cols in table.row_plan(t).deps)
-        batches = -(-(s.height - 1) // (fastpath._BATCH // s.width))
+        batches = -(-s.height // (fastpath._BATCH // s.width))
         assert len(calls) == 4 * batches
         assert edges > 100 * len(calls)
 
@@ -416,9 +422,9 @@ class TestConsumerCountRegression:
 
 
 class TestFrontCacheEviction:
-    """Caches are bounded by distinct structures, not by timesteps: a tall
-    periodic graph holds a handful and never evicts (the never-repeating
-    one that does is hammered in ``test_row_plan``)."""
+    """Plans are held per distinct row, not per timestep: a tall periodic
+    graph holds a handful and never evicts (the never-repeating one that
+    does is hammered in ``test_row_plan``)."""
 
     def test_concurrent_lookups_over_tall_spec(self):
         s = DependenceSpec(DependenceType.STENCIL_1D, 8, 3000)
@@ -447,7 +453,7 @@ class TestFrontCacheEviction:
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in threads)
         assert not errors, errors
-        assert len(table._sets) == 1
+        assert sorted(table._plans) == [1]  # the steady row, for every query
 
     def test_second_sweep_of_a_tall_stencil_only_hits(self):
         s = DependenceSpec(DependenceType.STENCIL_1D, 8, 3000)
@@ -457,8 +463,8 @@ class TestFrontCacheEviction:
         for t in range(s.height):
             assert table.row_plan(t) is plans[t]
         assert fastpath.counters() == (s.height, 0)
-        # One set (two structures), and the first, steady and last plans.
-        assert (len(table._sets), len(table._plans)) == (1, 3)
+        # The first, steady and last rows.
+        assert sorted(table._plans) == [0, 1, s.height - 1]
 
     def test_threads_run_taller_than_front_cache(self):
         g = TaskGraph(timesteps=1500, max_width=8,
@@ -467,6 +473,58 @@ class TestFrontCacheEviction:
         ex = make_executor("threads", workers=2)
         for _ in range(3):
             assert ex.run([g], validate=True).total_tasks == 1500 * 8
+
+
+class TestTallRandomGraphsByCount:
+    """What a graph taller or wider than the plans' budget costs, counted —
+    compiles, stamps and the cache's own accounting — not clocked."""
+
+    def test_second_run_of_2000_random_rows_compiles_and_stamps_nothing(
+            self, monkeypatch):
+        """The ``dense_random`` shape eight times as tall: every row is its
+        own dependence set, and all of them — plans and expected blocks —
+        are still held when the run comes round again."""
+        from repro.core import validation
+
+        g = TaskGraph(timesteps=2000, max_width=8,
+                      dependence=DependenceType.RANDOM_NEAREST, radix=7,
+                      fraction_connected=0.75, output_bytes_per_task=16,
+                      seed=0xD5E)
+        stamps = []
+        stamp = validation._stamp
+        monkeypatch.setattr(validation, "_stamp",
+                            lambda *a: stamps.append(a) or stamp(*a))
+        with make_executor("serial") as ex:
+            fastpath.reset_counters()
+            ex.run([g], validate=True)
+            assert fastpath.counters()[1] == 2 * (g.timesteps - 1) and stamps
+            del stamps[:]
+            fastpath.reset_counters()
+            ex.run([g], validate=True)
+        # Two lookups a row (the executor's and ``execute_row``'s), all hits.
+        assert fastpath.counters() == (2 * g.timesteps, 0)
+        assert not stamps
+
+    def test_plans_are_budgeted_in_edges_not_entries(self):
+        """64 x 2,048 random: twice what the budget holds.  The table keeps
+        the newest rows, its count of what they hold is exact, and a row
+        that went comes back equal."""
+        s = DependenceSpec(DependenceType.RANDOM_NEAREST, 64, 2048, radix=5,
+                           fraction=0.5, seed=11)
+        table = DependenceTable(s)
+        first = table.row_plan(1)
+        for t in range(s.height):
+            table.row_plan(t)
+        plans = table._plans
+        cost = [len(p.flat) + p.width for p in plans.values()]
+        assert plans.held == sum(cost) <= plans.budget == fastpath._MAX_EDGES
+        assert plans.held > plans.budget - max(cost)  # full, not half empty
+        assert s.height // 4 < len(plans) < s.height
+        assert list(plans) == list(range(s.height - len(plans), s.height))
+        again = table.row_plan(1)
+        assert again is not first and astuple(again) == astuple(first)
+        # An 8-wide graph of any radix keeps the 1,024 rows it always kept.
+        assert fastpath._MAX_EDGES >= 1024 * (8 + 8 * 8)
 
 
 class TestKernelBufferReuse:

@@ -7,6 +7,7 @@ identical output bytes on good inputs, the identical ``ValidationError``
 message on bad ones.
 """
 
+import functools
 import sys
 import threading
 
@@ -15,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DependenceType, Kernel, KernelType, TaskGraph, fastpath
+from repro.core import (
+    DependenceType, Kernel, KernelType, TaskGraph, fastpath, validation,
+)
 from repro.core.bufpool import HeapSlabPool, as_array
 from repro.core.dependence import DependenceSpec, count_points
 from repro.core.fastpath import DependenceTable
@@ -81,30 +84,36 @@ def _point_loop(g, t, lo, hi, inputs, out=None):
     return results
 
 
+def _oracle_row(s, t):
+    """Every field of row ``t``'s plan, from the scalar spec alone."""
+    off, width = s.offset_at_timestep(t), s.width_at_timestep(t)
+    prev_off = s.offset_at_timestep(t - 1) if t else 0
+    prev_width = s.width_at_timestep(t - 1) if t else 0
+    deps = tuple(tuple(s.dependency_points(t, i))
+                 for i in range(off, off + width))
+    readers = tuple(tuple(s.reverse_dependency_points(t - 1, j))
+                    for j in range(prev_off, prev_off + prev_width))
+    counts = [len(d) for d in deps]
+    return dict(
+        off=off, width=width, prev_off=prev_off, deps=deps, readers=readers,
+        counts=counts, starts=[sum(counts[:k]) for k in range(width + 1)],
+        cols=tuple(j for d in deps for j in d),
+        flat=[j - prev_off for d in deps for j in d],
+        reads=[len(r) for r in readers],
+        consumers=[count_points(s.reverse_dependencies(t, i))
+                   for i in range(off, off + width)],
+    )
+
+
 class TestRowPlanFields:
     @settings(max_examples=60, deadline=None)
     @given(specs)
     def test_fields_match_spec(self, s):
         g = _graph_of(s)
-        o = g.spec
-        for t in range(o.height):
-            plan = g.row_plan(t)
-            off, width = o.offset_at_timestep(t), o.width_at_timestep(t)
-            assert (plan.off, plan.width) == (off, width)
-            deps = [tuple(o.dependency_points(t, i)) if t else ()
-                    for i in range(off, off + width)]
-            assert list(plan.deps) == deps
-            assert plan.counts == [len(d) for d in deps]
-            assert plan.starts == [sum(plan.counts[:k])
-                                   for k in range(width + 1)]
-            prev_off = o.offset_at_timestep(t - 1) if t else 0
-            assert plan.flat == [j - prev_off for d in deps for j in d]
-            assert plan.consumers == [
-                count_points(o.reverse_dependencies(t, i))
-                for i in range(off, off + width)
-            ]
-            assert plan.columns(off, off + width) == tuple(
-                j for d in deps for j in d)
+        for t in range(s.height):
+            plan, want = g.row_plan(t), _oracle_row(g.spec, t)
+            assert {name: getattr(plan, name) for name in want} == want
+            assert plan.columns(plan.off, plan.off + plan.width) is plan.cols
 
     @settings(max_examples=60, deadline=None)
     @given(specs)
@@ -149,10 +158,12 @@ class TestRowPlanFields:
         with pytest.raises(IndexError):
             g.row_plan(-1)
 
-    def test_concurrent_lookups_past_front_cache(self):
-        """3000 never-repeating rows under 4 threads: insertion and FIFO
-        eviction — of whole batches of structures and of plans — stay
-        atomic, and what was evicted recompiles equal."""
+    def test_concurrent_lookups_past_front_cache(self, monkeypatch):
+        """3000 never-repeating rows under 4 threads and an edge budget a
+        fifth of them fit: insertion and oldest-first eviction of whole
+        batches of plans stay atomic, the cache's own count of what it holds
+        stays exact, and what was evicted recompiles equal."""
+        monkeypatch.setattr(fastpath, "_MAX_EDGES", 1 << 14)
         s = DependenceSpec(DependenceType.RANDOM_NEAREST, 8, 3000, radix=5,
                            period=-1, fraction=0.5, seed=7)
         table = DependenceTable(s)
@@ -181,8 +192,164 @@ class TestRowPlanFields:
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in threads)
         assert not errors, errors
-        assert len(table._plans) == fastpath._MAX_SETS
-        assert len(table._sets) == fastpath._MAX_SETS
+        plans = table._plans
+        assert plans.held == sum(len(p.flat) + p.width for p in plans.values())
+        assert plans.budget - 64 < plans.held <= plans.budget == 1 << 14
+        assert s.height - 1 in plans and 0 not in plans
+
+
+def _matrix_spec(dtype, width, height, period, seed):
+    return DependenceSpec(dtype, width, height, radix=4, period=period,
+                          fraction=0.6, seed=seed)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_rows(*spec):
+    """The oracle of one matrix cell, shared by its held and evicting runs."""
+    s = _matrix_spec(*spec)
+    return [_oracle_row(s, t) for t in range(s.height)]
+
+
+class TestArraysAgainstTheOracle:
+    """Every array-built field of every plan, and both per-task views derived
+    from it, against the scalar ``dependencies()`` / ``reverse_dependencies()``
+    — on graphs whose heights straddle a batch boundary (three rows a batch
+    here), the end of the set-id cycle (fft stages, the tree's lead, spread's
+    width, a random period) and, with a budget of a few rows, the point
+    where the oldest plans go and come back."""
+
+    WIDTHS = range(1, 18)
+
+    @pytest.mark.parametrize("evicting", [False, True], ids=["held", "evicting"])
+    @pytest.mark.parametrize("dtype", list(DependenceType), ids=lambda d: d.value)
+    def test_every_field_of_every_row(self, dtype, evicting, monkeypatch):
+        periods = (-1, 2) if dtype is DependenceType.RANDOM_NEAREST else (-1,)
+        for width in self.WIDTHS:
+            monkeypatch.setattr(fastpath, "_BATCH", 3 * width)
+            if evicting:  # two or three rows of it
+                monkeypatch.setattr(fastpath, "_MAX_EDGES", 10 * width)
+            for period in periods:
+                lead, cycle = DependenceSpec(
+                    dtype, width, 2, period=period).dependence_set_cycle()
+                heights = {1, 2, 3, 4, 5} | {
+                    lead + cycle + d for d in (-1, 0, 1, 2) if period != -1
+                    or dtype is not DependenceType.RANDOM_NEAREST}
+                for height in sorted(h for h in heights if 1 <= h <= 20):
+                    self._check(_matrix_spec(
+                        dtype, width, height, period, 31 * width + height),
+                        evicting)
+
+    @staticmethod
+    def _check(s, evicting):
+        table = DependenceTable(s)
+        want = _oracle_rows(s.dtype, s.width, s.height, s.period, s.seed)
+        # Forward, then back: batches begin at any row, evicted rows return.
+        for t in [*range(s.height), *reversed(range(s.height))]:
+            plan = table.row_plan(t)
+            assert {name: getattr(plan, name) for name in want[t]} == want[t], (
+                s.dtype, s.width, s.height, s.period, t)
+            lo = plan.off + plan.width // 3
+            assert plan.columns(lo, plan.off + plan.width) == tuple(
+                j for d in want[t]["deps"][lo - plan.off:] for j in d)
+        for t, row in enumerate(() if evicting else want):  # once is enough
+            for k, i in enumerate(range(row["off"], row["off"] + row["width"])):
+                assert table.dependency_columns(t, i) == row["deps"][k]
+                assert table.num_dependencies(t, i) == row["counts"][k]
+                assert table.consumer_count(t, i) == row["consumers"][k]
+                assert table.dependencies(t, i) == s.dependencies(t, i)
+                assert table.reverse_dependency_columns(t, i) == tuple(
+                    s.reverse_dependency_points(t, i))
+        points = sum(row["width"] for row in want)
+        assert DependenceTable(s).totals() == table.totals() == (
+            points, sum(len(row["flat"]) for row in want))
+        plans = table._plans
+        assert plans.held == sum(len(p.flat) + p.width for p in plans.values())
+        if evicting and points > 40 * s.width:
+            assert len(plans) < s.height  # something did go
+
+
+class TestBatchStampedBlocksKillMutants:
+    """A slice of the harness mutants (ROADMAP 5a) aimed at the batch stamp:
+    the first validated row of a block owner misses the pattern memo and
+    stamps the expected blocks of the rows after it too, so a later row is
+    compared against bytes made rows earlier.  Serve it the row before
+    last, one dependency shifted, or two inputs swapped, and it must die
+    with the text ``execute_point`` dies with — under ``_BULK_BYTES``, where
+    the stamped block is what is compared, and over it."""
+
+    T0, T = 2, 5  # the row that stamps, and the row that is served wrong
+
+    @pytest.fixture
+    def fresh_memo(self, monkeypatch):
+        monkeypatch.setattr(validation, "_memo",
+                            fastpath.Bounded(validation._MEMO_BYTES))
+
+    def _graph(self, nbytes):
+        return TaskGraph(
+            timesteps=9, max_width=8, dependence=DependenceType.RANDOM_NEAREST,
+            radix=7, fraction_connected=0.75, output_bytes_per_task=nbytes,
+            seed=0xD5E)
+
+    def _mutated(self, mutant, g):
+        cols = g.row_plan(self.T).cols
+        inputs = [task_output(g, self.T - 1, j) for j in cols]
+        where = len(cols) // 2
+        if mutant == "row before last":
+            return [task_output(g, self.T - 2, j) for j in cols]
+        if mutant == "shifted dependency":
+            inputs[where] = task_output(g, self.T - 1, (cols[where] + 1) % 8)
+        else:
+            other = next(n for n, j in enumerate(cols) if j != cols[where])
+            inputs[where], inputs[other] = inputs[other], inputs[where]
+        return inputs
+
+    @pytest.mark.parametrize("nbytes", [16, _BULK_BYTES // 8],
+                             ids=["bulk", "per-input"])
+    @pytest.mark.parametrize(
+        "mutant", ["row before last", "shifted dependency", "swapped inputs"])
+    def test_killed_with_the_text_of_execute_point(self, mutant, nbytes,
+                                                   fresh_memo):
+        g = self._graph(nbytes)
+        g.execute_row(self.T0, 0, 8, _inputs(g, self.T0, 0, 8), scratch=None,
+                      validate=True)
+        plan = g.row_plan(self.T)
+        stamped = (g.seed, 0, self.T - 1, plan.cols, nbytes) in validation._memo
+        assert stamped == (nbytes * len(plan.cols) <= _BULK_BYTES)
+        assert stamped == (nbytes == 16)
+        bad = self._mutated(mutant, g)
+        with pytest.raises(ValidationError) as want:
+            _point_loop(g, self.T, 0, 8, list(bad))
+        with pytest.raises(ValidationError) as got:
+            g.execute_row(self.T, 0, 8, bad, scratch=None, validate=True)
+        assert str(got.value) == str(want.value)
+        assert f"(t={self.T}, i=" in str(got.value)
+        # The right inputs still pass against the same stamped block.
+        g.execute_row(self.T, 0, 8, _inputs(g, self.T, 0, 8), scratch=None,
+                      validate=True)
+
+    @pytest.mark.parametrize("nbytes", [16, _BULK_BYTES // 8],
+                             ids=["bulk", "per-input"])
+    def test_serial_dies_of_a_gather_shifted_by_one(self, nbytes, monkeypatch,
+                                                    fresh_memo):
+        """The same mutant inside the harness: ``serial`` gathers row 5 from
+        a plan whose ``flat`` names a neighbour's output once."""
+        g = self._graph(nbytes)
+        plan = g.row_plan(self.T)
+        where = len(plan.flat) // 2
+        shifted = list(plan.flat)
+        shifted[where] = (shifted[where] + 1) % 8
+        monkeypatch.setattr(plan, "flat", shifted)
+        with pytest.raises(ValidationError) as got:
+            make_executor("serial").run([g], validate=True)
+        k = next(k for k in range(8) if plan.starts[k + 1] > where)
+        # (A 16-byte output holds half a header: it cannot say whose it is.)
+        assert str(got.value) == (
+            f"task (t={self.T}, i={k}) of graph 0: input slot "
+            f"{where - plan.starts[k]} should be the output of "
+            f"(t={self.T - 1}, i={plan.cols[where]}) but " + (
+                "does not match any expected task output" if nbytes == 16 else
+                f"is the output of graph 0 task (t={self.T - 1}, "
+                f"i={shifted[where]})"))
 
 
 class TestExecuteRowEquivalence:

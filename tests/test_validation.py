@@ -285,16 +285,19 @@ class TestPatternMemoIsBoundedInBytes:
         make_executor("serial").run([g], validate=True)
         held = sum(len(p) + validation._ENTRY_BYTES
                    for p in validation._memo.values())
-        assert held == validation._memo_held  # the memo's own counter is exact
+        assert held == validation._memo.held  # the memo's own counter is exact
         return held
 
-    def test_held_bytes_do_not_grow_with_graph_height(self):
-        validation._block_template.cache_clear()
+    def test_held_bytes_do_not_grow_with_graph_height(self, monkeypatch):
+        stamps = []
+        stamp = validation._stamp
+        monkeypatch.setattr(validation, "_stamp",
+                            lambda *a: stamps.append(a) or stamp(*a))
         short = self._held_after_serial_run(100)
         tall = self._held_after_serial_run(400)
         assert short == tall <= validation._MEMO_BYTES <= 8 << 20
-        # 64 KiB patterns are tiled from one header, never from a template.
-        assert validation._block_template.cache_info().currsize == 0
+        # 64 KiB patterns are tiled from one header, never batch-stamped.
+        assert not stamps
 
     def test_concurrent_misses_keep_the_count_exact(self):
         """Four threads miss, insert and evict at once (the ``threads``
@@ -326,4 +329,4 @@ class TestPatternMemoIsBoundedInBytes:
         assert not errors, errors
         held = sum(len(p) + validation._ENTRY_BYTES
                    for p in validation._memo.values())
-        assert held == validation._memo_held <= validation._MEMO_BYTES
+        assert held == validation._memo.held <= validation._MEMO_BYTES
