@@ -42,7 +42,8 @@ check of every field.
 ``consumer_count``, ...) read the same plans; the two per-task views — every
 column's dependency tuple (:attr:`RowPlan.deps`) and its transpose
 (:attr:`RowPlan.readers`) — are derived from a plan the first time a
-task-by-task executor asks and kept on it.
+task-by-task executor asks and kept on it, as is the index array
+(:attr:`RowPlan.index`) a block owner gathers a row with.
 
 **Bounded by what it holds.**  The plans of a table are budgeted in edges
 (``_MAX_EDGES``; a task counts as one more), not in entries, so a wide
@@ -147,7 +148,8 @@ class RowPlan:
         CSR of every task's inputs: those of local columns ``[a, b)`` are
         ``flat[starts[a]:starts[b]]``.  ``flat`` holds positions *in the
         previous row* (column minus that row's offset), so a previous row
-        kept as a plain list gathers with ``[row[j] for j in plan.flat]``.
+        kept as a plain list gathers with ``[row[j] for j in plan.flat]``
+        and one kept as a block with ``row.take(plan.index, 0)``.
     ``counts[k]`` / ``consumers[k]``
         how many inputs local column ``k`` reads, and how many tasks of row
         ``t + 1`` read its output.
@@ -164,7 +166,7 @@ class RowPlan:
     them) and shared: callers must not mutate them.
     """
 
-    # The fields in slots, the two views beside them in ``__dict__``: filling
+    # The fields in slots, the views beside them in ``__dict__``: filling
     # that would slow every read of a field that lived there too.
     __slots__ = ("off", "width", "prev_off", "flat", "starts", "counts",
                  "reads", "consumers", "cols", "__dict__")
@@ -183,6 +185,12 @@ class RowPlan:
         gather order (the key of the block's expected bytes)."""
         starts = self.starts  # (the whole of a tuple is the tuple itself)
         return self.cols[starts[lo - self.off]:starts[hi - self.off]]
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """``flat`` as the index array a previous row kept as one block is
+        gathered with."""
+        return np.array(self.flat, dtype=np.intp)
 
     @cached_property
     def deps(self) -> Tuple[Tuple[int, ...], ...]:

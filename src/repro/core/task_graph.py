@@ -262,13 +262,8 @@ class TaskGraph:
         kernel = self.kernel
         if kernel.kernel_type is not KernelType.EMPTY:
             kernel.execute(t, i, scratch=scratch, seed=self.seed)
-        if out is None:
-            return _validation.task_outputs(self, t, i, i + 1)[0]
-        _validation.task_outputs(
-            self, t, i, i + 1,
-            (out if type(out) is np.ndarray else as_array(out),),
-        )
-        return out
+        return _validation.task_outputs(
+            self, t, i, i + 1, None if out is None else (out,))[0]
 
     def execute_row(
         self,
@@ -288,16 +283,27 @@ class TaskGraph:
         blocks: same validation, same kernels, same output bytes, paid once
         per block instead of once per task.  ``inputs`` is the tasks'
         canonical input lists laid end to end, i.e. the outputs of row
-        ``t - 1`` at ``row_plan(t).flat[starts[lo - off]:starts[hi - off]]``;
-        validation compares the whole block in one pass and walks it task
-        by task only to name the offender (see
+        ``t - 1`` at ``row_plan(t).flat[starts[lo - off]:starts[hi - off]]``
+        — a list, or one array with an input per row (what ``take`` with
+        ``row_plan(t).index`` makes of a previous row kept as a block);
+        validation compares the whole block in one pass, an array where it
+        lies, and walks it task by task only to name the offender (see
         :func:`~repro.core.validation.validate_row`).  ``scratch`` is one
-        buffer for every task, or one per task of the block.  ``out``, when
-        given, holds one destination (array or pool handle) per task and is
-        returned — a block owner may pass the buffers of the row before
-        last, which nothing reads any more, so whoever keeps an output past
-        the start of the row after next must copy it; otherwise the outputs
-        are fresh arrays, which may be views of one block-sized buffer.
+        buffer for every task, or one per task of the block.
+
+        The outputs of a block of several tasks and at most
+        ``validation._BULK_BYTES`` are **one** fresh ``(hi - lo, nbytes)``
+        ``uint8`` array, the unit a block owner keeps, gathers from and
+        ships; a larger block, or a single task, is a list of a fresh array
+        per task.  Either way the result has a ``len`` and is indexed and
+        iterated task by task — and nothing else: a block has no truth value
+        and ``+`` adds its bytes.  A per-task view of a block (what indexing
+        it gives a sink, a rank's delivery, a per-task store) keeps the
+        whole block alive.  ``out``, when given, holds exactly one
+        destination (array or pool handle) per task and is returned — a
+        block owner may pass the buffers of the row before last, which
+        nothing reads any more, so whoever keeps an output past the start of
+        the row after next must copy it.
 
         Handles among ``inputs`` are resolved (and their generation tags
         verified) only when validating: nothing else reads them.
@@ -324,12 +330,7 @@ class TaskGraph:
                         "task", _trace.CAT_KERNEL, t0,
                         {"task": (self.graph_index, t, i)},
                     )
-        if out is None:
-            return _validation.task_outputs(self, t, lo, hi)
-        _validation.task_outputs(
-            self, t, lo, hi, [_bufpool.as_array(x) for x in out]
-        )
-        return out
+        return _validation.task_outputs(self, t, lo, hi, out)
 
     # ------------------------------------------------------------------
     # Convenience

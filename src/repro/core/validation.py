@@ -16,10 +16,12 @@ a stale buffer, a dropped or reordered message — trips a
 Validation happens on every input of every task, so this is the hottest
 path of the core library (the paper bounds validation overhead at 3%).
 Every comparison is one C ``memcmp``: ``validate_inputs`` (one task) and
-``validate_row`` (a column block of one timestep) join small inputs and
-compare them against the expected bytes of the whole block; an input too
-large to be worth joining is compared in place through the buffer protocol.
-Only a mismatch walks small inputs one by one, to name the offending slot.
+``validate_row`` (a column block of one timestep) compare small inputs
+against the expected bytes of the whole block — where they lie when they
+arrive as one C-contiguous array (a row block gathered with one ``take``),
+joined when they arrive as a list; an input too large to be worth joining
+is compared in place through the buffer protocol.  Only a mismatch walks
+small inputs one by one, to name the offending slot.
 
 Expected patterns come from one memo bounded in bytes (``_memo``), keyed
 ``(seed, graph_index, t, cols, nbytes)``: the outputs of producers
@@ -192,21 +194,29 @@ def write_task_output(graph: "TaskGraph", t: int, i: int, dest: np.ndarray) -> N
 
 def task_outputs(
     graph: "TaskGraph", t: int, lo: int, hi: int,
-    out: Sequence[np.ndarray] | None = None,
-) -> Sequence[np.ndarray]:
+    out: Sequence["Payload"] | None = None,
+) -> Sequence["Payload"]:
     """The outputs of tasks ``(t, lo) .. (t, hi - 1)``, in column order:
     the one output writer behind ``execute_point`` and ``execute_row``.
 
-    With ``out`` (one destination array per task) each pattern is written in
-    place and ``out`` is returned.  Otherwise a block of at most
-    ``_BULK_BYTES`` is one fresh buffer — one ``memcpy`` of the block's
+    With ``out`` (exactly one destination per task, array or pool handle)
+    each pattern is written in place and ``out`` is returned.  Otherwise a
+    block of several tasks and at most ``_BULK_BYTES`` is one fresh
+    ``(hi - lo, nbytes)`` ``uint8`` array — one ``memcpy`` of the block's
     memoised pattern, stamped with the same block of the rows after it on a
-    miss — handed out as per-task views of it, and a larger one (where one
-    big copy costs more than it saves) a fresh buffer per task.
+    miss — returned as it is: indexing or iterating it yields the per-task
+    views, and only who needs one makes one.  A larger block (where one big
+    copy costs more than it saves) or a single task is a list of a fresh
+    buffer per task.
     """
     if out is not None:
+        if len(out) != hi - lo:
+            raise ValueError(
+                f"row {t} block [{lo}, {hi}) of graph {graph.graph_index} has "
+                f"{hi - lo} tasks but {len(out)} output destinations")
         for i, dest in zip(range(lo, hi), out):
-            write_task_output(graph, t, i, dest)
+            write_task_output(
+                graph, t, i, dest if type(dest) is np.ndarray else as_array(dest))
         return out
     nbytes = graph.output_bytes_per_task
     if hi - lo > 1 and 0 < (hi - lo) * nbytes <= _BULK_BYTES:
@@ -215,7 +225,7 @@ def task_outputs(
         block.data.cast("B")[:] = _memo.get((seed, gidx, t, cols, nbytes)) or _stamp(
             seed, gidx, nbytes,
             [(u, cols) for u in _batch_of(graph, t, (hi - lo) * nbytes)])
-        return list(block)
+        return block
     return [task_output(graph, t, i) for i in range(lo, hi)]
 
 
@@ -245,12 +255,17 @@ def _as_flat_uint8(buf) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.uint8)
 
 
-def _joined(inputs: Sequence["Payload"]) -> bytes | None:
+def _joined(inputs: Sequence["Payload"]) -> "bytes | np.ndarray | None":
     """``inputs`` laid end to end, to be compared with the expected bytes of
     a whole block by one ``memcmp`` (``None``, equal to nothing, when one of
-    them has no byte view).  Contiguous arrays join as they are (buffer
-    protocol) — a raw copy of at most ``_BULK_BYTES``, far cheaper than
-    per-input comparisons at this size."""
+    them has no byte view).  A C-contiguous array — a gathered row block, or
+    a task's slice of one — is its rows laid end to end already and is
+    compared where it lies, as raw bytes whatever its dtype.  Contiguous
+    arrays in a list join as they are (buffer protocol) — a raw copy of at
+    most ``_BULK_BYTES``, far cheaper than per-input comparisons at this
+    size."""
+    if type(inputs) is np.ndarray and inputs.flags.c_contiguous:
+        return inputs
     try:
         return b"".join(inputs)
     except TypeError:  # pool handles, strided views or non-buffers among them
@@ -308,15 +323,19 @@ def validate_row(
     """Check the inputs of tasks ``(t, lo) .. (t, hi - 1)`` at once.
 
     ``inputs`` is the tasks' canonical input lists laid end to end (the
-    order of ``plan.flat``).  When the count is right and the block is small
-    it is compared against the expected bytes of the whole block with one
-    ``memcmp``: every input byte of every task is still checked (a block
-    the memo does not hold is stamped together with the same block of the
-    rows after it, as far as a batch goes and the rows hold it).  Anything
-    else — a mismatch, a wrong count, a block above ``_BULK_BYTES`` — goes
-    to :func:`validate_inputs` task by task, splitting ``inputs`` at the
-    plan's CSR offsets (the last task takes the tail), so the error names
-    the same task, slot and stale producer as ``execute_point`` would.
+    order of ``plan.flat``): a list, or one array with an input per row.
+    When the count is right and the block is small it is compared against
+    the expected bytes of the whole block with one ``memcmp`` (in place when
+    it is a C-contiguous array, :func:`_joined`; the count of an array is
+    its ``len``, so one of the right bytes in another shape is walked like
+    the list of its rows): every input byte of every task is still checked
+    (a block the memo does not hold is stamped together with the same block
+    of the rows after it, as far as a batch goes and the rows hold it).
+    Anything else — a mismatch, a wrong count, a block above
+    ``_BULK_BYTES`` — goes to :func:`validate_inputs` task by task,
+    splitting ``inputs`` at the plan's CSR offsets (the last task takes the
+    tail), so the error names the same task, slot and stale producer as
+    ``execute_point`` would.
     Inputs may be pool handles; they are resolved (and their generation
     tags verified) on the way.
     """

@@ -11,12 +11,13 @@ from __future__ import annotations
 import contextlib
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core import bufpool
 from ..core.bufpool import PayloadRef, PoolStats, SlabPool
+from ..core.fastpath import RowPlan
 from ..core.metrics import DataPlaneStats
 from ..core.task_graph import TaskGraph
 from ..trace import recorder as trace
@@ -412,17 +413,22 @@ def retire_rows(
     t: int,
     lo: int,
     hi: int,
-    outputs: Iterable["bufpool.Payload | None"],
+    outputs: Sequence["bufpool.Payload | None"],
 ) -> None:
     """Surface columns ``[lo, hi)`` of row ``t`` of ``g`` — run as one
     block, or in another process — to the installed sinks, task by task in
     program order: start, one acquire per input, finish, and for a task
     somebody reads, publish and its entry of ``outputs`` (the block's
-    outputs in column order; ``None`` where nobody asked for them).
+    outputs in column order — a list or the block itself, exactly one per
+    task, checked sink or no sink; ``None`` where nobody asked for them).
 
     What executors that do not go task by task call in place of
     :func:`run_task` and :func:`publish`.  The kernels already ran, so
     nothing here is a span or an instant."""
+    if len(outputs) != hi - lo:
+        raise RuntimeError(
+            f"graph {g.graph_index}: row {t} block [{lo}, {hi}) retired "
+            f"with {len(outputs)} outputs for {hi - lo} tasks")
     if not _sinks:
         return
     gi = g.graph_index
@@ -437,6 +443,35 @@ def retire_rows(
         if plan.consumers[k] > 0:
             record_event(EV_PUBLISH, key)
             capture_output(key, value)
+
+
+def gather_row(row: Sequence[Any], plan: RowPlan, lo: int, hi: int) -> Sequence[Any]:
+    """The inputs of columns ``[lo, hi)`` of the row ``plan`` compiles, laid
+    end to end as ``execute_row`` takes them, out of ``row`` — every output
+    of the row before, in column order, as ``execute_row`` returned it.  A
+    block is gathered with one ``take`` (a fresh C-contiguous block, which
+    validation compares where it lies), a list entry by entry."""
+    block = type(row) is np.ndarray
+    picks = plan.index if block else plan.flat
+    if hi - lo != plan.width:  # a sub-block: its stretch of the CSR
+        picks = picks[plan.starts[lo - plan.off]:plan.starts[hi - plan.off]]
+    return row.take(picks, 0) if block else [row[j] for j in picks]
+
+
+def check_drained(g: TaskGraph, t: int, before: RowPlan | None,
+                  plan: RowPlan | None) -> None:
+    """The reference counting of an executor that keeps whole rows, done on
+    the plans: row ``t - 1`` was published under ``before`` (``None``: there
+    was none) and row ``t`` reads it as ``plan`` says (``None``: the run is
+    over and nothing does).  Each output must be read exactly as often as
+    its consumer count promised."""
+    if before is not None:
+        reads = plan.reads if plan is not None else [0] * before.width
+        if reads != before.consumers:
+            raise RuntimeError(
+                f"graph {g.graph_index}: outputs of timestep {t - 1} were published "
+                f"for {before.consumers} reads but are read {reads} times — task "
+                "outputs never consumed (or consumed twice)")
 
 
 def run_point(

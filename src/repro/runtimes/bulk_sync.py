@@ -48,12 +48,12 @@ class BulkSyncExecutor(Executor):
                         if t >= g.timesteps:
                             continue
                         off = g.offset_at_timestep(t)
-                        active = list(range(off, off + g.width_at_timestep(t)))
-                        for cols in _split(active, self.workers):
+                        for lo, hi in _split(
+                                off, off + g.width_at_timestep(t), self.workers):
                             futures.append(
                                 pool.submit(
                                     run_point_batch, store, scratch, by_index,
-                                    [(g.graph_index, t, i) for i in cols],
+                                    [(g.graph_index, t, i) for i in range(lo, hi)],
                                     validate=validate, pool=buffers,
                                 )
                             )

@@ -7,6 +7,15 @@ to and from the GPU on every timestep").  The timestep-phased structure
 mirrors the hierarchical MPI+X model: a barrier per timestep, parallelism
 within it.
 
+The parent keeps rows as ``serial`` does — per graph, the previous row as
+``execute_row`` returned it — and no per-task store: a chunk's inputs are
+gathered out of the row with ``_common.gather_row`` (one ``take`` of a
+block), a round's chunk outputs are joined in column order into the next
+row, and ``_common.check_drained`` does the reference counting on the row
+plans.  What crosses the pipe for a chunk is one array of inputs and one of
+outputs (a list of arrays each way only where ``execute_row`` keeps lists:
+above ``validation._BULK_BYTES``, or for a single task).
+
 This executor is the *copying* baseline of the data-plane A/B pair: every
 payload is pickled across the pool on every timestep, and the copied bytes
 are counted in the run's :class:`~repro.core.metrics.DataPlaneStats`.  The
@@ -34,6 +43,7 @@ from typing import Any, Callable, ClassVar, Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..core.executor_base import Executor
+from ..core.fastpath import RowPlan
 from ..core.metrics import DataPlaneStats, FaultStats
 from ..core.task_graph import TaskGraph
 from ..faults import (
@@ -41,7 +51,7 @@ from ..faults import (
     fault_from_env,
 )
 from ..trace import recorder as trace
-from ._common import OutputStore, retire_rows
+from ._common import check_drained, gather_row, retire_rows
 from ._procpool import ForkWorkerPool
 
 # Per-process caches, initialized lazily inside workers.
@@ -104,10 +114,11 @@ def wire_graph(g: TaskGraph) -> TaskGraph:
 
 
 def _worker_chunk(
-    args: Tuple[int, int, int, int, List[np.ndarray], bool],
+    args: Tuple[int, int, int, int, Sequence[np.ndarray], bool],
 ) -> Sequence[np.ndarray]:
     """Execute columns ``[lo, hi)`` of one (graph, timestep) in a worker
-    process as one row block.  Returns the outputs in column order.
+    process as one row block.  Returns the outputs in column order, as
+    ``execute_row`` does: one array for a block it stamps as one.
 
     The graph is referenced by index only: the parent guarantees the
     worker's cache is coherent before any round of a run is dispatched
@@ -295,60 +306,62 @@ class ProcessPoolExecutor(_PhasedProcessExecutor):
         (all of its chunks across every graph), shipped with
         :meth:`ForkWorkerPool.run_assigned` — one send and one receive per
         worker per timestep with no result remapping."""
-        store = OutputStore()
-        bytes_copied = 0
-        payloads_copied = 0
-        max_t = max(g.timesteps for g in graphs)
+        rows: List[Sequence[np.ndarray]] = [()] * len(graphs)
+        plans: List[RowPlan | None] = [None] * len(graphs)
+        copied = [0] * len(graphs)  # payloads pickled, per graph
         procs = self._sync_workers(graphs)
-        nw = self.workers
-        for t in range(max_t):
-            frames: List[List[Any]] = [[] for _ in range(nw)]
-            frame_graphs: List[List[TaskGraph]] = [[] for _ in range(nw)]
-            for g in graphs:
+        for t in range(max(g.timesteps for g in graphs)):
+            frames: List[List[Any]] = [[] for _ in range(self.workers)]
+            sent = []  # per graph with a row at ``t``: its number and chunks
+            for n, g in enumerate(graphs):
                 if t >= g.timesteps:
                     continue
-                off = g.offset_at_timestep(t)
-                active = list(range(off, off + g.width_at_timestep(t)))
-                for w, cols in enumerate(_split(active, nw)):
-                    inputs = [
-                        buf for i in cols for buf in store.gather(g, t, i)
-                    ]
-                    bytes_copied += sum(buf.nbytes for buf in inputs)
-                    payloads_copied += len(inputs)
+                plan = g.row_plan(t)
+                check_drained(g, t, plans[n], plan)
+                plans[n] = plan
+                split = _split(plan.off, plan.off + plan.width, self.workers)
+                sent.append((n, split))
+                for w, (lo, hi) in enumerate(split):
+                    inputs = gather_row(rows[n], plan, lo, hi)
+                    copied[n] += len(inputs) + hi - lo
                     frames[w].append(
-                        (g.graph_index, t, cols[0], cols[-1] + 1, inputs,
-                         validate)
-                    )
-                    frame_graphs[w].append(g)
-            for w, frame_results in enumerate(procs.run_assigned(frames)):
-                for g, frame, outputs in zip(
-                    frame_graphs[w], frames[w], frame_results
-                ):
-                    gi, _t, lo, hi = frame[:4]
+                        (g.graph_index, t, lo, hi, inputs, validate))
+            # Chunk ``w`` of each of those graphs went to worker ``w``, in
+            # ``sent`` order: the replies come off in the same order.
+            replies = [iter(r) for r in procs.run_assigned(frames)]
+            for n, split in sent:
+                blocks = [next(replies[w]) for w in range(len(split))]
+                for (lo, hi), block in zip(split, blocks):
                     # Kernels ran in worker processes; they are surfaced
-                    # here, once the results have crossed back — the
-                    # earliest point a sink can order them.
-                    retire_rows(g, t, lo, hi, outputs)
-                    for i, out in zip(range(lo, hi), outputs):
-                        bytes_copied += out.nbytes
-                        payloads_copied += 1
-                        store.put((gi, t, i), out, g.consumer_count(t, i))
+                    # (and counted: a block short of outputs fails here)
+                    # once the results have crossed back — the earliest
+                    # point a sink can order them.
+                    retire_rows(graphs[n], t, lo, hi, block)
+                rows[n] = _join(blocks)
         self._drain_worker_traces(procs)
-        store.assert_drained()
+        for g, plan in zip(graphs, plans):
+            check_drained(g, g.timesteps, plan, None)
         self._data_plane = DataPlaneStats(
-            bytes_copied=bytes_copied, payloads_copied=payloads_copied
+            bytes_copied=sum(
+                n * g.output_bytes_per_task for n, g in zip(copied, graphs)),
+            payloads_copied=sum(copied),
         )
 
 
-def _split(items: List[int], parts: int) -> List[List[int]]:
-    """Split ``items`` into at most ``parts`` contiguous, balanced chunks."""
-    parts = min(parts, len(items))
-    if parts == 0:
-        return []
-    size, extra = divmod(len(items), parts)
-    out, pos = [], 0
-    for p in range(parts):
-        n = size + (1 if p < extra else 0)
-        out.append(items[pos : pos + n])
-        pos += n
-    return out
+def _join(blocks: List[Sequence[np.ndarray]]) -> Sequence[np.ndarray]:
+    """A round's chunk outputs, in column order, as one row: one block when
+    every chunk came back as one, else the list of every task's output."""
+    if len(blocks) == 1:
+        return blocks[0]
+    if all(type(block) is np.ndarray for block in blocks):
+        return np.concatenate(blocks)
+    return [out for block in blocks for out in block]
+
+
+def _split(lo: int, hi: int, parts: int) -> List[Tuple[int, int]]:
+    """Split columns ``[lo, hi)`` into at most ``parts`` contiguous, balanced
+    blocks ``(first column, end column)``, the larger ones first."""
+    parts = min(parts, hi - lo)
+    size, extra = divmod(hi - lo, max(parts, 1))
+    starts = [lo + p * size + min(p, extra) for p in range(parts + 1)]
+    return list(zip(starts, starts[1:]))

@@ -329,11 +329,10 @@ class ShmProcessPoolExecutor(_PhasedProcessExecutor):
                     if t >= g.timesteps:
                         continue
                     off = g.offset_at_timestep(t)
-                    active = list(range(off, off + g.width_at_timestep(t)))
                     gi = g.graph_index
-                    for w, cols in enumerate(_split(active, nw)):
-                        if not cols:
-                            continue
+                    for w, (lo, hi) in enumerate(
+                            _split(off, off + g.width_at_timestep(t), nw)):
+                        cols = range(lo, hi)
                         # The store entries must exist now so later
                         # timesteps of this window can gather from them,
                         # though the kernels have not run yet — events and
@@ -346,7 +345,6 @@ class ShmProcessPoolExecutor(_PhasedProcessExecutor):
                             g.output_bytes_per_task,
                             [max(c, 1) for c in consumers],
                         )
-                        lo, hi = cols[0], cols[-1] + 1
                         steps[w][t - t0].append(
                             (gi, t, lo, hi, in_refs, out_refs, validate)
                         )

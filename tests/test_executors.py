@@ -9,6 +9,7 @@ correct").
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -19,6 +20,7 @@ from repro.core import (
     ValidationError,
 )
 from repro.core import validation
+from repro.core.bufpool import as_array
 from repro.core.fastpath import DependenceTable
 from repro.runtimes import available_runtimes, make_executor
 from repro.runtimes._common import capturing_outputs
@@ -127,7 +129,8 @@ def test_validation_detects_corrupted_producer(runtime, monkeypatch):
     def corrupting(graph, t, lo, hi, out=None):
         outputs = real(graph, t, lo, hi, out)
         if t == 3 and lo <= 2 < hi and graph.output_bytes_per_task:
-            outputs[2 - lo][0] ^= 0xFF  # fresh array or pooled slot alike
+            # A fresh array, a row of a block or a pooled slot's handle alike.
+            as_array(outputs[2 - lo])[0] ^= 0xFF
         return outputs
 
     monkeypatch.setattr(validation, "task_outputs", corrupting)
@@ -151,34 +154,55 @@ def test_kernel_exception_propagates(runtime, monkeypatch):
         make_executor(runtime, workers=2).run([g])
 
 
+_ROW_PLAN = DependenceTable.row_plan
+
+
+def _tamper_with_consumers(monkeypatch, bad_t, by, real=_ROW_PLAN):
+    """Row ``bad_t``'s plan claims ``by`` more consumers of column 1."""
+
+    class Tampered:
+        def __init__(self, plan):
+            self._plan = plan
+            self.consumers = list(plan.consumers)
+            self.consumers[1] += by
+
+        def __getattr__(self, name):
+            return getattr(self._plan, name)
+
+    monkeypatch.setattr(
+        DependenceTable, "row_plan",
+        lambda self, t: Tampered(real(self, t)) if t == bad_t else real(self, t),
+    )
+
+
 def test_serial_detects_undrained_row(monkeypatch):
     """The serial executor keeps no reference-counted store: what
     ``OutputStore.assert_drained`` guaranteed is checked on the row plans.
     A plan whose reads disagree with the consumer counts the previous row
     was published with — an output leaked, or read once too often — must
     fail the run, and so must a last row that still promises readers."""
-    real = DependenceTable.row_plan
-
-    class Tampered:
-        """A row plan with column 1 claiming one consumer more."""
-
-        def __init__(self, plan):
-            self._plan = plan
-            self.consumers = list(plan.consumers)
-            self.consumers[1] += 1
-
-        def __getattr__(self, name):
-            return getattr(self._plan, name)
-
     for bad_t in (2, 7):  # a middle row; the last row
-        monkeypatch.setattr(
-            DependenceTable, "row_plan",
-            lambda self, t, bad_t=bad_t: (
-                Tampered(real(self, t)) if t == bad_t else real(self, t)),
-        )
+        _tamper_with_consumers(monkeypatch, bad_t, +1)
         g = make_graph(DependenceType.STENCIL_1D)
         with pytest.raises(RuntimeError, match="never consumed"):
             make_executor("serial").execute_graphs([g])
+
+
+def test_processes_detects_undrained_row_in_serials_words(monkeypatch):
+    """``processes`` keeps rows as ``serial`` does, and no store either: an
+    undrained row (one read promised too many), an over-read one (one too
+    few) and a last row still owed a read fail it with ``serial``'s text."""
+    g = make_graph(DependenceType.STENCIL_1D)
+    for bad_t, by in ((2, +1), (2, -1), (7, +1)):
+        _tamper_with_consumers(monkeypatch, bad_t, by)
+        said = []
+        for runtime in ("serial", "processes"):
+            with make_executor(runtime, workers=2) as ex:
+                with pytest.raises(RuntimeError, match="never consumed") as exc:
+                    ex.execute_graphs([g])
+            said.append(str(exc.value))
+        assert said[0] == said[1]
+        assert f"outputs of timestep {bad_t} were published" in said[0]
 
 
 def test_serial_multigraph_uneven_heights():
@@ -282,6 +306,117 @@ def test_processes_memory_kernel():
         scratch_bytes_per_task=64,
     )
     make_executor("processes", workers=2).run([g])
+
+
+def _pipe_traffic(monkeypatch):
+    """Spy on the fork pool's pipes: every chunk's inputs as the parent
+    sends them and every chunk's outputs as they come back."""
+    from repro.runtimes._procpool import ForkWorkerPool
+
+    sent, received = [], []
+    send, recv = ForkWorkerPool._send, ForkWorkerPool._recv
+
+    def spy_send(self, targets, messages):
+        for w in targets:
+            if isinstance(messages[w], list):  # a round's chunks, not a broadcast
+                sent.extend(chunk[4] for chunk in messages[w])
+        return send(self, targets, messages)
+
+    def spy_recv(self, w, deadline):
+        reply = recv(self, w, deadline)
+        if reply[0] == "ok" and isinstance(reply[1], list):
+            received.extend(reply[1])
+        return reply
+
+    monkeypatch.setattr(ForkWorkerPool, "_send", spy_send)
+    monkeypatch.setattr(ForkWorkerPool, "_recv", spy_recv)
+    return sent, received
+
+
+#: Heights 9 / 3 / 6 / 4 / 5, two windows that change width (tree, fft), a
+#: row of 64 KiB + 8 B that stays a list, and one three wide, whose chunks
+#: at two workers are a block of two and a list of one.
+ROW_GRAPHS = [
+    dict(pattern=DependenceType.STENCIL_1D, timesteps=9),
+    dict(pattern=DependenceType.TREE, timesteps=3, max_width=8),
+    dict(pattern=DependenceType.FFT, timesteps=6, max_width=8,
+         output_bytes_per_task=40),
+    dict(pattern=DependenceType.STENCIL_1D, timesteps=4, max_width=8,
+         output_bytes_per_task=validation._BULK_BYTES // 8 + 1),
+    dict(pattern=DependenceType.NEAREST, timesteps=5, max_width=3),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_processes_rows_are_bytewise_serials(workers, monkeypatch):
+    """Under the conformance capture ``processes`` publishes what ``serial``
+    does, on graphs of different heights and on rows whose width changes;
+    a chunk crosses the pipe as one array each way wherever ``execute_row``
+    makes one, and the data plane counts every payload it always did."""
+    graphs = [make_graph(graph_index=n, **kw) for n, kw in enumerate(ROW_GRAPHS)]
+    with capturing_outputs() as want:
+        make_executor("serial").run(graphs)
+    sent, received = _pipe_traffic(monkeypatch)
+    with make_executor("processes", workers=workers) as ex:
+        with capturing_outputs() as got:
+            r = ex.run(graphs)
+    assert got == want
+    chunks = sum(min(workers, g.width_at_timestep(t))
+                 for g in graphs for t in range(g.timesteps))
+    assert len(sent) == len(received) == chunks
+    # An output block: several tasks, at most _BULK_BYTES.  An input block:
+    # a gather from a row that came back (or was joined) as one.
+    blocks = [x for x in received if type(x) is np.ndarray]
+    assert blocks and all(x.ndim == 2 and len(x) > 1 for x in blocks)
+    assert all(type(x) is np.ndarray or len(x) == 1
+               or len(x) * x[0].nbytes > validation._BULK_BYTES
+               for x in received)
+    assert all(type(x) in (list, np.ndarray) for x in sent)
+    assert sum(type(x) is np.ndarray for x in sent) >= len(blocks) // 2
+    payloads = sum(g.total_tasks() + g.total_dependencies() for g in graphs)
+    assert r.data_plane.payloads_copied == payloads
+    assert sum(map(len, sent)) + sum(map(len, received)) == payloads
+    assert r.data_plane.bytes_copied == sum(
+        (g.total_tasks() + g.total_dependencies()) * g.output_bytes_per_task
+        for g in graphs)
+
+
+def test_processes_ships_one_array_per_chunk_each_way(monkeypatch):
+    """The ``fine_stencil`` shape at one and two workers: besides the first
+    row's empty gathers, everything on the pipe is one array per chunk."""
+    g = make_graph(DependenceType.STENCIL_1D, timesteps=12, max_width=8,
+                   kernel=Kernel(kernel_type=KernelType.EMPTY))
+    sent, received = _pipe_traffic(monkeypatch)
+    for workers in (1, 2):
+        del sent[:], received[:]
+        with make_executor("processes", workers=workers) as ex:
+            r = ex.run([g])
+        assert len(sent) == len(received) == 12 * workers
+        assert sent[:workers] == [[]] * workers
+        assert all(type(x) is np.ndarray and x.shape[1:] == (16,)
+                   and x.flags.c_contiguous for x in sent[workers:] + received)
+        assert r.data_plane.payloads_copied == (
+            g.total_tasks() + g.total_dependencies())
+        assert r.data_plane.bytes_copied == 16 * r.data_plane.payloads_copied
+
+
+def test_processes_rejects_a_chunk_short_of_outputs(monkeypatch):
+    """A worker answering with fewer outputs than its block has tasks fails
+    the round it answers in — the last row too, which nothing reads."""
+    from repro.runtimes import processes
+
+    real = processes._worker_chunk
+    for bad_t in (3, 7):
+        monkeypatch.setattr(
+            processes.ProcessPoolExecutor, "chunk_fn", staticmethod(
+                lambda args, bad_t=bad_t:
+                    real(args)[:-1] if args[1] == bad_t else real(args)))
+        g = make_graph(DependenceType.STENCIL_1D)
+        with make_executor("processes", workers=2) as ex:
+            with pytest.raises(RuntimeError, match=(
+                    rf"row {bad_t} block \[0, 3\) retired with 2 outputs "
+                    "for 3 tasks")):
+                ex.run([g])
 
 
 @pytest.mark.parametrize("runtime", THREADED_RUNTIMES)

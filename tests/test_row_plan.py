@@ -8,6 +8,7 @@ message on bad ones.
 """
 
 import functools
+import random
 import sys
 import threading
 
@@ -114,6 +115,8 @@ class TestRowPlanFields:
             plan, want = g.row_plan(t), _oracle_row(g.spec, t)
             assert {name: getattr(plan, name) for name in want} == want
             assert plan.columns(plan.off, plan.off + plan.width) is plan.cols
+            assert plan.index.dtype == np.intp
+            assert plan.index.tolist() == want["flat"]
 
     @settings(max_examples=60, deadline=None)
     @given(specs)
@@ -251,6 +254,7 @@ class TestArraysAgainstTheOracle:
             lo = plan.off + plan.width // 3
             assert plan.columns(lo, plan.off + plan.width) == tuple(
                 j for d in want[t]["deps"][lo - plan.off:] for j in d)
+            assert plan.index.tolist() == want[t]["flat"]
         for t, row in enumerate(() if evicting else want):  # once is enough
             for k, i in enumerate(range(row["off"], row["off"] + row["width"])):
                 assert table.dependency_columns(t, i) == row["deps"][k]
@@ -332,13 +336,15 @@ class TestBatchStampedBlocksKillMutants:
     def test_serial_dies_of_a_gather_shifted_by_one(self, nbytes, monkeypatch,
                                                     fresh_memo):
         """The same mutant inside the harness: ``serial`` gathers row 5 from
-        a plan whose ``flat`` names a neighbour's output once."""
+        a plan whose ``flat`` — and ``index``, what a row kept as one block
+        is gathered with — names a neighbour's output once."""
         g = self._graph(nbytes)
         plan = g.row_plan(self.T)
         where = len(plan.flat) // 2
         shifted = list(plan.flat)
         shifted[where] = (shifted[where] + 1) % 8
         monkeypatch.setattr(plan, "flat", shifted)
+        monkeypatch.setattr(plan, "index", np.array(shifted, dtype=np.intp))
         with pytest.raises(ValidationError) as got:
             make_executor("serial").run([g], validate=True)
         k = next(k for k in range(8) if plan.starts[k + 1] > where)
@@ -464,6 +470,232 @@ class TestExecuteRowEquivalence:
             with pytest.raises(IndexError):
                 g.execute_row(1, lo, hi, [], scratch=None, validate=False)
         assert g.execute_row(1, 1, 1, [], scratch=None, validate=True) == []
+
+
+def _verdict(call):
+    """``None`` when ``call`` validates, else the ``ValidationError`` text."""
+    try:
+        call()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _stacked(buffers, nbytes):
+    """Equal-sized buffers as the ``(count, nbytes)`` block ``take`` makes."""
+    return (np.array(buffers) if buffers
+            else np.empty((0, nbytes), dtype=np.uint8))
+
+
+def _block_mutants(rng, g, t, lo, hi):
+    """``(name, inputs)`` for the seeded mutant list (ROADMAP 5(a)) of the
+    inputs of columns ``[lo, hi)`` of row ``t``: every wrong thing a harness
+    could gather for a block owner, each as the list of equal-sized buffers
+    it would hand over.  The first entry is the right inputs."""
+    plan, nbytes = g.row_plan(t), g.output_bytes_per_task
+    a, b = plan.starts[lo - plan.off], plan.starts[hi - plan.off]
+    flat, cols = plan.flat[a:b], plan.columns(lo, hi)
+    prev = [task_output(g, t - 1, plan.prev_off + j)
+            for j in range(len(plan.reads))]
+    good = [prev[j] for j in flat]
+    assert [x.tobytes() for x in good] == [
+        task_output(g, t - 1, j).tobytes() for j in cols]
+    yield "right", good
+    if not good:
+        return
+    where = rng.randrange(len(good))
+    if nbytes:
+        # One byte at each position class: the very first, the boundary of
+        # two header fields, the very last of the block.
+        for name, k, at in [("flip first", 0, 0),
+                            ("flip field boundary", where, min(8, nbytes - 1)),
+                            ("flip last", len(good) - 1, nbytes - 1)]:
+            bad = [x.copy() for x in good]
+            bad[k][at] ^= 1 << rng.randrange(8)
+            yield name, bad
+    yield "row before last", [task_output(g, t - 2, j) for j in cols]
+    other = rng.randrange(len(good))
+    swapped = list(good)
+    swapped[where], swapped[other] = swapped[other], swapped[where]
+    yield "two inputs swapped", swapped
+    yield "tail dropped", good[:-1]
+    shifted = list(flat)
+    shifted[where] = (shifted[where] + 1) % len(prev)
+    bad = [prev[j] for j in shifted]
+    # What ``take`` makes of a previous row kept as a block, one index off.
+    assert _stacked(prev, nbytes).take(shifted, 0).tobytes() == b"".join(bad)
+    yield "take index shifted", bad
+
+
+class TestBlockVerdictIsThePerInputVerdict:
+    """A gathered block and the list it replaces pass and fail together,
+    with the text ``execute_point`` gives — for every dependence type, widths
+    1–17, payloads on both sides of ``_BULK_BYTES``, a seeded row and
+    sub-block of each, under the seeded mutant list: exactly the right
+    bytes pass, and nothing else does."""
+
+    @staticmethod
+    def _payloads(width):
+        return [1, 16, 48, 4096, _BULK_BYTES // width - 1,
+                _BULK_BYTES // width + 1]
+
+    @pytest.mark.parametrize("dtype", list(DependenceType), ids=lambda d: d.value)
+    def test_under_the_mutant_list(self, dtype):
+        rng = random.Random(f"block verdict {dtype.value}")
+        killed = {}
+        for width in range(1, 18):
+            for nbytes in self._payloads(width):
+                g = TaskGraph(
+                    timesteps=5, max_width=width, dependence=dtype, radix=5,
+                    fraction_connected=0.6, output_bytes_per_task=nbytes,
+                    seed=rng.randrange(1 << 32))
+                t = rng.randrange(1, g.timesteps)
+                off, end = g.offset_at_timestep(t), g.width_at_timestep(t)
+                end += off
+                lo = rng.choice([off, rng.randrange(off, end)])
+                hi = rng.choice([end, rng.randrange(lo + 1, end + 1)])
+                right = None
+                for name, bad in _block_mutants(rng, g, t, lo, hi):
+                    want = _verdict(lambda: _point_loop(g, t, lo, hi, bad))
+                    as_list = _verdict(lambda: g.execute_row(
+                        t, lo, hi, bad, scratch=None, validate=True))
+                    as_block = _verdict(lambda: g.execute_row(
+                        t, lo, hi, _stacked(bad, nbytes), scratch=None,
+                        validate=True))
+                    assert as_block == as_list == want, (
+                        name, width, nbytes, t, lo, hi)
+                    data = [x.tobytes() for x in bad]
+                    right = right or data  # the first is the right inputs
+                    assert (want is None) == (data == right), (
+                        name, width, nbytes, t, lo, hi)
+                    side = nbytes * len(right) <= _BULK_BYTES
+                    killed[name, side] = killed.get((name, side), 0) + (
+                        want is not None)
+        # No arm is vacuous: every mutant died on both sides of _BULK_BYTES
+        # (trivial has no inputs to get wrong).
+        if dtype is not DependenceType.TRIVIAL:
+            for name in ("flip first", "flip field boundary", "flip last",
+                         "row before last", "two inputs swapped",
+                         "tail dropped", "take index shifted"):
+                assert killed[name, True] and killed[name, False], name
+        assert not killed["right", True] and not killed.get(("right", False))
+
+
+class TestTheRowIsOneBuffer:
+    """What ``execute_row`` returns and what ``serial`` keeps, by identity
+    and count: no clock."""
+
+    def test_a_small_block_is_one_array_and_a_large_one_a_list(self):
+        for width, nbytes, block in [(8, 16, True), (2, 16, True),
+                                     (8, _BULK_BYTES // 8, True),
+                                     (8, _BULK_BYTES // 8 + 1, False),
+                                     (8, 0, False)]:
+            g = TaskGraph(timesteps=3, max_width=width,
+                          output_bytes_per_task=nbytes,
+                          dependence=DependenceType.STENCIL_1D)
+            got = g.execute_row(1, 0, width, _inputs(g, 1, 0, width),
+                                scratch=None, validate=True)
+            if block:
+                assert type(got) is np.ndarray and got.dtype == np.uint8
+                assert got.shape == (width, nbytes) and got.flags.c_contiguous
+                assert got.flags.writeable and got.base is None
+            else:
+                assert type(got) is list and len(got) == width
+                assert all(x.base is None for x in got)
+            assert [x.tobytes() for x in got] == [
+                task_output(g, 1, i).tobytes() for i in range(width)]
+        # One task is the list ``execute_point`` takes its output from.
+        assert type(g.execute_row(0, 3, 4, [], scratch=None,
+                                  validate=True)) is list
+
+    @pytest.mark.parametrize("given", [2, 6])
+    def test_destinations_must_number_the_tasks(self, given):
+        """``out=`` used to be zipped against the columns: two destinations
+        for four tasks wrote two tasks and said nothing, six left two
+        buffers unwritten."""
+        g = TaskGraph(timesteps=3, max_width=4)
+        out = [np.zeros(16, dtype=np.uint8) for _ in range(given)]
+        for call in (
+            lambda: g.execute_row(1, 0, 4, [], scratch=None, validate=False,
+                                  out=out),
+            lambda: validation.task_outputs(g, 1, 0, 4, out),
+        ):
+            with pytest.raises(ValueError, match=(
+                    rf"row 1 block \[0, 4\) of graph 0 has 4 tasks but {given} "
+                    "output destinations")):
+                call()
+        assert not any(x.any() for x in out)  # nothing was written first
+
+    def test_a_gathered_block_is_compared_where_it_lies(self, monkeypatch):
+        """What ``validate_row`` hands the memcmp for a C-contiguous block
+        *is* the block; for a list of arrays, the joined bytes."""
+        handed = []
+        joined = validation._joined
+
+        def spy(inputs):
+            handed.append(joined(inputs))
+            return handed[-1]
+
+        monkeypatch.setattr(validation, "_joined", spy)
+        g = TaskGraph(timesteps=3, max_width=8,
+                      dependence=DependenceType.STENCIL_1D)
+        plan = g.row_plan(2)
+        row = g.execute_row(1, 0, 8, _inputs(g, 1, 0, 8), scratch=None,
+                            validate=False)
+        block = row.take(plan.index, 0)
+        del handed[:]
+        g.execute_row(2, 0, 8, block, scratch=None, validate=True)
+        assert len(handed) == 1 and handed[0] is block
+        as_list = list(block)
+        g.execute_row(2, 0, 8, as_list, scratch=None, validate=True)
+        assert type(handed[1]) is bytes and handed[1] == block.tobytes()
+        # A block that is not laid out end to end is joined like its rows.
+        g.execute_row(2, 0, 8, np.asfortranarray(block), scratch=None,
+                      validate=True)
+        assert type(handed[2]) is bytes and handed[2] == block.tobytes()
+
+    def test_serial_keeps_and_retires_the_block_itself(self, monkeypatch):
+        """A warm run of the ``fine_stencil`` shape: what ``retire_rows``
+        receives is the very object ``execute_row`` returned — the block,
+        not a list of views — what the next row is gathered from is a
+        ``take`` of it, and the index arrays are built once per plan, not
+        once per run."""
+        from repro.runtimes import serial
+
+        g = TaskGraph(timesteps=250, max_width=8, output_bytes_per_task=16,
+                      dependence=DependenceType.STENCIL_1D,
+                      kernel=Kernel(kernel_type=KernelType.EMPTY))
+        executor = make_executor("serial")
+        executor.run([g], validate=True)
+        indexes = [g.row_plan(t).index for t in range(g.timesteps)]
+        assert len({id(x) for x in indexes}) == 3  # first, steady, last
+        returned, gathered, retired = [], [], []
+        execute_row = TaskGraph.execute_row
+
+        def spy(self, t, lo, hi, inputs, **kw):
+            gathered.append(inputs)
+            returned.append(execute_row(self, t, lo, hi, inputs, **kw))
+            return returned[-1]
+
+        monkeypatch.setattr(TaskGraph, "execute_row", spy)
+        monkeypatch.setattr(
+            serial, "retire_rows",
+            lambda g, t, lo, hi, outputs: retired.append(outputs))
+        executor.run([g], validate=True)
+        assert len(returned) == len(retired) == g.timesteps
+        for t in range(g.timesteps):
+            assert retired[t] is returned[t]
+            assert type(returned[t]) is np.ndarray
+            assert returned[t].shape == (8, 16)
+            assert g.row_plan(t).index is indexes[t]
+        assert gathered[0] == []
+        for t in range(1, g.timesteps):
+            assert type(gathered[t]) is np.ndarray
+            assert gathered[t].shape == (22, 16)
+            assert gathered[t].flags.c_contiguous
+            assert gathered[t].base is None  # a copy: not the row under it
+            assert gathered[t].tobytes() == returned[t - 1].take(
+                indexes[t], 0).tobytes()
 
 
 class TestExecuteRowKernels:

@@ -7,9 +7,14 @@ import numpy as np
 import pytest
 
 from repro.core import DependenceType, TaskGraph
+from repro.core.validation import _BULK_BYTES
 from repro.runtimes._common import (
     OutputStore,
     ScratchPool,
+    capturing_outputs,
+    check_drained,
+    gather_row,
+    retire_rows,
     run_point,
     task_keys,
 )
@@ -273,6 +278,63 @@ class TestReadyPool:
         pool.run(2, body, name="test-pool",
                  feed=lambda: [pool.add(k, ready=True) for k in range(20)])
         assert sorted(done) == list(range(20))
+
+
+class TestRowsKeptWhole:
+    """What ``serial`` and ``processes`` share in place of a store: the
+    gather out of the row before and the drain check on the plans."""
+
+    @pytest.mark.parametrize("nbytes", [16, _BULK_BYTES // 4 + 1],
+                             ids=["block", "list"])
+    def test_gather_is_the_plans_flat_order_for_any_sub_block(self, nbytes):
+        g = TaskGraph(timesteps=4, max_width=4, output_bytes_per_task=nbytes,
+                      dependence=DependenceType.STENCIL_1D)
+        row = g.execute_row(0, 0, 4, [], scratch=None, validate=True)
+        assert (type(row) is np.ndarray) == (nbytes == 16)
+        plan = g.row_plan(1)
+        for lo in range(4):
+            for hi in range(lo, 5):
+                got = gather_row(row, plan, lo, hi)
+                want = [row[j] for i in range(lo, hi) for j in plan.deps[i]]
+                assert len(got) == len(want)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+                # One take of a block: a fresh block, laid end to end.
+                assert type(got) is type(row)
+                if type(got) is np.ndarray:
+                    assert got.flags.c_contiguous and got.base is None
+                g.execute_row(1, lo, hi, got, scratch=None, validate=True)
+
+    def test_drain_check_compares_reads_with_promised_consumers(self):
+        g = graphs2()[0]
+        plans = [g.row_plan(t) for t in range(4)]
+        check_drained(g, 0, None, plans[0])
+        for t in range(1, 4):
+            check_drained(g, t, plans[t - 1], plans[t])
+        check_drained(g, 4, plans[3], None)
+        # Row 1's outputs were published for [2, 3, 2] reads: a next row
+        # that reads nothing (row 0's plan), or no next row, leaves them owed.
+        for plan in (plans[0], None):
+            with pytest.raises(RuntimeError, match=(
+                    r"outputs of timestep 1 were published for \[2, 3, 2\] "
+                    r"reads but are read (\[\]|\[0, 0, 0\]) times .* never "
+                    "consumed")):
+                check_drained(g, 2, plans[1], plan)
+
+    def test_a_block_retires_with_exactly_one_output_per_task(self):
+        """Sink or no sink: a row short (or long) of outputs was zipped
+        against its columns and said nothing."""
+        g = graphs2()[0]
+        row = g.execute_row(0, 0, 3, [], scratch=None, validate=True)
+        retire_rows(g, 0, 0, 3, row)
+        for bad in (row[:2], list(row) + [row[0]]):
+            with pytest.raises(RuntimeError, match=(
+                    rf"row 0 block \[0, 3\) retired with {len(bad)} outputs "
+                    "for 3 tasks")):
+                retire_rows(g, 0, 0, 3, bad)
+            with capturing_outputs() as sink:
+                with pytest.raises(RuntimeError, match="retired with"):
+                    retire_rows(g, 0, 0, 3, bad)
+            assert not sink
 
 
 class TestDependencyCounts:

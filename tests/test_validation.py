@@ -278,6 +278,73 @@ class TestEveryByteOfLargeInputs:
             via(g, inputs)
 
 
+def _verdict(call):
+    try:
+        call()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+#: ``(name, block -> odd array, passes)``: arrays holding (or pretending to
+#: hold) the right inputs in a layout ``take`` would never produce.
+ODD_SHAPES = [
+    ("strided", lambda b: np.repeat(b, 2, axis=1)[:, ::2], True),
+    ("fortran", np.asfortranarray, True),
+    ("read-only", lambda b: _readonly(b.copy(), None), True),
+    ("wider itemsize, right bytes", lambda b: b.view("<i8"), True),
+    ("three-dimensional", lambda b: b.reshape(len(b), 2, -1), True),
+    ("wider itemsize, equal values", lambda b: b.astype(np.int64), False),
+    ("values equal modulo 256", lambda b: b.astype(np.int16) + 256, False),
+    ("half the count", lambda b: b.reshape(len(b) // 2, -1), False),
+    ("twice the count", lambda b: b.reshape(len(b) * 2, -1), False),
+    ("flat", lambda b: b.reshape(-1), False),
+    ("transposed", lambda b: np.ascontiguousarray(b.T), False),
+]
+
+
+@pytest.mark.parametrize("nbytes", [16, _BULK_BYTES // 16 + 8,
+                                    _BULK_BYTES // 3 + 3],
+                         ids=["one memcmp", "memcmp per task", "per input"])
+class TestOddShapedBlocks:
+    """An array handed over as a block's inputs is the sequence of its rows,
+    compared as raw bytes: each odd one is accepted or rejected exactly as
+    the list of its rows is, with the same text — never value-cast, never
+    passed because its shape or byte count happens to fit."""
+
+    ROW = 3  # the six-wide stencil's row 3 reads 16 inputs
+
+    def _block(self, g):
+        plan = g.row_plan(self.ROW)
+        return np.array([task_output(g, self.ROW - 1, j) for j in plan.cols])
+
+    @pytest.mark.parametrize("name, odd, passes", ODD_SHAPES,
+                             ids=[name for name, _, _ in ODD_SHAPES])
+    def test_a_block_is_judged_as_the_list_of_its_rows(self, nbytes, name,
+                                                       odd, passes):
+        g = graph(output_bytes_per_task=nbytes)
+        plan, block = g.row_plan(self.ROW), self._block(g)
+        assert len(block) == 16
+        assert (block.nbytes <= _BULK_BYTES) == (nbytes == 16)
+        flipped = block.copy()
+        flipped[-1, -1] ^= 0x40
+        for good, data in ((True, block), (False, flipped)):
+            shaped = odd(data)
+            assert type(shaped) is np.ndarray
+            got = _verdict(lambda: validate_row(g, self.ROW, plan, 0, 6, shaped))
+            assert got == _verdict(
+                lambda: validate_row(g, self.ROW, plan, 0, 6, list(shaped)))
+            assert (got is None) == (passes and good), got
+        # One task's share of it, through ``validate_inputs``.
+        a, b = plan.starts[I], plan.starts[I + 1]
+        if shaped.ndim > 1 and len(shaped) == 16:
+            share = odd(block)[a:b]
+            got = _verdict(lambda: validate_inputs(g, self.ROW, I, share))
+            assert got == _verdict(
+                lambda: validate_inputs(g, self.ROW, I, list(share)))
+            assert (got is None) == passes, got
+
+
 class TestPatternMemoIsBoundedInBytes:
     def _held_after_serial_run(self, steps):
         g = TaskGraph(timesteps=steps, max_width=8, output_bytes_per_task=1 << 16,
