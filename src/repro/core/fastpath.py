@@ -20,10 +20,10 @@ timesteps of a stencil holds what a graph of three does: the first row, the
 steady one and the last (its class's plan with nobody reading it).  A plan
 is everything an executor that owns a contiguous column block needs to run
 a whole timestep row — the window, the CSR of every task's inputs as
-positions in the previous row, the block's column key and both sides of the
-reference count — and :meth:`TaskGraph.execute_row` runs a block of a row
-from it with one input count check, one bulk comparison and one output
-stamp.
+positions in the previous row, the token its expected blocks are filed
+under and both sides of the reference count — and
+:meth:`TaskGraph.execute_row` runs a block of a row from it with one input
+count check, one bulk comparison and one copy of the output block.
 
 **Arrays are its only source.**  A miss compiles a **batch**: the missing
 rows of as many consecutive timesteps as hold ``_BATCH`` tasks, cut with
@@ -73,7 +73,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import accumulate, pairwise
+from itertools import accumulate, count, pairwise
 from typing import Any, Deque, Dict, List, Tuple
 
 import numpy as np
@@ -95,6 +95,7 @@ _BATCH = 2048
 
 _hits: int = 0
 _compiles: int = 0
+_tokens = count()  # ``next`` is one C call: atomic under the GIL
 
 
 def counters() -> Tuple[int, int]:
@@ -159,8 +160,13 @@ class RowPlan:
         the next row's: ``plan(t).reads == plan(t - 1).consumers`` is the
         drained-store invariant of a run, checked per row.
     ``cols``
-        the producer columns themselves, as one tuple: the key of the row's
-        expected block.
+        the producer columns themselves, as one tuple: what the row's
+        expected block is stamped from.
+    ``token``
+        a small integer no other plan of this process has (not a field:
+        equal plans have different ones), assigned when the plan is made —
+        with ``t`` it keys the row's expected blocks in the pattern memo,
+        which keying on the plan itself would keep alive after eviction.
 
     The sequences are plain lists (the warm row loop indexes and compares
     them) and shared: callers must not mutate them.
@@ -169,7 +175,7 @@ class RowPlan:
     # The fields in slots, the views beside them in ``__dict__``: filling
     # that would slow every read of a field that lived there too.
     __slots__ = ("off", "width", "prev_off", "flat", "starts", "counts",
-                 "reads", "consumers", "cols", "__dict__")
+                 "reads", "consumers", "cols", "token", "__dict__")
     off: int
     width: int
     prev_off: int
@@ -180,9 +186,12 @@ class RowPlan:
     consumers: List[int]
     cols: Tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        self.token = next(_tokens)
+
     def columns(self, lo: int, hi: int) -> Tuple[int, ...]:
         """Producer columns of every input of columns ``[lo, hi)``, in
-        gather order (the key of the block's expected bytes)."""
+        gather order (what the block's expected bytes are stamped from)."""
         starts = self.starts  # (the whole of a tuple is the tuple itself)
         return self.cols[starts[lo - self.off]:starts[hi - self.off]]
 
@@ -323,7 +332,7 @@ class DependenceTable:
             step = max(1, _BATCH // spec.width)
             tasks = edges = 0
 
-            def count(t: int, t1: int, times: int = 1) -> None:
+            def tally(t: int, t1: int, times: int = 1) -> None:
                 nonlocal tasks, edges
                 while t < t1:
                     plan = plans.get(t)  # below ``_stop``: filed under itself
@@ -336,9 +345,9 @@ class DependenceTable:
                     tasks, edges = tasks + times * n, edges + times * m
 
             rounds, rest = divmod(max(0, spec.height - lead), self._cycle)
-            count(0, min(lead, spec.height))
-            count(lead, lead + self._cycle if rounds else lead, rounds)
-            count(lead, lead + rest)
+            tally(0, min(lead, spec.height))
+            tally(lead, lead + self._cycle if rounds else lead, rounds)
+            tally(lead, lead + rest)
             self._totals = tasks, edges
         return self._totals
 

@@ -22,21 +22,34 @@ arrive as one C-contiguous array (a row block gathered with one ``take``),
 joined when they arrive as a list; an input too large to be worth joining
 is compared in place through the buffer protocol.  Only a mismatch walks
 small inputs one by one, to name the offending slot.
+``TaskGraph.execute_row`` does a block's hit inline — one probe, one
+``memcmp``, one copy of the output block — and comes here for the rest.
 
-Expected patterns come from one memo bounded in bytes (``_memo``), keyed
-``(seed, graph_index, t, cols, nbytes)``: the outputs of producers
-``(t, col)`` for ``col`` in ``cols``, laid end to end — the inputs of one
-task or of a column block of row ``t + 1``, or what a task or a block of
-row ``t`` writes.  A single column of any size is one packed header tiled,
-and the inputs of one task are its columns' patterns joined
-(:func:`_expected`).  The block of a row owner is never made alone: the
-first row it compares or writes misses, and the miss stamps the same block
-of a **batch** of rows — as many as hold ``fastpath._BATCH`` tasks or
-``_BULK_BYTES`` of patterns — with one header-array store, cut into the
-memo row by row (:func:`_stamp`), so that a first pass over a small-payload
-graph costs a slice per row, not a header per input.  The column keys come
-from the row plans, the bytes from this arithmetic alone: nothing expected
-is ever derived from a buffer under test.
+Expected patterns come from one memo bounded in bytes (``_memo``).  The
+blocks of a row owner are filed under the row plan's token
+(:attr:`~repro.core.fastpath.RowPlan.token`) and ``(t, lo, hi,
+graph_index, nbytes)``: ``token`` for the inputs of columns ``[lo, hi)``
+of row ``t`` — the outputs of the producers the plan names, end to end, a
+``bytearray`` —, ``~token`` for what those columns write — the
+``(hi - lo, nbytes)`` ``uint8`` array a fresh output block is one copy of.
+A token stands for one plan of one dependence table, so two dependence
+types of one seed, two graphs of one table or a plan evicted and compiled
+again never share a key, and ``t`` is in it because a plan serves every
+timestep of its class.  Single columns and the inputs of one task — the
+per-task path, the walk that names an offender, payloads above
+``_BULK_BYTES`` — are keyed ``(seed, graph_index, t, cols, nbytes)``: a
+column is one packed header tiled, a task's inputs their columns' patterns
+joined (:func:`_expected`).
+
+A block is never made alone: the first row that compares or writes it
+misses, and the miss stamps the same block of a **batch** of rows — as many
+as hold ``fastpath._BATCH`` tasks or ``_BULK_BYTES`` of patterns — with one
+header-array store, cut into the memo row by row (:func:`_stamp`), so that a
+first pass over a small-payload graph costs a slice per row, not a header
+per input.  Block keys are filed by that stamp alone, from the table's own
+plans: a hit is the arithmetic of ``(seed, graph_index, t, column)`` for the
+row and block it names, whatever plan the caller holds, and nothing
+expected is ever derived from a buffer under test.
 """
 
 from __future__ import annotations
@@ -44,7 +57,7 @@ from __future__ import annotations
 import struct
 import threading
 from itertools import accumulate, chain
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Sequence, Tuple
 
 import numpy as np
 
@@ -105,27 +118,31 @@ def _output_bytes(seed: int, graph_index: int, t: int, i: int, nbytes: int) -> b
 
 
 def _stamp(seed: int, graph_index: int, nbytes: int,
-           rows: Sequence[Tuple[int, Sequence[int]]]) -> bytearray:
-    """Memoise the pattern of every ``(t, cols)`` of ``rows`` and return the
+           rows: Sequence[Tuple[tuple, int, Sequence[int]]],
+           block: bool = False) -> Any:
+    """Memoise the outputs of producers ``(t, col)``, ``col`` in ``cols``,
+    under ``key`` for every ``(key, t, cols)`` of ``rows`` and return the
     first one's: all their headers are packed by one array store (``t``
-    repeated per column, the columns laid end to end), tiled, and sliced
-    into the memo a row at a time."""
-    counts = [len(cols) for _, cols in rows]
+    repeated per column, the columns laid end to end), tiled, and cut into
+    the memo a row at a time — as a ``bytearray`` (what inputs are compared
+    with), or with ``block`` as a ``(len(cols), nbytes)`` array (what an
+    output block is copied from)."""
+    counts = [len(cols) for *_, cols in rows]
     total = sum(counts)
     headers = np.empty((total, 1, 4), dtype="<i8")
-    headers[:, 0, 0] = np.repeat([t for t, _ in rows], counts)
+    headers[:, 0, 0] = np.repeat([t for _, t, _ in rows], counts)
     headers[:, 0, 1] = np.fromiter(
-        chain.from_iterable(cols for _, cols in rows), "<i8", total)
+        chain.from_iterable(cols for *_, cols in rows), "<i8", total)
     headers[:, 0, 2:] = graph_index, seed
     tiled = np.broadcast_to(headers, (total, -(-nbytes // HEADER_BYTES), 4))
-    data = memoryview(
-        tiled.reshape(total, -1).view(np.uint8)[:, :nbytes].tobytes())
-    ends = [n * nbytes for n in accumulate(counts)]
+    data = np.ascontiguousarray(
+        tiled.reshape(total, -1).view(np.uint8)[:, :nbytes])
+    ends = list(accumulate(counts))
     with _memo_lock:
         patterns = [
-            _memo.add((seed, graph_index, t, cols, nbytes),
-                      bytearray(data[a:b]), b - a + _ENTRY_BYTES)
-            for (t, cols), a, b in zip(rows, [0] + ends, ends)
+            _memo.add(key, data[a:b].copy() if block else bytearray(
+                data[a:b].data), (b - a) * nbytes + _ENTRY_BYTES)
+            for (key, _, _), a, b in zip(rows, [0] + ends, ends)
         ]
     return patterns[0]
 
@@ -202,12 +219,12 @@ def task_outputs(
     With ``out`` (exactly one destination per task, array or pool handle)
     each pattern is written in place and ``out`` is returned.  Otherwise a
     block of several tasks and at most ``_BULK_BYTES`` is one fresh
-    ``(hi - lo, nbytes)`` ``uint8`` array — one ``memcpy`` of the block's
-    memoised pattern, stamped with the same block of the rows after it on a
-    miss — returned as it is: indexing or iterating it yields the per-task
-    views, and only who needs one makes one.  A larger block (where one big
-    copy costs more than it saves) or a single task is a list of a fresh
-    buffer per task.
+    ``(hi - lo, nbytes)`` ``uint8`` array — a copy of the block memoised
+    under ``~token`` of row ``t``'s plan, stamped with the same block of the
+    rows after it on a miss — returned as it is: indexing or iterating it
+    yields the per-task views, and only who needs one makes one.  A larger
+    block (where one big copy costs more than it saves) or a single task is
+    a list of a fresh buffer per task.
     """
     if out is not None:
         if len(out) != hi - lo:
@@ -220,12 +237,13 @@ def task_outputs(
         return out
     nbytes = graph.output_bytes_per_task
     if hi - lo > 1 and 0 < (hi - lo) * nbytes <= _BULK_BYTES:
-        seed, gidx, cols = graph.seed, graph.graph_index, range(lo, hi)
-        block = np.empty((hi - lo, nbytes), dtype=np.uint8)
-        block.data.cast("B")[:] = _memo.get((seed, gidx, t, cols, nbytes)) or _stamp(
-            seed, gidx, nbytes,
-            [(u, cols) for u in _batch_of(graph, t, (hi - lo) * nbytes)])
-        return block
+        gidx, cols = graph.graph_index, range(lo, hi)
+        block = _memo.get((~graph.row_plan(t).token, t, lo, hi, gidx, nbytes))
+        if block is None:
+            block = _stamp(graph.seed, gidx, nbytes, [
+                ((~graph.row_plan(u).token, u, lo, hi, gidx, nbytes), u, cols)
+                for u in _batch_of(graph, t, (hi - lo) * nbytes)], block=True)
+        return block.copy()
     return [task_output(graph, t, i) for i in range(lo, hi)]
 
 
@@ -329,8 +347,9 @@ def validate_row(
     it is a C-contiguous array, :func:`_joined`; the count of an array is
     its ``len``, so one of the right bytes in another shape is walked like
     the list of its rows): every input byte of every task is still checked
-    (a block the memo does not hold is stamped together with the same block
-    of the rows after it, as far as a batch goes and the rows hold it).
+    (against the block filed under ``plan.token`` and ``t``; one the memo
+    does not hold is stamped from the table's plans together with the same
+    block of the rows after it, as far as a batch goes and the rows hold it).
     Anything else — a mismatch, a wrong count, a block above
     ``_BULK_BYTES`` — goes to :func:`validate_inputs` task by task,
     splitting ``inputs`` at the plan's CSR offsets (the last task takes the
@@ -343,15 +362,14 @@ def validate_row(
     first = starts[lo - plan.off]
     count = starts[hi - plan.off] - first
     nbytes = graph.output_bytes_per_task
-    if len(inputs) == count and (
-        not count
-        or 0 < nbytes * count <= _BULK_BYTES
-        and (_memo.get((graph.seed, graph.graph_index, t - 1,
-                        plan.columns(lo, hi), nbytes))
-             or _stamp_rows(graph, t, lo, hi, nbytes * count)
-             ) == _joined(inputs)
-    ):
-        return
+    if len(inputs) == count:
+        if not count:
+            return
+        expected = 0 < nbytes * count <= _BULK_BYTES and (
+            _memo.get((plan.token, t, lo, hi, graph.graph_index, nbytes))
+            or _stamp_rows(graph, t, lo, hi, nbytes * count))
+        if expected and expected == _joined(inputs):
+            return
     for i in range(lo, hi):
         k = i - plan.off
         end = starts[k + 1] - first if i < hi - 1 else None
@@ -359,13 +377,17 @@ def validate_row(
 
 
 def _stamp_rows(graph: "TaskGraph", t: int, lo: int, hi: int,
-                row_bytes: int) -> bytearray:
-    """The expected inputs of columns ``[lo, hi)`` of row ``t``, memoised
-    with those of the rows of its batch whose windows hold the block."""
+                row_bytes: int) -> "bytearray | None":
+    """The expected inputs of columns ``[lo, hi)`` of row ``t`` (``None``
+    when its window does not hold them), memoised with those of the rows of
+    its batch whose windows hold the block."""
+    gidx, nbytes = graph.graph_index, graph.output_bytes_per_task
     plans = map(graph.row_plan, _batch_of(graph, t, row_bytes))
-    return _stamp(graph.seed, graph.graph_index, graph.output_bytes_per_task, [
-        (u - 1, plan.columns(lo, hi)) for u, plan in enumerate(plans, t)
-        if plan.off <= lo <= hi <= plan.off + plan.width])
+    rows = [((plan.token, u, lo, hi, gidx, nbytes), u - 1, plan.columns(lo, hi))
+            for u, plan in enumerate(plans, t)
+            if plan.off <= lo <= hi <= plan.off + plan.width]
+    return (_stamp(graph.seed, gidx, nbytes, rows)
+            if rows and rows[0][1] == t - 1 else None)
 
 
 def _bad_input(

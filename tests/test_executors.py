@@ -120,20 +120,28 @@ def test_validation_detects_corrupted_producer(runtime, monkeypatch):
     """Corrupt the output of one mid-graph producer: every executor must
     surface the ValidationError raised by its consumers.
 
-    The corruption goes in at ``validation.task_outputs``, the one output
-    writer behind ``execute_point`` and ``execute_row``, so it reaches the
+    The corruption goes in at ``execute_point`` and ``execute_row``, the two
+    entry points every executor runs tasks through, so it reaches the
     task-by-task executors and the row-block ones (serial, fork workers)
     alike; fork pools start inside the run and inherit the patch."""
-    real = validation.task_outputs
+    real_point, real_row = TaskGraph.execute_point, TaskGraph.execute_row
 
-    def corrupting(graph, t, lo, hi, out=None):
-        outputs = real(graph, t, lo, hi, out)
+    def corrupted(graph, t, lo, hi, outputs):
         if t == 3 and lo <= 2 < hi and graph.output_bytes_per_task:
             # A fresh array, a row of a block or a pooled slot's handle alike.
             as_array(outputs[2 - lo])[0] ^= 0xFF
         return outputs
 
-    monkeypatch.setattr(validation, "task_outputs", corrupting)
+    def point(graph, t, i, *args, **kwargs):
+        out = real_point(graph, t, i, *args, **kwargs)
+        return corrupted(graph, t, i, i + 1, [out])[0]
+
+    def row(graph, t, lo, hi, *args, **kwargs):
+        out = real_row(graph, t, lo, hi, *args, **kwargs)
+        return corrupted(graph, t, lo, hi, out)
+
+    monkeypatch.setattr(TaskGraph, "execute_point", point)
+    monkeypatch.setattr(TaskGraph, "execute_row", row)
     g = make_graph(DependenceType.STENCIL_1D)
     with pytest.raises(ValidationError, match=r"output of \(t=3, i=2\)"):
         make_executor(runtime, workers=2).run([g])

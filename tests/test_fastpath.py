@@ -493,7 +493,7 @@ class TestTallRandomGraphsByCount:
         stamps = []
         stamp = validation._stamp
         monkeypatch.setattr(validation, "_stamp",
-                            lambda *a: stamps.append(a) or stamp(*a))
+                            lambda *a, **k: stamps.append(a) or stamp(*a, **k))
         with make_executor("serial") as ex:
             fastpath.reset_counters()
             ex.run([g], validate=True)
@@ -501,9 +501,42 @@ class TestTallRandomGraphsByCount:
             del stamps[:]
             fastpath.reset_counters()
             ex.run([g], validate=True)
-        # Two lookups a row (the executor's and ``execute_row``'s), all hits.
-        assert fastpath.counters() == (2 * g.timesteps, 0)
+        # One lookup a row (the executor hands ``execute_row`` its plan), a hit.
+        assert fastpath.counters() == (g.timesteps, 0)
         assert not stamps
+
+    @pytest.mark.parametrize("shape", ["fine_stencil", "dense_random"])
+    def test_a_warm_run_is_one_lookup_one_compare_one_copy_a_row(
+            self, shape, monkeypatch):
+        """Both 16-byte benchmark shapes at 2,000 steps: the second run
+        finds every plan and every expected block where the first left them
+        — its blocks are filed under the plans' tokens, so a plan the table
+        kept is a hit — and runs every row but the first (which has no
+        inputs) on ``execute_row``'s own compare and copy."""
+        from repro.core import validation
+
+        g = TaskGraph(timesteps=2000, max_width=8, output_bytes_per_task=16,
+                      seed=0x3A12, **(
+                          dict(dependence=DependenceType.STENCIL_1D)
+                          if shape == "fine_stencil" else
+                          dict(dependence=DependenceType.RANDOM_NEAREST,
+                               radix=7, fraction_connected=0.75)))
+        called = []
+
+        def spy(name):  # records (name, second argument: a row's timestep)
+            real = getattr(validation, name)
+            return lambda *a, **k: called.append((name, a[1])) or real(*a, **k)
+
+        for name in ("_stamp", "validate_row", "task_outputs"):
+            monkeypatch.setattr(validation, name, spy(name))
+        with make_executor("serial") as ex:
+            ex.run([g], validate=True)
+            assert called
+            del called[:]
+            hits, compiles = fastpath.counters()
+            ex.run([g], validate=True)
+        assert fastpath.counters() == (hits + g.timesteps, compiles)
+        assert called == [("validate_row", 0)]
 
     def test_plans_are_budgeted_in_edges_not_entries(self):
         """64 x 2,048 random: twice what the budget holds.  The table keeps

@@ -272,6 +272,27 @@ class TestArraysAgainstTheOracle:
             assert len(plans) < s.height  # something did go
 
 
+MUTANTS = ["row before last", "shifted dependency", "swapped inputs"]
+
+
+def _mutant_inputs(g, t, mutant):
+    """Row ``t``'s inputs laid end to end (its window full width), one of
+    ``MUTANTS`` applied: every input one row too old, one input the output
+    of the column beside its producer, or two inputs of different producers
+    swapped."""
+    cols = g.row_plan(t).cols
+    inputs = [task_output(g, t - 1, j) for j in cols]
+    where = len(cols) // 2
+    if mutant == "row before last":
+        return [task_output(g, t - 2, j) for j in cols]
+    if mutant == "shifted dependency":
+        inputs[where] = task_output(g, t - 1, (cols[where] + 1) % g.max_width)
+    else:
+        other = next(n for n, j in enumerate(cols) if j != cols[where])
+        inputs[where], inputs[other] = inputs[other], inputs[where]
+    return inputs
+
+
 class TestBatchStampedBlocksKillMutants:
     """A slice of the harness mutants (ROADMAP 5a) aimed at the batch stamp:
     the first validated row of a block owner misses the pattern memo and
@@ -294,33 +315,30 @@ class TestBatchStampedBlocksKillMutants:
             radix=7, fraction_connected=0.75, output_bytes_per_task=nbytes,
             seed=0xD5E)
 
-    def _mutated(self, mutant, g):
-        cols = g.row_plan(self.T).cols
-        inputs = [task_output(g, self.T - 1, j) for j in cols]
-        where = len(cols) // 2
-        if mutant == "row before last":
-            return [task_output(g, self.T - 2, j) for j in cols]
-        if mutant == "shifted dependency":
-            inputs[where] = task_output(g, self.T - 1, (cols[where] + 1) % 8)
-        else:
-            other = next(n for n, j in enumerate(cols) if j != cols[where])
-            inputs[where], inputs[other] = inputs[other], inputs[where]
-        return inputs
-
     @pytest.mark.parametrize("nbytes", [16, _BULK_BYTES // 8],
                              ids=["bulk", "per-input"])
-    @pytest.mark.parametrize(
-        "mutant", ["row before last", "shifted dependency", "swapped inputs"])
+    @pytest.mark.parametrize("mutant", MUTANTS)
     def test_killed_with_the_text_of_execute_point(self, mutant, nbytes,
-                                                   fresh_memo):
+                                                   fresh_memo, monkeypatch):
         g = self._graph(nbytes)
+        stamped = []  # (producer row, columns) of every expected input block
+        stamp = validation._stamp
+
+        def spy(seed, gi, nb, rows, block=False):
+            if not block:
+                stamped.extend((t, tuple(cols)) for _, t, cols in rows)
+            return stamp(seed, gi, nb, rows, block)
+
+        monkeypatch.setattr(validation, "_stamp", spy)
         g.execute_row(self.T0, 0, 8, _inputs(g, self.T0, 0, 8), scratch=None,
                       validate=True)
         plan = g.row_plan(self.T)
-        stamped = (g.seed, 0, self.T - 1, plan.cols, nbytes) in validation._memo
-        assert stamped == (nbytes * len(plan.cols) <= _BULK_BYTES)
-        assert stamped == (nbytes == 16)
-        bad = self._mutated(mutant, g)
+        # Row T0's miss stamped row T's expected inputs with its own, under
+        # the bulk bound only; row T is judged against those bytes.
+        assert ((self.T - 1, plan.cols) in stamped) == (
+            nbytes * len(plan.cols) <= _BULK_BYTES) == (nbytes == 16)
+        del stamped[:]
+        bad = _mutant_inputs(g, self.T, mutant)
         with pytest.raises(ValidationError) as want:
             _point_loop(g, self.T, 0, 8, list(bad))
         with pytest.raises(ValidationError) as got:
@@ -330,6 +348,7 @@ class TestBatchStampedBlocksKillMutants:
         # The right inputs still pass against the same stamped block.
         g.execute_row(self.T, 0, 8, _inputs(g, self.T, 0, 8), scratch=None,
                       validate=True)
+        assert not stamped
 
     @pytest.mark.parametrize("nbytes", [16, _BULK_BYTES // 8],
                              ids=["bulk", "per-input"])
@@ -356,6 +375,145 @@ class TestBatchStampedBlocksKillMutants:
                 "does not match any expected task output" if nbytes == 16 else
                 f"is the output of graph 0 task (t={self.T - 1}, "
                 f"i={shifted[where]})"))
+
+
+def _point_outputs(g):
+    """Every output of ``g`` as bytes by task key: an ``execute_point``
+    loop in program order, each task fed its producers' outputs."""
+    out = {}
+    for t, i in g.points():
+        out[g.graph_index, t, i] = g.execute_point(
+            t, i, [out[g.graph_index, t - 1, j] for j in g.dependency_points(t, i)])
+    return {key: value.tobytes() for key, value in out.items()}
+
+
+class TestPlanKeyedBlocksDoNotAlias:
+    """Expected blocks are filed under a plan's token and ``(t, lo, hi,
+    graph_index, nbytes)``.  Graphs that share a dependence table, or a
+    seed, graph index and width, and a graph whose plans are evicted and
+    compiled again within a run — run back to back and interleaved in one
+    ``serial`` run — must each read only their own blocks: outputs equal to
+    an ``execute_point`` loop's, no row walked task by task (an aliased
+    block is a mismatch the walk would pass), and the mutants dying with
+    ``execute_point``'s text on both sides of ``_BULK_BYTES``."""
+
+    SEED = 0xA11A5
+
+    @pytest.fixture(autouse=True)
+    def few_plans(self, monkeypatch):
+        # A table made under these holds about six rows of the random graph.
+        monkeypatch.setattr(fastpath, "_MAX_EDGES", 6 * 8 * 8)
+        monkeypatch.setattr(fastpath, "_BATCH", 3 * 8)
+
+    def _graphs(self, nbytes):
+        """The four graphs, and the runs that take them back to back and
+        interleaved (a run's graph indexes are its positions)."""
+        def graph(dependence, graph_index, nbytes, timesteps=12, **kw):
+            return TaskGraph(
+                timesteps=timesteps, max_width=8, dependence=dependence,
+                output_bytes_per_task=nbytes, graph_index=graph_index,
+                seed=self.SEED, **kw)
+
+        # One table; two graph indexes and payloads (16 + 24 = 40 B is no
+        # multiple of the 32-byte header).
+        stencil = graph(DependenceType.STENCIL_1D, 0, nbytes)
+        wider = graph(DependenceType.STENCIL_1D, 1, nbytes + 24)
+        # The first one's seed, graph index and width; another pattern.
+        fft = graph(DependenceType.FFT, 0, nbytes)
+        # Every row its own plan, a few of them held at a time.
+        random = graph(DependenceType.RANDOM_NEAREST, 2, nbytes, timesteps=40,
+                       radix=7, fraction_connected=0.75)
+        mixes = [[stencil, wider, random], [fft, wider, random]]
+        alone = [stencil, fft, wider.with_(graph_index=0)]
+        return [stencil, wider, fft, random], [[g] for g in alone] + mixes * 2
+
+    def test_every_graph_reads_its_own_blocks(self, monkeypatch):
+        graphs, runs = self._graphs(16)
+        oracle = {id(g): _point_outputs(g) for run in runs for g in run}
+        walked = []
+        validate_inputs = validation.validate_inputs
+        monkeypatch.setattr(validation, "validate_inputs",
+                            lambda g, t, i, inputs: walked.append((g, t, i))
+                            or validate_inputs(g, t, i, inputs))
+        with make_executor("serial") as ex:
+            for run in runs:
+                compiles = fastpath.counters()[1]
+                with capturing_outputs() as got:
+                    ex.run(run, validate=True)
+                want = {key: value for g in run
+                        for key, value in oracle[id(g)].items()}
+                assert got == {key: want[key] for key in got}
+                assert set(got) == {
+                    (g.graph_index, t, i) for g in run for t, i in g.points()
+                    if g.consumer_count(t, i)}
+                assert not walked
+        # The last run did compile again what the random graph's table let go.
+        assert fastpath.counters()[1] > compiles
+        assert len(graphs[-1]._table._plans) < graphs[-1].timesteps // 4
+
+    @pytest.mark.parametrize("nbytes", [16, _BULK_BYTES // 8],
+                             ids=["bulk", "per-input"])
+    @pytest.mark.parametrize("mutant", MUTANTS)
+    def test_mutants_die_among_neighbours(self, mutant, nbytes):
+        graphs, runs = self._graphs(nbytes)
+        with make_executor("serial") as ex:
+            for run in runs[:4]:
+                ex.run(run, validate=True)
+        t = 5
+        for g in graphs:
+            bad = _mutant_inputs(g, t, mutant)
+            with pytest.raises(ValidationError) as want:
+                _point_loop(g, t, 0, 8, list(bad))
+            with pytest.raises(ValidationError) as got:
+                g.execute_row(t, 0, 8, np.array(bad), scratch=None,
+                              validate=True, plan=g.row_plan(t))
+            assert str(got.value) == str(want.value)
+
+    def test_a_neighbours_block_is_not_its_own(self):
+        """Columns ``[4, 8)`` of a stencil row read as many inputs as ``[0,
+        4)``: handed the inputs of ``[0, 4)``, just compared as a block of
+        their own, they die with ``execute_point``'s text."""
+        g = self._graphs(16)[0][0]
+        t, plan = 5, g.row_plan(5)
+        left = np.array(_inputs(g, t, 0, 4))
+        assert len(left) == len(_inputs(g, t, 4, 8))
+        g.execute_row(t, 0, 4, left, scratch=None, validate=True, plan=plan)
+        with pytest.raises(ValidationError) as want:
+            _point_loop(g, t, 4, 8, list(left))
+        with pytest.raises(ValidationError) as got:
+            g.execute_row(t, 4, 8, left, scratch=None, validate=True, plan=plan)
+        assert str(got.value) == str(want.value)
+
+    def test_a_stale_plan_misses_rather_than_passes(self):
+        """A block owner that gathers row ``t`` with row ``t - 1``'s plan and
+        hands it over: the plan's token was never stamped for ``t``, so the
+        block is stamped from the table's own plan and the inputs fail."""
+        g = self._graphs(16)[0][-1].with_(graph_index=0)
+        make_executor("serial").run([g], validate=True)
+        t = 5
+        row = np.array([task_output(g, t - 1, i) for i in range(8)])
+        stale = g.row_plan(t - 1)
+        assert stale.cols != g.row_plan(t).cols
+        with pytest.raises(ValidationError):
+            g.execute_row(t, 0, 8, row.take(stale.index, 0), scratch=None,
+                          validate=True, plan=stale)
+        g.execute_row(t, 0, 8, row.take(g.row_plan(t).index, 0),
+                      scratch=None, validate=True, plan=g.row_plan(t))
+
+    def test_a_plan_whose_window_is_not_the_rows_stamps_nothing_for_it(self):
+        """A plan claiming columns ``[0, 8)`` of a tree's row 1, whose window
+        is ``[0, 2)``: the first row of the batch that holds those columns is
+        row 3, and its expected block is not row 1's — served exactly the
+        inputs row 3 reads, row 1 fails."""
+        tree = TaskGraph(timesteps=8, max_width=8, seed=self.SEED,
+                         dependence=DependenceType.TREE)
+        wrong, later = tree.row_plan(4), tree.row_plan(3)
+        assert (wrong.off, wrong.width, len(wrong.cols)) == (0, 8, 8)
+        assert (later.off, later.width, len(later.cols)) == (0, 8, 8)
+        served = np.array([task_output(tree, 2, j) for j in later.cols])
+        with pytest.raises(ValidationError, match=r"task \(t=1, i=0\)"):
+            tree.execute_row(1, 0, 8, served, scratch=None, validate=True,
+                             plan=wrong)
 
 
 class TestExecuteRowEquivalence:
@@ -628,15 +786,21 @@ class TestTheRowIsOneBuffer:
 
     def test_a_gathered_block_is_compared_where_it_lies(self, monkeypatch):
         """What ``validate_row`` hands the memcmp for a C-contiguous block
-        *is* the block; for a list of arrays, the joined bytes."""
-        handed = []
-        joined = validation._joined
+        *is* the block; for a list of arrays, the joined bytes.  Once the
+        expected block is memoised, ``execute_row`` compares a C-contiguous
+        block itself, calling neither."""
+        handed, walked = [], []
+        joined, validate_row = validation._joined, validation.validate_row
 
         def spy(inputs):
             handed.append(joined(inputs))
             return handed[-1]
 
+        monkeypatch.setattr(validation, "_memo",
+                            fastpath.Bounded(validation._MEMO_BYTES))
         monkeypatch.setattr(validation, "_joined", spy)
+        monkeypatch.setattr(validation, "validate_row",
+                            lambda *a: walked.append(a) or validate_row(*a))
         g = TaskGraph(timesteps=3, max_width=8,
                       dependence=DependenceType.STENCIL_1D)
         plan = g.row_plan(2)
@@ -645,7 +809,9 @@ class TestTheRowIsOneBuffer:
         block = row.take(plan.index, 0)
         del handed[:]
         g.execute_row(2, 0, 8, block, scratch=None, validate=True)
-        assert len(handed) == 1 and handed[0] is block
+        assert len(handed) == len(walked) == 1 and handed[0] is block
+        g.execute_row(2, 0, 8, block, scratch=None, validate=True)
+        assert len(handed) == len(walked) == 1  # the memoised block's hit
         as_list = list(block)
         g.execute_row(2, 0, 8, as_list, scratch=None, validate=True)
         assert type(handed[1]) is bytes and handed[1] == block.tobytes()
@@ -659,8 +825,8 @@ class TestTheRowIsOneBuffer:
         receives is the very object ``execute_row`` returned — the block,
         not a list of views — what the next row is gathered from is a
         ``take`` of it, and the index arrays are built once per plan, not
-        once per run."""
-        from repro.runtimes import serial
+        once per run.  With no sink installed nothing is retired at all."""
+        from repro.runtimes import _common
 
         g = TaskGraph(timesteps=250, max_width=8, output_bytes_per_task=16,
                       dependence=DependenceType.STENCIL_1D,
@@ -679,9 +845,13 @@ class TestTheRowIsOneBuffer:
 
         monkeypatch.setattr(TaskGraph, "execute_row", spy)
         monkeypatch.setattr(
-            serial, "retire_rows",
+            _common, "retire_rows",
             lambda g, t, lo, hi, outputs: retired.append(outputs))
         executor.run([g], validate=True)
+        assert len(returned) == g.timesteps and not retired
+        del returned[:], gathered[:]
+        with _common.tracing(_common.TraceRecorder()):
+            executor.run([g], validate=True)
         assert len(returned) == len(retired) == g.timesteps
         for t in range(g.timesteps):
             assert retired[t] is returned[t]

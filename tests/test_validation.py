@@ -1,5 +1,6 @@
 """Unit tests for the fully-validating output/input scheme (paper §2)."""
 
+import math
 import sys
 import threading
 
@@ -328,12 +329,16 @@ class TestOddShapedBlocks:
         assert (block.nbytes <= _BULK_BYTES) == (nbytes == 16)
         flipped = block.copy()
         flipped[-1, -1] ^= 0x40
+        validate_row(g, self.ROW, plan, 0, 6, block)  # the expected block memoised
         for good, data in ((True, block), (False, flipped)):
             shaped = odd(data)
             assert type(shaped) is np.ndarray
             got = _verdict(lambda: validate_row(g, self.ROW, plan, 0, 6, shaped))
             assert got == _verdict(
                 lambda: validate_row(g, self.ROW, plan, 0, 6, list(shaped)))
+            # ``execute_row``'s own compare of a block judges it the same.
+            assert got == _verdict(lambda: g.execute_row(
+                self.ROW, 0, 6, shaped, scratch=None, validate=True, plan=plan))
             assert (got is None) == (passes and good), got
         # One task's share of it, through ``validate_inputs``.
         a, b = plan.starts[I], plan.starts[I + 1]
@@ -345,13 +350,20 @@ class TestOddShapedBlocks:
             assert (got is None) == passes, got
 
 
+def _charged():
+    """What the pattern memo's values cost, counted from the values: bytes
+    of a ``bytearray`` (a compared pattern), of an array (an output block),
+    plus the per-entry charge."""
+    return sum((p.nbytes if isinstance(p, np.ndarray) else len(p))
+               + validation._ENTRY_BYTES for p in validation._memo.values())
+
+
 class TestPatternMemoIsBoundedInBytes:
-    def _held_after_serial_run(self, steps):
-        g = TaskGraph(timesteps=steps, max_width=8, output_bytes_per_task=1 << 16,
-                      dependence=DependenceType.STENCIL_1D)
+    def _held_after_serial_run(self, steps, nbytes=1 << 16, seed=12345):
+        g = TaskGraph(timesteps=steps, max_width=8, output_bytes_per_task=nbytes,
+                      dependence=DependenceType.STENCIL_1D, seed=seed)
         make_executor("serial").run([g], validate=True)
-        held = sum(len(p) + validation._ENTRY_BYTES
-                   for p in validation._memo.values())
+        held = _charged()
         assert held == validation._memo.held  # the memo's own counter is exact
         return held
 
@@ -359,12 +371,34 @@ class TestPatternMemoIsBoundedInBytes:
         stamps = []
         stamp = validation._stamp
         monkeypatch.setattr(validation, "_stamp",
-                            lambda *a: stamps.append(a) or stamp(*a))
+                            lambda *a, **k: stamps.append(a) or stamp(*a, **k))
         short = self._held_after_serial_run(100)
         tall = self._held_after_serial_run(400)
         assert short == tall <= validation._MEMO_BYTES <= 8 << 20
         # 64 KiB patterns are tiled from one header, never batch-stamped.
         assert not stamps
+
+    def test_small_blocks_of_both_kinds_are_charged_what_they_hold(
+            self, monkeypatch):
+        """A 16-byte stencil too tall for the budget: its expected input
+        blocks (``bytearray``) and output blocks (arrays) fill the memo, and
+        what it holds at the end is the same for a graph taller by a whole
+        number of both batches — the newest blocks, charged exactly."""
+        # A row stamps 22 inputs and 8 outputs of 16 bytes, two entries.
+        row = (22 + 8) * 16 + 2 * validation._ENTRY_BYTES
+        assert 4000 * row > validation._MEMO_BYTES
+        # Batches of both kinds start where they started on the short graph.
+        endless = TaskGraph(timesteps=1 << 20, max_width=8,
+                            dependence=DependenceType.STENCIL_1D)
+        taller = 4000 + math.lcm(
+            len(validation._batch_of(endless, 1, 22 * 16)),
+            len(validation._batch_of(endless, 0, 8 * 16)))
+        held, kinds = [], set()
+        for steps in (4000, taller):
+            held.append(self._held_after_serial_run(steps, 16, seed=0xB17E5))
+            kinds.add(frozenset(type(p) for p in validation._memo.values()))
+        assert held[0] == held[1] <= validation._MEMO_BYTES < held[0] + row
+        assert kinds == {frozenset((bytearray, np.ndarray))}
 
     def test_concurrent_misses_keep_the_count_exact(self):
         """Four threads miss, insert and evict at once (the ``threads``
@@ -394,6 +428,4 @@ class TestPatternMemoIsBoundedInBytes:
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in threads)
         assert not errors, errors
-        held = sum(len(p) + validation._ENTRY_BYTES
-                   for p in validation._memo.values())
-        assert held == validation._memo.held <= validation._MEMO_BYTES
+        assert _charged() == validation._memo.held <= validation._MEMO_BYTES
