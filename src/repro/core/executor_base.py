@@ -89,9 +89,11 @@ class Executor(abc.ABC):
     def execute_graphs(
         self, graphs: Sequence[TaskGraph], *, validate: bool = True
     ) -> None:
-        """Execute all graphs to completion.  Implementations must call
-        ``graph.execute_point`` for every point of every graph and route
-        outputs to dependents; they should not time themselves."""
+        """Execute all graphs to completion.  Implementations must run every
+        point of every graph through the core — ``graph.execute_tile`` for a
+        stack of whole rows, ``graph.execute_row`` for a column block of one
+        row, ``execute_point`` (via ``_common.run_task``) for one task — and
+        route outputs to dependents; they should not time themselves."""
 
     def run(self, graphs: Sequence[TaskGraph], *, validate: bool = True) -> RunResult:
         """Execute ``graphs`` and return a timed :class:`RunResult`.

@@ -25,6 +25,14 @@ under and both sides of the reference count — and
 :meth:`TaskGraph.execute_row` runs a block of a row from it with one input
 count check, one bulk comparison and one copy of the output block.
 
+**A stack of rows is a tile.**  An owner of every column runs tiles
+(:class:`TilePlan`) — as many consecutive rows as hold ``_BATCH`` tasks and
+a given number of inputs — with :meth:`TaskGraph.execute_tile`: one
+``take``, one bulk comparison and one copy for the lot.  A tile is cut from
+the row plans (its index is theirs, shifted to where each previous row lies
+in the tile's buffer; the drained-store invariant between its rows is
+checked then) and filed beside them under the same edge budget.
+
 **Arrays are its only source.**  A miss compiles a **batch**: the missing
 rows of as many consecutive timesteps as hold ``_BATCH`` tasks, cut with
 array operations out of one ``DependenceSpec.dependency_columns_batch`` call
@@ -59,12 +67,12 @@ oracle the property tests compare them against; out-of-range points go to
 the spec for the canonical error.
 
 Module-level ``counters()`` expose how many lookups were served from
-compiled rows (*hits*) and how many structures were compiled (*compiles*:
-two per row that has inputs, the edges as it reads them and as the row
-before is read); executors fold the per-run delta into
-:class:`~repro.core.metrics.DataPlaneStats` under ``--report``.  Counter
-increments are plain int updates (no lock): they are statistics, and the
-occasional lost increment under free-running threads is acceptable.
+compiled rows and tiles (*hits*) and how many structures were compiled
+(*compiles*: two per row that has inputs, the edges as it reads them and as
+the row before is read, and one per tile); executors fold the per-run delta
+into :class:`~repro.core.metrics.DataPlaneStats` under ``--report``.
+Counter increments are plain int updates (no lock): they are statistics,
+and the occasional lost increment under free-running threads is acceptable.
 """
 
 from __future__ import annotations
@@ -73,8 +81,8 @@ import threading
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import accumulate, count, pairwise
-from typing import Any, Deque, Dict, List, Tuple
+from itertools import accumulate, chain, count, pairwise
+from typing import Any, Deque, Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -219,6 +227,65 @@ class RowPlan:
         return tuple(map(tuple, readers))
 
 
+@dataclass(eq=False)
+class TilePlan:
+    """Rows ``[t0, t1)`` of a graph, compiled as one unit: what an owner of
+    every column needs to gather, validate and publish a stack of rows with
+    one ``take``, one ``memcmp`` and one copy.
+
+    The tile's buffer is the row before it followed by its own rows, end to
+    end, one task a row of the buffer: row ``t0 + r`` is ``buf[at[r + 1]:at[r
+    + 2]]`` (``at[0] == 0`` is where the row before starts).
+    ``index``
+        every row's :attr:`RowPlan.index` shifted by where its previous row
+        lies in the buffer, laid end to end: ``buf.take(index, 0)`` is every
+        input of the tile, row ``t0 + r``'s at ``[starts[r], starts[r + 1])``.
+    ``offs`` / ``cols``
+        each row's window offset and producer columns (what its expected
+        inputs are stamped from).
+    ``reads`` / ``consumers``
+        the first row's reads and the last row's consumers: the drained-store
+        invariant across a tile boundary is ``tile.reads ==
+        before.consumers``; inside the tile it was checked when it was built.
+    ``token``
+        a small integer no other plan of this process has, like
+        :attr:`RowPlan.token`: the tile's blocks are filed under it.
+    """
+
+    __slots__ = ("t0", "t1", "offs", "at", "starts", "index", "cols",
+                 "reads", "consumers", "token")
+    t0: int
+    t1: int
+    offs: List[int]
+    at: List[int]
+    starts: List[int]
+    index: np.ndarray
+    cols: List[Tuple[int, ...]]
+    reads: List[int]
+    consumers: List[int]
+
+    def __post_init__(self) -> None:
+        self.token = next(_tokens)
+
+    def rows(self) -> Iterator[Tuple[int, int, int, int, int]]:
+        """``(t, lo, hi, a, b)`` for each row of the tile, in order: its
+        window ``[lo, hi)``, and ``buf[a:b]`` where it lies in the tile's
+        buffer."""
+        return ((t, off, off + b - a, a, b) for t, off, (a, b) in zip(
+            range(self.t0, self.t1), self.offs, pairwise(self.at[1:])))
+
+
+def check_reads(where: str, t: int, published: List[int],
+                read: List[int]) -> None:
+    """The drained-store invariant of row ``t``: each output of row ``t - 1``
+    is read exactly as often as it was published for."""
+    if read != published:
+        raise RuntimeError(
+            f"{where}outputs of timestep {t - 1} were published for "
+            f"{published} reads but are read {read} times — task outputs "
+            "never consumed (or consumed twice)")
+
+
 class DependenceTable:
     """O(1) dependence queries for one :class:`DependenceSpec`, compiled
     lazily, a batch of rows at a time.
@@ -321,6 +388,43 @@ class DependenceTable:
                     for t, plan in zip(range(key, end), rows)]
             _compiles += 2 * (end - max(key, 1))
         return made[0]
+
+    def tile_plan(self, t0: int, most: int, graph_index: int) -> TilePlan:
+        """The compiled :class:`TilePlan` from timestep ``t0`` on: as many
+        rows as hold ``_BATCH`` tasks and ``most`` inputs (at least one).
+        Filed beside the rows, under ``(t0, most)``, and one lock-free probe
+        unless it is missing; ``graph_index`` is who a compile that finds
+        the rows' counts disagree names."""
+        global _hits
+        tile = self._plans.get((t0, most))
+        if tile is None:
+            return self._compile_tile(t0, most, graph_index)
+        _hits += 1
+        return tile
+
+    def _compile_tile(self, t0: int, most: int, graph_index: int) -> TilePlan:
+        global _compiles
+        rows = [self.row_plan(t0)]
+        tasks, edges = rows[0].width, len(rows[0].flat)
+        for t in range(t0 + 1, self.spec.height):
+            plan = self.row_plan(t)
+            tasks, edges = tasks + plan.width, edges + len(plan.flat)
+            if tasks > _BATCH or edges > most:
+                break
+            check_reads(f"graph {graph_index}: ", t, rows[-1].consumers,
+                        plan.reads)
+            rows.append(plan)
+        at = [0, *accumulate([len(rows[0].reads)] + [p.width for p in rows])]
+        lens = [len(p.flat) for p in rows]
+        index = np.fromiter(chain.from_iterable(p.flat for p in rows),
+                            np.intp, sum(lens))
+        index += np.repeat(at[:-2], lens)
+        tile = TilePlan(t0, t0 + len(rows), [p.off for p in rows], at,
+                        [0, *accumulate(lens)], index, [p.cols for p in rows],
+                        rows[0].reads, rows[-1].consumers)
+        with self._lock:
+            _compiles += 1
+            return self._plans.add((t0, most), tile, len(index) + at[-1])
 
     def totals(self) -> Tuple[int, int]:
         """``(tasks, dependence edges)`` of the whole graph — the lead, one

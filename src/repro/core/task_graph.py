@@ -186,6 +186,17 @@ class TaskGraph:
         must not mutate it."""
         return self._table.row_plan(t)
 
+    def tile_plan(self, t0: int) -> "_fastpath.TilePlan":
+        """The compiled tile of rows from ``t0`` on (see
+        :class:`~repro.core.fastpath.TilePlan`): as many rows as hold
+        ``fastpath._BATCH`` tasks and ``validation._BULK_BYTES`` of inputs,
+        at least one.  For a graph whose row is one block
+        (:func:`~repro.core.validation.tiles`).  Shared — callers must not
+        mutate it."""
+        return self._table.tile_plan(
+            t0, _validation._BULK_BYTES // self.output_bytes_per_task,
+            self.graph_index)
+
     def max_dependencies(self) -> int:
         """Upper bound on inputs of any task (receive-buffer sizing)."""
         return self.spec.max_dependencies()
@@ -358,6 +369,63 @@ class TaskGraph:
                 (~token, t, lo, hi, gidx, nbytes))) is not None:
             return block.copy()
         return _validation.task_outputs(self, t, lo, hi, out)
+
+    def execute_tile(
+        self,
+        tile: "_fastpath.TilePlan",
+        prev: np.ndarray,
+        *,
+        scratch: "np.ndarray | Sequence[np.ndarray | None] | None",
+        validate: bool,
+    ) -> np.ndarray:
+        """Execute every task of rows ``[tile.t0, tile.t1)`` — ``tile`` is
+        ``tile_plan(t0)`` — and return the tile's buffer: ``prev``, the
+        outputs of row ``t0 - 1`` as one ``(width, nbytes)`` block (no rows
+        at ``t0 == 0``), followed by every output of the tile, one task a
+        row; row ``t0 + r`` is ``buf[tile.at[r + 1]:tile.at[r + 2]]``, and
+        the last row is the next tile's ``prev``.
+
+        The stack of rows form of :meth:`execute_row` for an owner of every
+        column: same validation, same kernels, same output bytes, with the
+        bookkeeping paid once per tile.  The buffer is one copy of ``prev``
+        and the tile's memoised output block; every input of the tile is one
+        ``take`` of it with ``tile.index``, compared, before any kernel
+        runs, with the expected inputs of the whole tile by one ``memcmp``
+        (:func:`~repro.core.validation.validate_tile`, which stamps what
+        the memo lacks and walks a mismatch row by row through
+        ``validate_row``, naming the offender as ``execute_point`` would).
+        Then each task's kernel runs in program order with its own ``(t,
+        i)`` and ``scratch`` — one buffer for every task, or one per column
+        (indexed by column).
+        """
+        if len(prev) != tile.at[1]:
+            raise ValueError(
+                f"tile [{tile.t0}, {tile.t1}) of graph {self.graph_index} "
+                f"reads a row of {tile.at[1]} outputs but was handed {len(prev)}")
+        memo = _validation._memo
+        gidx, nbytes = self.graph_index, self.output_bytes_per_task
+        block = memo.get((~tile.token, gidx, nbytes))
+        if block is None:
+            block = _validation.tile_block(self, tile)
+        buf = np.concatenate((prev, block))
+        if validate:
+            inputs = buf.take(tile.index, 0)
+            expected = memo.get((tile.token, gidx, nbytes))
+            if expected is None or not expected == inputs:
+                _validation.validate_tile(self, tile, inputs)
+        kernel = self.kernel
+        traced = _trace.enabled
+        if traced or kernel.kernel_type is not _EMPTY:
+            shared = scratch is None or type(scratch) is np.ndarray
+            for t, lo, hi, _, _ in tile.rows():
+                for i in range(lo, hi):
+                    began = _trace.begin() if traced else 0
+                    kernel.execute(t, i, scratch=scratch if shared else scratch[i],
+                                   seed=self.seed)
+                    if traced:
+                        _trace.complete("task", _trace.CAT_KERNEL, began,
+                                        {"task": (gidx, t, i)})
+        return buf
 
     # ------------------------------------------------------------------
     # Convenience

@@ -23,7 +23,9 @@ joined when they arrive as a list; an input too large to be worth joining
 is compared in place through the buffer protocol.  Only a mismatch walks
 small inputs one by one, to name the offending slot.
 ``TaskGraph.execute_row`` does a block's hit inline — one probe, one
-``memcmp``, one copy of the output block — and comes here for the rest.
+``memcmp``, one copy of the output block — and comes here for the rest;
+``TaskGraph.execute_tile`` does the same for a stack of rows at once, and
+:func:`validate_tile` walks a tile's mismatch row by row.
 
 Expected patterns come from one memo bounded in bytes (``_memo``).  The
 blocks of a row owner are filed under the row plan's token
@@ -32,14 +34,16 @@ graph_index, nbytes)``: ``token`` for the inputs of columns ``[lo, hi)``
 of row ``t`` — the outputs of the producers the plan names, end to end, a
 ``bytearray`` —, ``~token`` for what those columns write — the
 ``(hi - lo, nbytes)`` ``uint8`` array a fresh output block is one copy of.
-A token stands for one plan of one dependence table, so two dependence
-types of one seed, two graphs of one table or a plan evicted and compiled
-again never share a key, and ``t`` is in it because a plan serves every
-timestep of its class.  Single columns and the inputs of one task — the
-per-task path, the walk that names an offender, payloads above
-``_BULK_BYTES`` — are keyed ``(seed, graph_index, t, cols, nbytes)``: a
-column is one packed header tiled, a task's inputs their columns' patterns
-joined (:func:`_expected`).
+A tile (:class:`~repro.core.fastpath.TilePlan`) files its two blocks the
+same way under ``(token, graph_index, nbytes)`` and ``~token``: a tile
+serves only its own rows.  A token stands for one plan of one dependence
+table, so two dependence types of one seed, two graphs of one table or a
+plan evicted and compiled again never share a key, and ``t`` is in a row's
+key because a plan serves every timestep of its class.  Single columns and
+the inputs of one task — the per-task path, the walk that names an
+offender, payloads above ``_BULK_BYTES`` — are keyed ``(seed, graph_index,
+t, cols, nbytes)``: a column is one packed header tiled, a task's inputs
+their columns' patterns joined (:func:`_expected`).
 
 A block is never made alone: the first row that compares or writes it
 misses, and the miss stamps the same block of a **batch** of rows — as many
@@ -56,8 +60,8 @@ from __future__ import annotations
 
 import struct
 import threading
-from itertools import accumulate, chain
-from typing import TYPE_CHECKING, Any, List, Sequence, Tuple
+from itertools import accumulate, chain, pairwise
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -66,7 +70,7 @@ from .fastpath import _BATCH, Bounded
 
 if TYPE_CHECKING:  # pragma: no cover
     from .bufpool import Payload
-    from .fastpath import RowPlan
+    from .fastpath import RowPlan, TilePlan
     from .task_graph import TaskGraph
 
 HEADER_BYTES = 32
@@ -124,9 +128,10 @@ def _stamp(seed: int, graph_index: int, nbytes: int,
     under ``key`` for every ``(key, t, cols)`` of ``rows`` and return the
     first one's: all their headers are packed by one array store (``t``
     repeated per column, the columns laid end to end), tiled, and cut into
-    the memo a row at a time — as a ``bytearray`` (what inputs are compared
-    with), or with ``block`` as a ``(len(cols), nbytes)`` array (what an
-    output block is copied from)."""
+    the memo a key at a time — rows filed under one key (a tile's) end to
+    end — as a ``bytearray`` (what inputs are compared with), or with
+    ``block`` as a ``(len(cols), nbytes)`` array (what an output block is
+    copied from)."""
     counts = [len(cols) for *_, cols in rows]
     total = sum(counts)
     headers = np.empty((total, 1, 4), dtype="<i8")
@@ -134,15 +139,19 @@ def _stamp(seed: int, graph_index: int, nbytes: int,
     headers[:, 0, 1] = np.fromiter(
         chain.from_iterable(cols for *_, cols in rows), "<i8", total)
     headers[:, 0, 2:] = graph_index, seed
-    tiled = np.broadcast_to(headers, (total, -(-nbytes // HEADER_BYTES), 4))
+    reps = -(-nbytes // HEADER_BYTES)  # ceil division
+    tiled = np.broadcast_to(headers, (total, reps, 4))
     data = np.ascontiguousarray(
-        tiled.reshape(total, -1).view(np.uint8)[:, :nbytes])
+        tiled.reshape(total, 4 * reps).view(np.uint8)[:, :nbytes])
     ends = list(accumulate(counts))
+    spans: Dict[Any, List[int]] = {}
+    for (key, _, _), a, b in zip(rows, [0] + ends, ends):
+        spans.setdefault(key, [a, b])[1] = b
     with _memo_lock:
         patterns = [
             _memo.add(key, data[a:b].copy() if block else bytearray(
                 data[a:b].data), (b - a) * nbytes + _ENTRY_BYTES)
-            for (key, _, _), a, b in zip(rows, [0] + ends, ends)
+            for key, (a, b) in spans.items()
         ]
     return patterns[0]
 
@@ -245,6 +254,54 @@ def task_outputs(
                 for u in _batch_of(graph, t, (hi - lo) * nbytes)], block=True)
         return block.copy()
     return [task_output(graph, t, i) for i in range(lo, hi)]
+
+
+def tile_block(graph: "TaskGraph", tile: "TilePlan") -> np.ndarray:
+    """The outputs of every task of ``tile``, row after row: the ``(tasks,
+    nbytes)`` array memoised under ``~tile.token`` that a tile buffer is one
+    copy of, shared — callers must not mutate it.  On a miss it is stamped
+    from the table's own tile from ``tile.t0``; a tile the table does not
+    hold (stale, or not its own) is written row by row by
+    :func:`task_outputs`, fresh."""
+    gidx, nbytes = graph.graph_index, graph.output_bytes_per_task
+    if graph.tile_plan(tile.t0) is not tile:
+        return np.concatenate([
+            np.reshape(task_outputs(graph, t, lo, hi), (-1, nbytes))
+            for t, lo, hi, _, _ in tile.rows()])
+    key = (~tile.token, gidx, nbytes)
+    return _stamp(graph.seed, gidx, nbytes, [
+        (key, t, range(lo, hi)) for t, lo, hi, _, _ in tile.rows()], block=True)
+
+
+def validate_tile(graph: "TaskGraph", tile: "TilePlan",
+                  inputs: np.ndarray) -> None:
+    """Check every input of ``tile`` at once: ``inputs``, gathered with
+    ``tile.index``, against the expected inputs filed under ``tile.token``
+    — stamped on a miss, in one header store, from the table's own tile
+    from ``tile.t0`` — with one ``memcmp``.  Anything else — a mismatch, a
+    tile the table does not hold, inputs above ``_BULK_BYTES`` — goes to
+    :func:`validate_row` row by row, splitting ``inputs`` at
+    ``tile.starts``, so the error names the first offending task, slot and
+    producer exactly as ``execute_point`` would."""
+    gidx, nbytes = graph.graph_index, graph.output_bytes_per_task
+    key = (tile.token, gidx, nbytes)
+    expected = _memo.get(key)
+    if (expected is None and nbytes * len(tile.index) <= _BULK_BYTES
+            and graph.tile_plan(tile.t0) is tile):
+        expected = _stamp(graph.seed, gidx, nbytes, [
+            (key, t - 1, cols)
+            for t, cols in zip(range(tile.t0, tile.t1), tile.cols)])
+    if expected is not None and expected == inputs:
+        return
+    for (t, lo, hi, _, _), (a, b) in zip(tile.rows(), pairwise(tile.starts)):
+        validate_row(graph, t, graph.row_plan(t), lo, hi, inputs[a:b])
+
+
+def tiles(graph: "TaskGraph") -> bool:
+    """Whether a full row of ``graph`` is one block of outputs — some bytes,
+    at most ``_BULK_BYTES`` — so that an owner of every column runs a stack
+    of its rows as one tile (``TaskGraph.execute_tile``)."""
+    return 0 < graph.max_width * graph.output_bytes_per_task <= _BULK_BYTES
 
 
 def recycles_rows(graph: "TaskGraph") -> bool:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..core import bufpool
 from ..core.bufpool import PayloadRef, PoolStats, SlabPool
-from ..core.fastpath import RowPlan
+from ..core.fastpath import RowPlan, TilePlan, check_reads
 from ..core.metrics import DataPlaneStats
 from ..core.task_graph import TaskGraph
 from ..trace import recorder as trace
@@ -458,20 +458,17 @@ def gather_row(row: Sequence[Any], plan: RowPlan, lo: int, hi: int) -> Sequence[
     return row.take(picks, 0) if block else [row[j] for j in picks]
 
 
-def check_drained(g: TaskGraph, t: int, before: RowPlan | None,
-                  plan: RowPlan | None) -> None:
+def check_drained(g: TaskGraph, t: int, before: RowPlan | TilePlan | None,
+                  plan: RowPlan | TilePlan | None) -> None:
     """The reference counting of an executor that keeps whole rows, done on
     the plans: row ``t - 1`` was published under ``before`` (``None``: there
-    was none) and row ``t`` reads it as ``plan`` says (``None``: the run is
-    over and nothing does).  Each output must be read exactly as often as
-    its consumer count promised."""
+    was none; a tile: its last row) and row ``t`` reads it as ``plan`` says
+    (``None``: the run is over and nothing does; a tile: its first row).
+    Each output must be read exactly as often as its consumer count
+    promised."""
     if before is not None:
-        reads = plan.reads if plan is not None else [0] * before.width
-        if reads != before.consumers:
-            raise RuntimeError(
-                f"graph {g.graph_index}: outputs of timestep {t - 1} were published "
-                f"for {before.consumers} reads but are read {reads} times — task "
-                "outputs never consumed (or consumed twice)")
+        check_reads(f"graph {g.graph_index}: ", t, before.consumers,
+                    plan.reads if plan is not None else [0] * len(before.consumers))
 
 
 def run_point(

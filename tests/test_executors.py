@@ -7,6 +7,7 @@ scheduled and routed every buffer exactly per the graph specification
 correct").
 """
 
+import functools
 import threading
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro.core import (
     TaskGraph,
     ValidationError,
 )
-from repro.core import validation
+from repro.core import fastpath, validation
 from repro.core.bufpool import as_array
 from repro.core.fastpath import DependenceTable
 from repro.runtimes import available_runtimes, make_executor
@@ -120,11 +121,13 @@ def test_validation_detects_corrupted_producer(runtime, monkeypatch):
     """Corrupt the output of one mid-graph producer: every executor must
     surface the ValidationError raised by its consumers.
 
-    The corruption goes in at ``execute_point`` and ``execute_row``, the two
-    entry points every executor runs tasks through, so it reaches the
-    task-by-task executors and the row-block ones (serial, fork workers)
-    alike; fork pools start inside the run and inherit the patch."""
+    The corruption goes in at ``execute_point``, ``execute_row`` and the
+    output block ``execute_tile`` copies, the three entry points every
+    executor runs tasks through, so it reaches the task-by-task executors,
+    the row-block ones (fork workers) and the tiled one (serial) alike; fork
+    pools start inside the run and inherit the patch."""
     real_point, real_row = TaskGraph.execute_point, TaskGraph.execute_row
+    real_block = validation.tile_block
 
     def corrupted(graph, t, lo, hi, outputs):
         if t == 3 and lo <= 2 < hi and graph.output_bytes_per_task:
@@ -140,8 +143,17 @@ def test_validation_detects_corrupted_producer(runtime, monkeypatch):
         out = real_row(graph, t, lo, hi, *args, **kwargs)
         return corrupted(graph, t, lo, hi, out)
 
+    def block(graph, tile):
+        out = real_block(graph, tile).copy()
+        for t, lo, hi, a, b in tile.rows():  # (a, b) counts the row before
+            corrupted(graph, t, lo, hi, out[a - tile.at[1]:b - tile.at[1]])
+        return out
+
     monkeypatch.setattr(TaskGraph, "execute_point", point)
     monkeypatch.setattr(TaskGraph, "execute_row", row)
+    monkeypatch.setattr(validation, "tile_block", block)
+    # Fresh: a memoised tile block is copied without asking tile_block.
+    monkeypatch.setattr(validation, "_memo", fastpath.Bounded(1 << 21))
     g = make_graph(DependenceType.STENCIL_1D)
     with pytest.raises(ValidationError, match=r"output of \(t=3, i=2\)"):
         make_executor(runtime, workers=2).run([g])
@@ -166,7 +178,8 @@ _ROW_PLAN = DependenceTable.row_plan
 
 
 def _tamper_with_consumers(monkeypatch, bad_t, by, real=_ROW_PLAN):
-    """Row ``bad_t``'s plan claims ``by`` more consumers of column 1."""
+    """Row ``bad_t``'s plan claims ``by`` more consumers of column 1 — to
+    tables made from here on: a tile compiled from it keeps what it claims."""
 
     class Tampered:
         def __init__(self, plan):
@@ -181,6 +194,8 @@ def _tamper_with_consumers(monkeypatch, bad_t, by, real=_ROW_PLAN):
         DependenceTable, "row_plan",
         lambda self, t: Tampered(real(self, t)) if t == bad_t else real(self, t),
     )
+    monkeypatch.setattr(fastpath, "_table_cached", functools.lru_cache(
+        maxsize=256)(fastpath._table_cached.__wrapped__))
 
 
 def test_serial_detects_undrained_row(monkeypatch):

@@ -475,6 +475,14 @@ class TestFrontCacheEviction:
             assert ex.run([g], validate=True).total_tasks == 1500 * 8
 
 
+def _tiles_of(g):
+    """The tiles ``serial`` runs ``g`` in, as the table holds them."""
+    tiles = [g.tile_plan(0)]
+    while tiles[-1].t1 < g.timesteps:
+        tiles.append(g.tile_plan(tiles[-1].t1))
+    return tiles
+
+
 class TestTallRandomGraphsByCount:
     """What a graph taller or wider than the plans' budget costs, counted —
     compiles, stamps and the cache's own accounting — not clocked."""
@@ -497,22 +505,25 @@ class TestTallRandomGraphsByCount:
         with make_executor("serial") as ex:
             fastpath.reset_counters()
             ex.run([g], validate=True)
-            assert fastpath.counters()[1] == 2 * (g.timesteps - 1) and stamps
+            tiles = len(_tiles_of(g))
+            # Two structures a row with inputs, and each tile built once.
+            assert fastpath.counters()[1] == 2 * (g.timesteps - 1) + tiles
+            assert stamps
             del stamps[:]
             fastpath.reset_counters()
             ex.run([g], validate=True)
-        # One lookup a row (the executor hands ``execute_row`` its plan), a hit.
-        assert fastpath.counters() == (g.timesteps, 0)
+        # One lookup a tile, a hit.
+        assert fastpath.counters() == (tiles, 0) and 10 < tiles < 40
         assert not stamps
 
     @pytest.mark.parametrize("shape", ["fine_stencil", "dense_random"])
-    def test_a_warm_run_is_one_lookup_one_compare_one_copy_a_row(
+    def test_a_warm_run_is_one_lookup_one_compare_one_copy_a_tile(
             self, shape, monkeypatch):
         """Both 16-byte benchmark shapes at 2,000 steps: the second run
-        finds every plan and every expected block where the first left them
-        — its blocks are filed under the plans' tokens, so a plan the table
-        kept is a hit — and runs every row but the first (which has no
-        inputs) on ``execute_row``'s own compare and copy."""
+        finds every tile and both blocks of each where the first left them
+        — filed under the tiles' tokens, so a tile the table kept is a hit
+        — and runs each on ``execute_tile``'s own take, compare and copy:
+        no stamp, no compile, no row validated or written on its own."""
         from repro.core import validation
 
         g = TaskGraph(timesteps=2000, max_width=8, output_bytes_per_task=16,
@@ -523,20 +534,48 @@ class TestTallRandomGraphsByCount:
                                radix=7, fraction_connected=0.75)))
         called = []
 
-        def spy(name):  # records (name, second argument: a row's timestep)
+        def spy(name):  # records (name, second argument: a row or a tile)
             real = getattr(validation, name)
             return lambda *a, **k: called.append((name, a[1])) or real(*a, **k)
 
-        for name in ("_stamp", "validate_row", "task_outputs"):
+        for name in ("_stamp", "validate_row", "task_outputs",
+                     "validate_tile", "tile_block"):
             monkeypatch.setattr(validation, name, spy(name))
+        ran = []
+        execute_tile = TaskGraph.execute_tile
+        monkeypatch.setattr(TaskGraph, "execute_tile", lambda self, tile, *a, **k:
+                            ran.append(tile) or execute_tile(self, tile, *a, **k))
         with make_executor("serial") as ex:
             ex.run([g], validate=True)
             assert called
-            del called[:]
+            del called[:], ran[:]
             hits, compiles = fastpath.counters()
             ex.run([g], validate=True)
-        assert fastpath.counters() == (hits + g.timesteps, compiles)
-        assert called == [("validate_row", 0)]
+        assert fastpath.counters() == (hits + len(ran), compiles)
+        assert ran == _tiles_of(g) and len(ran) <= 2000 // 90
+        assert called == []
+
+    def test_a_recycling_graph_still_runs_on_two_rows_of_buffers(
+            self, monkeypatch):
+        """A row above ``_BULK_BYTES`` is no tile: it runs a row at a time
+        on ``execute_row``, written over the buffers of the row before
+        last, so that a run makes two rows of output buffers."""
+        from repro.core import validation
+
+        g = TaskGraph(timesteps=7, max_width=8, output_bytes_per_task=(
+            _BULK_BYTES // 8 + 32), dependence=DependenceType.STENCIL_1D)
+        assert validation.recycles_rows(g) and not validation.tiles(g)
+        rows = []
+        execute_row = TaskGraph.execute_row
+        monkeypatch.setattr(TaskGraph, "execute_row", lambda *a, **k:
+                            rows.append(execute_row(*a, **k)) or rows[-1])
+        monkeypatch.setattr(TaskGraph, "execute_tile", None)  # never called
+        with make_executor("serial") as ex:
+            ex.run([g], validate=True)
+            ex.run([g], validate=True)
+        assert len(rows) == 2 * g.timesteps
+        for run in (rows[:g.timesteps], rows[g.timesteps:]):
+            assert len({id(buf) for row in run for buf in row}) == 2 * g.max_width
 
     def test_plans_are_budgeted_in_edges_not_entries(self):
         """64 x 2,048 random: twice what the budget holds.  The table keeps

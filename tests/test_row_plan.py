@@ -387,6 +387,125 @@ def _point_outputs(g):
     return {key: value.tobytes() for key, value in out.items()}
 
 
+#: The seeded list at tile granularity: what ``serial``'s unit of work can
+#: get wrong that a row cannot.
+TILE_MUTANTS = ["row before last, inside", "row before last, across",
+                "take index shifted", "tail input dropped", "swapped inputs",
+                "another tile's token", "recompiled tile"]
+
+
+class TestTilesKillMutants:
+    """``execute_tile`` gathers every input of a stack of rows with one
+    ``take`` and compares them all with one ``memcmp``; each mutant of that
+    must die with the text ``execute_point`` dies of, naming the first
+    offending task of the tile, on the inputs the mutant made.  Three rows
+    a tile here, four tiles a graph; 40 B is no multiple of the header."""
+
+    WIDTH, STEPS = 8, 12
+
+    @pytest.fixture(autouse=True)
+    def short_tiles(self, monkeypatch):
+        # Tables made from here on: nothing compiled under other budgets.
+        monkeypatch.setattr(fastpath, "_table_cached", functools.lru_cache(
+            maxsize=None)(fastpath._table_cached.__wrapped__))
+        monkeypatch.setattr(fastpath, "_BATCH", 3 * self.WIDTH)
+
+    def _graph(self, nbytes):
+        return TaskGraph(
+            timesteps=self.STEPS, max_width=self.WIDTH, seed=0x711E,
+            dependence=DependenceType.RANDOM_NEAREST, radix=7,
+            fraction_connected=0.75, output_bytes_per_task=nbytes)
+
+    @staticmethod
+    def _rows(g, steps):
+        """The true outputs of rows ``steps``, end to end: a tile buffer
+        made by nothing under test."""
+        return np.array([task_output(g, t, i) for t in steps
+                         for i in range(g.max_width)])
+
+    @staticmethod
+    def _verdict(g, tile, inputs):
+        """What ``execute_point`` says of ``inputs``, split row by row at the
+        tile's CSR offsets, in program order: its first error's text."""
+        for r, t in enumerate(range(tile.t0, tile.t1)):
+            try:
+                _point_loop(g, t, 0, g.max_width,
+                            list(inputs[tile.starts[r]:tile.starts[r + 1]]))
+            except ValidationError as exc:
+                return str(exc)
+        raise AssertionError("the mutant made no bad input")
+
+    @pytest.mark.parametrize("nbytes", [16, 40])
+    @pytest.mark.parametrize("mutant", TILE_MUTANTS)
+    def test_killed_with_the_text_of_execute_point(self, mutant, nbytes,
+                                                   monkeypatch):
+        g = self._graph(nbytes)
+        if mutant == "recompiled tile":
+            return self._recompiled(g, monkeypatch)
+        with make_executor("serial") as ex:
+            ex.run([g, g.with_(graph_index=1)], validate=True)  # all warm
+        first, tile, last = g.tile_plan(0), g.tile_plan(3), g.tile_plan(6)
+        assert (first.t1, tile.t1) == (3, 6)
+        prev = self._rows(g, [2])
+        buf = self._rows(g, range(2, 6))  # what the tile's buffer must be
+        index = tile.index.copy()
+        a, b = tile.starts[1], tile.starts[2]  # the middle row's inputs
+        if mutant == "row before last, inside":
+            index[a:b] -= self.WIDTH
+        elif mutant == "row before last, across":
+            prev = self._rows(g, [1])
+            buf = self._rows(g, [1, *range(3, 6)])
+        elif mutant == "take index shifted":
+            index[(a + b) // 2] += 1
+        elif mutant == "tail input dropped":
+            index = index[:-1]
+        elif mutant == "swapped inputs":
+            cols = np.array(tile.cols[1])
+            k = len(cols) // 2
+            other = int(np.flatnonzero(cols != cols[k])[0])
+            index[[a + k, a + other]] = index[[a + other, a + k]]
+        else:  # another tile's token: its blocks are in the memo
+            assert (last.t1 - last.t0) == (tile.t1 - tile.t0)
+            tile, prev = last, self._rows(g, [5])
+            buf = self._rows(g, [5, *range(3, 6)])
+            monkeypatch.setattr(tile, "token", g.tile_plan(3).token)
+            index = tile.index
+        monkeypatch.setattr(tile, "index", index)
+        want = self._verdict(g, tile, buf.take(index, 0))
+        with pytest.raises(ValidationError) as got:
+            g.execute_tile(tile, prev, scratch=None, validate=True)
+        assert str(got.value) == want
+        named = {"row before last, across": tile.t0,
+                 "tail input dropped": tile.t1 - 1}.get(mutant, tile.t0 + 1)
+        assert want.startswith(f"task (t={named}, ")
+
+    def _recompiled(self, g, monkeypatch):
+        """Tiles evicted and compiled again (an edge budget of about two
+        rows) whose index the second compile shifts once: a warm run must
+        validate what it recompiled, not pass on what it held."""
+        monkeypatch.setattr(fastpath, "_MAX_EDGES", 2 * 8 * g.max_width)
+        compile_tile = DependenceTable._compile_tile
+        made, bad = set(), []
+
+        def mutated(self, t0, most, gi):
+            tile = compile_tile(self, t0, most, gi)
+            if t0 in made and not bad and len(tile.index):
+                tile.index[len(tile.index) // 2] += 1
+                bad.append(tile)
+            made.add(t0)
+            return tile
+
+        monkeypatch.setattr(DependenceTable, "_compile_tile", mutated)
+        with make_executor("serial") as ex:
+            ex.run([g], validate=True)
+            assert not bad
+            with pytest.raises(ValidationError) as got:
+                ex.run([g], validate=True)
+        tile, = bad
+        buf = self._rows(g, range(max(tile.t0 - 1, 0), tile.t1))
+        assert str(got.value) == self._verdict(g, tile, buf.take(tile.index, 0))
+
+
 class TestPlanKeyedBlocksDoNotAlias:
     """Expected blocks are filed under a plan's token and ``(t, lo, hi,
     graph_index, nbytes)``.  Graphs that share a dependence table, or a
@@ -820,12 +939,13 @@ class TestTheRowIsOneBuffer:
                       validate=True)
         assert type(handed[2]) is bytes and handed[2] == block.tobytes()
 
-    def test_serial_keeps_and_retires_the_block_itself(self, monkeypatch):
-        """A warm run of the ``fine_stencil`` shape: what ``retire_rows``
-        receives is the very object ``execute_row`` returned — the block,
-        not a list of views — what the next row is gathered from is a
-        ``take`` of it, and the index arrays are built once per plan, not
-        once per run.  With no sink installed nothing is retired at all."""
+    def test_serial_retires_rows_as_views_of_the_tile_buffer(self, monkeypatch):
+        """A warm run of the ``fine_stencil`` shape: two tiles, no row run
+        on its own.  What ``retire_rows`` receives for each row is a view of
+        the buffer ``execute_tile`` returned — the row before the tile, then
+        its rows end to end — each tile is handed the last row of the one
+        before, and the index arrays are built once per tile, not once per
+        run.  With no sink installed nothing is retired at all."""
         from repro.runtimes import _common
 
         g = TaskGraph(timesteps=250, max_width=8, output_bytes_per_task=16,
@@ -833,39 +953,39 @@ class TestTheRowIsOneBuffer:
                       kernel=Kernel(kernel_type=KernelType.EMPTY))
         executor = make_executor("serial")
         executor.run([g], validate=True)
-        indexes = [g.row_plan(t).index for t in range(g.timesteps)]
-        assert len({id(x) for x in indexes}) == 3  # first, steady, last
-        returned, gathered, retired = [], [], []
-        execute_row = TaskGraph.execute_row
+        returned, handed, retired = [], [], []
+        execute_tile = TaskGraph.execute_tile
 
-        def spy(self, t, lo, hi, inputs, **kw):
-            gathered.append(inputs)
-            returned.append(execute_row(self, t, lo, hi, inputs, **kw))
+        def spy(self, tile, prev, **kw):
+            handed.append((tile, tile.index, prev))
+            returned.append(execute_tile(self, tile, prev, **kw))
             return returned[-1]
 
-        monkeypatch.setattr(TaskGraph, "execute_row", spy)
+        monkeypatch.setattr(TaskGraph, "execute_tile", spy)
+        monkeypatch.setattr(TaskGraph, "execute_row", None)  # never called
         monkeypatch.setattr(
             _common, "retire_rows",
-            lambda g, t, lo, hi, outputs: retired.append(outputs))
+            lambda g, t, lo, hi, outputs: retired.append((t, lo, hi, outputs)))
         executor.run([g], validate=True)
-        assert len(returned) == g.timesteps and not retired
-        del returned[:], gathered[:]
+        assert len(returned) == 2 and not retired
+        indexes = [index for _, index, _ in handed]
+        del returned[:], handed[:]
         with _common.tracing(_common.TraceRecorder()):
             executor.run([g], validate=True)
-        assert len(returned) == len(retired) == g.timesteps
-        for t in range(g.timesteps):
-            assert retired[t] is returned[t]
-            assert type(returned[t]) is np.ndarray
-            assert returned[t].shape == (8, 16)
-            assert g.row_plan(t).index is indexes[t]
-        assert gathered[0] == []
-        for t in range(1, g.timesteps):
-            assert type(gathered[t]) is np.ndarray
-            assert gathered[t].shape == (22, 16)
-            assert gathered[t].flags.c_contiguous
-            assert gathered[t].base is None  # a copy: not the row under it
-            assert gathered[t].tobytes() == returned[t - 1].take(
-                indexes[t], 0).tobytes()
+        assert [index for _, index, _ in handed] == indexes
+        assert [t for t, *_ in retired] == list(range(g.timesteps))
+        want = {key: value.tobytes() for key, value in (
+            ((t, i), task_output(g, t, i)) for t, i in g.points())}
+        for (tile, index, prev), buf in zip(handed, returned):
+            assert tile.index is index and type(buf) is np.ndarray
+            assert buf.shape == (8 * (tile.t1 - tile.t0 + (tile.t0 > 0)), 16)
+            assert buf.flags.c_contiguous and buf.base is None
+            assert prev.base is (returned[0] if tile.t0 else None)
+            for t, lo, hi, rows in retired[tile.t0:tile.t1]:
+                assert (lo, hi) == (0, 8) and rows.base is buf
+                assert [row.tobytes() for row in rows] == [
+                    want[t, i] for i in range(8)]
+        assert handed[0][2].shape == (0, 16)
 
 
 class TestExecuteRowKernels:
@@ -958,10 +1078,10 @@ class TestSerialRowBuffers:
             g = TaskGraph(timesteps=6, max_width=8, output_bytes_per_task=nbytes,
                           dependence=DependenceType.STENCIL_1D)
             make_executor("serial").run([g], validate=True)
+            if not recycled:  # a row that is one block runs in tiles
+                assert calls == []
+                continue
             assert [out for out, _ in calls[:2]] == [None, None]
             for t in range(2, 6):
                 out, got = calls[t]
-                if recycled:
-                    assert out is calls[t - 2][1] and got is out
-                else:
-                    assert out is None
+                assert out is calls[t - 2][1] and got is out

@@ -1,6 +1,5 @@
 """Unit tests for the fully-validating output/input scheme (paper §2)."""
 
-import math
 import sys
 import threading
 
@@ -380,24 +379,24 @@ class TestPatternMemoIsBoundedInBytes:
 
     def test_small_blocks_of_both_kinds_are_charged_what_they_hold(
             self, monkeypatch):
-        """A 16-byte stencil too tall for the budget: its expected input
-        blocks (``bytearray``) and output blocks (arrays) fill the memo, and
-        what it holds at the end is the same for a graph taller by a whole
-        number of both batches — the newest blocks, charged exactly."""
-        # A row stamps 22 inputs and 8 outputs of 16 bytes, two entries.
-        row = (22 + 8) * 16 + 2 * validation._ENTRY_BYTES
-        assert 4000 * row > validation._MEMO_BYTES
-        # Batches of both kinds start where they started on the short graph.
+        """A 16-byte stencil too tall for the budget: the expected inputs
+        (``bytearray``) and output blocks (arrays) of its tiles fill the
+        memo, and what it holds at the end is the same for a graph taller by
+        a whole tile — the newest blocks, charged exactly."""
+        # A row stamps 22 inputs and 8 outputs of 16 bytes.
+        assert 8000 * (22 + 8) * 16 > validation._MEMO_BYTES
+        # Tiles start where they started on the short graph.
         endless = TaskGraph(timesteps=1 << 20, max_width=8,
                             dependence=DependenceType.STENCIL_1D)
-        taller = 4000 + math.lcm(
-            len(validation._batch_of(endless, 1, 22 * 16)),
-            len(validation._batch_of(endless, 0, 8 * 16)))
+        steady = endless.tile_plan(endless.tile_plan(0).t1)
+        taller = 8000 + steady.t1 - steady.t0
         held, kinds = [], set()
-        for steps in (4000, taller):
+        for steps in (8000, taller):
             held.append(self._held_after_serial_run(steps, 16, seed=0xB17E5))
             kinds.add(frozenset(type(p) for p in validation._memo.values()))
-        assert held[0] == held[1] <= validation._MEMO_BYTES < held[0] + row
+        # Full but for less than one entry: none holds more than a tile's inputs.
+        assert held[0] == held[1] <= validation._MEMO_BYTES < (
+            held[0] + validation._BULK_BYTES + validation._ENTRY_BYTES)
         assert kinds == {frozenset((bytearray, np.ndarray))}
 
     def test_concurrent_misses_keep_the_count_exact(self):
