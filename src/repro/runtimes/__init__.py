@@ -4,7 +4,8 @@ One executor per runtime paradigm evaluated in the paper (§3): inline
 serial execution, bulk-synchronous and point-to-point message passing,
 dependency-counted thread tasking, sequential task flow with runtime
 dependence inference, ahead-of-time graph expansion, message-driven actors,
-a centralized controller, timestep-phased process offload, and — via
+a centralized controller, timestep-phased process offload (rows pickled,
+or passed as shared-memory slab handles above a payload size), and — via
 :mod:`repro.cluster` — distributed-memory rank processes over real
 sockets (``cluster_tcp`` / ``cluster_uds``).
 
@@ -29,7 +30,9 @@ _EXPORTS = {
     "dataflow": ("DataflowExecutor", "STFScheduler"),
     "futures_rt": ("FuturesExecutor",),
     "p2p": ("Mailbox", "P2PExecutor", "block_owner"),
-    "processes": ("ProcessPoolExecutor",),
+    "processes": (
+        "ProcessPoolExecutor", "ShmProcessPoolExecutor", "uses_slabs",
+    ),
     "ptg": ("ExpandedGraph", "PTGExecutor", "expand"),
     "registry": (
         "available_runtimes", "describe_runtimes", "make_executor",

@@ -362,8 +362,8 @@ class ForkWorkerPool:
     ) -> BaseException:
         """Pick the round's failure to re-raise: the first *primary* error.
 
-        Workers that synchronize among themselves mid-round (the shm
-        window barrier) raise marker errors (``secondary_error = True``)
+        Workers that synchronize among themselves mid-round (the slab
+        plane's window barrier) raise marker errors (``secondary_error = True``)
         when a *peer* failed; reporting order is worker order, so without
         this preference a bystander's "peer aborted" could mask the actual
         root cause raised by a later-numbered worker.

@@ -28,7 +28,7 @@ _RUNTIMES: Dict[str, str] = {
     "p2p": "p2p:P2PExecutor",
     "threads": "threads:ThreadPoolTaskExecutor",
     "processes": "processes:ProcessPoolExecutor",
-    "shm_processes": "shm:ShmProcessPoolExecutor",
+    "shm_processes": "processes:ShmProcessPoolExecutor",
     "dataflow": "dataflow:DataflowExecutor",
     "futures": "futures_rt:FuturesExecutor",
     "asyncio": "async_rt:AsyncioExecutor",

@@ -10,7 +10,7 @@ Threading model — one state lock, four thread roles:
   spawns a job thread.  Admission reuses the suite scheduler's rules
   verbatim (:func:`repro.suite.scheduler.admit` over
   :class:`~repro.suite.scheduler.Claim` lists): job cap, host core
-  budget, cluster-mesh exclusivity, ``shm_processes`` self-serialization.
+  budget, cluster-mesh exclusivity, one slab-plane process cell at a time.
 * **Job threads** — check a live executor out of the
   :class:`~repro.serve.warmpool.WarmPool` (healed if its substrate died
   idle), run the cell via :func:`repro.suite.scheduler.run_cell` with

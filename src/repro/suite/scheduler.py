@@ -14,8 +14,9 @@ rules:
    host-global resources are serialized against their
    :attr:`~repro.core.executor_base.Executor.isolation` metadata:
    ``cluster`` cells (socket meshes, rank process trees) never overlap
-   another cluster cell, and ``shm_processes`` cells never overlap each
-   other (they contend for /dev/shm capacity).
+   another cluster cell, and cells whose process executor will put their
+   payloads in shared-memory slabs never overlap each other (they contend
+   for /dev/shm capacity), whichever name they run it under.
 
 Cross-cell caching: the scheduler calibrates the kernel's peak FLOP/s
 *once*, before any cell runs, and pins it via ``TASKBENCH_PEAK_FLOPS`` so
@@ -50,9 +51,6 @@ from .store import SuiteStore
 #: Isolation classes that must never overlap a running cell of the same
 #: class (host-global substrate: socket meshes + rank process trees).
 EXCLUSIVE_ISOLATION = frozenset({"cluster"})
-
-#: Runtimes serialized against themselves (shared /dev/shm capacity).
-SERIALIZED_RUNTIMES = frozenset({"shm_processes"})
 
 #: How long a deadline-exceeded or shutdown-terminated cell worker gets to
 #: die gracefully before escalating to SIGKILL.
@@ -181,6 +179,8 @@ class Claim:
     runtime: str
     cost: int
     isolation: str
+    #: Whether the work keeps its payloads in /dev/shm slabs.
+    slabs: bool = False
 
 
 def admit(candidate: Claim, running: Sequence[Claim], max_jobs: int,
@@ -188,10 +188,9 @@ def admit(candidate: Claim, running: Sequence[Claim], max_jobs: int,
     """Whether ``candidate`` may start now, given the in-flight claims.
 
     The three admission rules of the module docstring: job cap, isolation
-    exclusivity (cluster meshes never overlap; runtimes in
-    :data:`SERIALIZED_RUNTIMES` never overlap themselves), and the host
-    core budget.  An idle scheduler admits anything — guaranteed progress
-    even for a claim larger than the budget.
+    exclusivity (cluster meshes never overlap; neither do two claims on
+    /dev/shm slabs), and the host core budget.  An idle scheduler admits
+    anything — guaranteed progress even for a claim larger than the budget.
     """
     if len(running) >= max_jobs:
         return False
@@ -201,9 +200,7 @@ def admit(candidate: Claim, running: Sequence[Claim], max_jobs: int,
         claim.isolation == candidate.isolation for claim in running
     ):
         return False
-    if candidate.runtime in SERIALIZED_RUNTIMES and any(
-        claim.runtime == candidate.runtime for claim in running
-    ):
+    if candidate.slabs and any(claim.slabs for claim in running):
         return False
     used = sum(claim.cost for claim in running)
     return used + candidate.cost <= core_budget
@@ -228,12 +225,23 @@ def cell_isolation(cell: Cell) -> str:
     return "serial" if cell.is_simulated else runtime_isolation(cell.runtime)
 
 
+def cell_uses_slabs(cell: Cell) -> bool:
+    """Whether the cell's process executor will run it on its slab plane
+    (the executor module's own test, so only it knows the threshold)."""
+    if cell_isolation(cell) != "processes":
+        return False
+    from ..runtimes.processes import uses_slabs
+
+    return uses_slabs([cell.payload_bytes])
+
+
 def claim_for_cell(cell: Cell) -> Claim:
     """The admission claim one cell occupies while it runs."""
     return Claim(
         runtime=cell.runtime,
         cost=cell_cost(cell),
         isolation=cell_isolation(cell),
+        slabs=cell_uses_slabs(cell),
     )
 
 
@@ -444,13 +452,13 @@ def _fork_context():
 
 __all__ = [
     "EXCLUSIVE_ISOLATION",
-    "SERIALIZED_RUNTIMES",
     "Claim",
     "SuiteSummary",
     "admissible",
     "admit",
     "cell_cost",
     "cell_isolation",
+    "cell_uses_slabs",
     "claim_for_cell",
     "run_cell",
     "run_suite",

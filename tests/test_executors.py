@@ -21,10 +21,11 @@ from repro.core import (
     ValidationError,
 )
 from repro.core import fastpath, validation
-from repro.core.bufpool import as_array
+from repro.core.bufpool import PayloadRef, as_array
 from repro.core.fastpath import DependenceTable
 from repro.runtimes import available_runtimes, make_executor
 from repro.runtimes._common import capturing_outputs
+from repro.runtimes.processes import SLAB_THRESHOLD
 
 ALL_RUNTIMES = available_runtimes()
 ALL_PATTERNS = list(DependenceType)
@@ -341,14 +342,16 @@ def _pipe_traffic(monkeypatch):
 
     def spy_send(self, targets, messages):
         for w in targets:
-            if isinstance(messages[w], list):  # a round's chunks, not a broadcast
-                sent.extend(chunk[4] for chunk in messages[w])
+            if isinstance(messages[w], list):  # a window, not a broadcast
+                for steps, _barrier in messages[w]:
+                    sent.extend(chunk[4] for chunks in steps for chunk in chunks)
         return send(self, targets, messages)
 
     def spy_recv(self, w, deadline):
         reply = recv(self, w, deadline)
         if reply[0] == "ok" and isinstance(reply[1], list):
-            received.extend(reply[1])
+            for outputs in reply[1]:
+                received.extend(outputs)
         return reply
 
     monkeypatch.setattr(ForkWorkerPool, "_send", spy_send)
@@ -357,15 +360,17 @@ def _pipe_traffic(monkeypatch):
 
 
 #: Heights 9 / 3 / 6 / 4 / 5, two windows that change width (tree, fft), a
-#: row of 64 KiB + 8 B that stays a list, and one three wide, whose chunks
-#: at two workers are a block of two and a list of one.
+#: row of the largest pickled payload just above ``_BULK_BYTES``, which stays
+#: a list at one worker, and one three wide, whose chunks at two workers are
+#: a block of two and a list of one.
 ROW_GRAPHS = [
     dict(pattern=DependenceType.STENCIL_1D, timesteps=9),
     dict(pattern=DependenceType.TREE, timesteps=3, max_width=8),
     dict(pattern=DependenceType.FFT, timesteps=6, max_width=8,
          output_bytes_per_task=40),
-    dict(pattern=DependenceType.STENCIL_1D, timesteps=4, max_width=8,
-         output_bytes_per_task=validation._BULK_BYTES // 8 + 1),
+    dict(pattern=DependenceType.STENCIL_1D, timesteps=4,
+         max_width=validation._BULK_BYTES // SLAB_THRESHOLD + 1,
+         output_bytes_per_task=SLAB_THRESHOLD),
     dict(pattern=DependenceType.NEAREST, timesteps=5, max_width=3),
 ]
 
@@ -423,17 +428,44 @@ def test_processes_ships_one_array_per_chunk_each_way(monkeypatch):
         assert r.data_plane.bytes_copied == 16 * r.data_plane.payloads_copied
 
 
+@pytest.mark.parametrize("runtime", ["processes", "shm_processes"])
+def test_processes_ships_only_handles_above_the_threshold(runtime, monkeypatch):
+    """Above ``SLAB_THRESHOLD`` no payload crosses the pipe under either
+    name: a chunk's inputs are slab handles, each window's reply is empty,
+    and the outputs are serial's bytes."""
+    g = make_graph(DependenceType.STENCIL_1D, timesteps=12, max_width=8,
+                   output_bytes_per_task=65536,
+                   kernel=Kernel(kernel_type=KernelType.EMPTY))
+    with capturing_outputs() as want:
+        make_executor("serial").run([g])
+    sent, received = _pipe_traffic(monkeypatch)
+    with make_executor(runtime, workers=2) as ex:
+        with capturing_outputs() as got:
+            r = ex.run([g])
+    assert got == want
+    assert len(sent) == 12 * 2 and received == []
+    assert all(type(x) is list for x in sent)
+    assert sum(map(len, sent)) == g.total_dependencies()
+    assert all(type(ref) is PayloadRef for x in sent for ref in x)
+    assert r.data_plane.bytes_copied == 0
+    assert r.data_plane.payloads_shared == g.total_tasks()
+
+
 def test_processes_rejects_a_chunk_short_of_outputs(monkeypatch):
     """A worker answering with fewer outputs than its block has tasks fails
     the round it answers in — the last row too, which nothing reads."""
     from repro.runtimes import processes
 
-    real = processes._worker_chunk
+    def short(frame, bad_t):
+        steps, _barrier = frame
+        t = [chunk[1] for chunks in steps for chunk in chunks]
+        return [block[:-1] if t[k] == bad_t else block
+                for k, block in enumerate(processes._run_window(frame))]
+
     for bad_t in (3, 7):
         monkeypatch.setattr(
             processes.ProcessPoolExecutor, "chunk_fn", staticmethod(
-                lambda args, bad_t=bad_t:
-                    real(args)[:-1] if args[1] == bad_t else real(args)))
+                functools.partial(short, bad_t=bad_t)))
         g = make_graph(DependenceType.STENCIL_1D)
         with make_executor("processes", workers=2) as ex:
             with pytest.raises(RuntimeError, match=(

@@ -47,7 +47,9 @@ from repro.runtimes._procpool import (
     WorkerCrashError,
     WorkerTimeoutError,
 )
-from repro.runtimes.shm import _ABORT, WindowAbortError, _await_peers
+from repro.runtimes.processes import (
+    _ABORT, SLAB_THRESHOLD, WindowAbortError, _await_peers,
+)
 
 PROCESS_RUNTIMES = ["processes", "shm_processes"]
 
@@ -259,15 +261,16 @@ def test_executor_wedge_times_out_and_recovers(runtime):
 
 
 def test_shm_crash_releases_slots_and_orphans_nothing():
-    """The data-plane half of recovery: a mid-round crash must not leave
-    live slots (masking the original error with the leak check on the
-    next run) nor orphan /dev/shm segments."""
+    """The data-plane half of recovery: a mid-round crash on the slab plane
+    must not leave live slots (masking the original error with the leak
+    check on the next run) nor orphan /dev/shm segments."""
     ex = make_executor(
         "shm_processes", workers=2, timeout=10.0, fault=parse_fault("crash:0:1")
     )
+    g = _graph(nbytes=2 * SLAB_THRESHOLD)
     try:
         with pytest.raises(WorkerCrashError):
-            ex.run([_graph(nbytes=4096)])
+            ex.run([g])
         buffers = ex._buffers
         assert buffers is not None
         assert buffers.live_slots == 0  # aborted round fully unwound
@@ -276,7 +279,7 @@ def test_shm_crash_releases_slots_and_orphans_nothing():
         for name in segments:
             assert os.path.exists(f"/dev/shm/{name}")  # still backing the pool
 
-        result = ex.run([_graph(nbytes=4096)])  # no data-plane leak error
+        result = ex.run([g])  # no data-plane leak error
         assert result.validated
     finally:
         ex.close()
@@ -322,12 +325,12 @@ class TestWindowAbort:
 
 
 def test_shm_one_step_and_full_windows_capture_identical_outputs(monkeypatch):
-    """A fault-armed shm executor runs one-timestep windows (round =
-    timestep), an unarmed one up to 32 timesteps per window; both must
-    publish byte-identical outputs and the same program-order event
+    """On the slab plane a fault-armed executor runs one-timestep windows
+    (round = timestep), an unarmed one up to 32 timesteps per window; both
+    must publish byte-identical outputs and the same program-order event
     stream (what ``--audit`` replays)."""
     monkeypatch.delenv("TASKBENCH_INJECT_FAULT", raising=False)
-    g = _graph(nbytes=48, timesteps=40, max_width=6)
+    g = _graph(nbytes=2 * SLAB_THRESHOLD, timesteps=40, max_width=6)
     captured, events = {}, {}
     for label, fault, window in [
         ("armed", parse_fault("delay:0:2:0.05"), 1),

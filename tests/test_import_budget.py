@@ -67,7 +67,7 @@ def cell_modules(runtime: str) -> set:
 @pytest.mark.parametrize("runtime, own, cluster", [
     ("serial", set(), False),
     ("threads", {"threads"}, False),
-    ("shm_processes", {"shm", "processes"}, False),
+    ("shm_processes", {"processes"}, False),
     ("cluster_uds", {"cluster_rt"}, True),
 ])
 def test_cold_cell_loads_only_its_own_runtime(runtime, own, cluster):

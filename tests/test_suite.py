@@ -378,14 +378,24 @@ class TestAdmission:
         assert admissible(make_cell(), running, jobs=4, core_budget=64)
 
     def test_shm_cells_serialized_against_each_other(self):
-        running = [running_job(make_cell(runtime="shm_processes"))]
-        assert not admissible(
-            make_cell(runtime="shm_processes", pattern="tree"), running,
-            jobs=4, core_budget=64,
-        )
-        assert admissible(
-            make_cell(runtime="processes"), running, jobs=4, core_budget=64,
-        )
+        """Cells that will put payloads in /dev/shm slabs never overlap,
+        under either name of the process executor; 16-byte cells pickle
+        their rows and overlap anything."""
+        for name in ("processes", "shm_processes"):
+            small = make_cell(runtime=name, payload_bytes=16)
+            big = make_cell(runtime=name, pattern="tree", payload_bytes=65536)
+            assert not claim_for_cell(small).slabs
+            assert claim_for_cell(big).slabs
+            for other in ("processes", "shm_processes"):
+                on_slabs = [running_job(
+                    make_cell(runtime=other, payload_bytes=65536))]
+                pickled = [running_job(
+                    make_cell(runtime=other, payload_bytes=16))]
+                assert not admissible(big, on_slabs, jobs=4, core_budget=64)
+                assert admissible(small, on_slabs, jobs=4, core_budget=64)
+                assert admissible(big, pickled, jobs=4, core_budget=64)
+        assert not claim_for_cell(
+            make_cell(runtime="sim:dask", payload_bytes=65536)).slabs
 
     def test_cell_cost(self):
         assert cell_cost(make_cell(runtime="sim:dask", workers=8)) == 1
