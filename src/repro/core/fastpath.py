@@ -145,6 +145,13 @@ class Bounded(Dict[Any, Any]):
                 self.held -= cost
         return kept
 
+    def clear(self) -> None:
+        """Drop every entry, and with them the queue and the count: what
+        ``dict.clear`` alone leaves would evict keys that are gone."""
+        super().clear()
+        self._oldest.clear()
+        self.held = 0
+
 
 @dataclass(eq=False)
 class RowPlan:

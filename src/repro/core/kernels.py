@@ -27,7 +27,9 @@ from __future__ import annotations
 import tempfile
 import threading
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -176,17 +178,29 @@ class Kernel:
         raise AssertionError(f"unhandled kernel type {kt}")  # pragma: no cover
 
 
-#: Per-thread reusable accumulator/temporary vectors for the compute
-#: kernels.  The kernels historically allocated three fresh 64-wide arrays
-#: *per iteration* (``a * a`` and ``+ a`` each allocate, plus the initial
-#: ``np.full``), which showed up as per-task allocator traffic on the
-#: empty-ish hot path; the semantics only need the values, so each thread
-#: keeps one set of buffers and the loop runs through ``out=`` ufuncs.
-_kernel_tls = threading.local()
+class _PerThread(threading.local):
+    """What the compute kernels keep per thread.
+
+    ``bufs``: reusable accumulator/temporary vectors.  The kernels
+    historically allocated three fresh 64-wide arrays *per iteration*
+    (``a * a`` and ``+ a`` each allocate, plus the initial ``np.full``),
+    which showed up as per-task allocator traffic on the empty-ish hot path;
+    the semantics only need the values, so each thread keeps one set of
+    buffers and the loop runs through ``out=`` ufuncs.
+
+    ``saturating``: whether :func:`saturating` already ignores overflow on
+    this thread.  Class attributes are the defaults, so a thread's first
+    read is a plain lookup, not a caught ``AttributeError``."""
+
+    bufs = None
+    saturating = False
+
+
+_kernel_tls = _PerThread()
 
 
 def _kernel_buffers() -> tuple:
-    bufs = getattr(_kernel_tls, "bufs", None)
+    bufs = _kernel_tls.bufs
     if bufs is None:
         bufs = (
             np.empty(KERNEL_VECTOR_WIDTH),
@@ -196,6 +210,33 @@ def _kernel_buffers() -> tuple:
         )
         _kernel_tls.bufs = bufs
     return bufs
+
+
+@contextmanager
+def saturating() -> Iterator[None]:
+    """Ignore floating-point overflow on this thread for a run of kernel
+    calls — a row, a tile — with one ``np.errstate(over="ignore")``: the
+    compute kernels saturate to inf by design, and entering it on every
+    call was most of a short kernel's fixed cost.  The kernels called
+    inside skip their own; a nested use does nothing more."""
+    if _kernel_tls.saturating:
+        yield
+        return
+    with np.errstate(over="ignore"):
+        _kernel_tls.saturating = True
+        try:
+            yield
+        finally:
+            _kernel_tls.saturating = False
+
+
+_NOTHING = nullcontext()
+
+
+def _overflow_ignored():
+    """What a compute kernel enters around its loop: nothing inside
+    :func:`saturating`, else an ``np.errstate(over="ignore")`` of its own."""
+    return _NOTHING if _kernel_tls.saturating else np.errstate(over="ignore")
 
 
 def execute_kernel_compute(iterations: int) -> np.ndarray:
@@ -209,7 +250,7 @@ def execute_kernel_compute(iterations: int) -> np.ndarray:
     """
     a, _, tmp, _ = _kernel_buffers()
     a[:] = 1.2345
-    with np.errstate(over="ignore"):  # values saturate to inf by design
+    with _overflow_ignored():  # values saturate to inf by design
         for _ in range(iterations):
             np.multiply(a, a, out=tmp)
             np.add(tmp, a, out=a)
@@ -226,7 +267,7 @@ def execute_kernel_compute2(iterations: int) -> np.ndarray:
     a, b, tmp, out = _kernel_buffers()
     a[:] = 1.2345
     b[:] = 1.0101
-    with np.errstate(over="ignore"):
+    with _overflow_ignored():
         for _ in range(iterations // 2):
             np.multiply(a, a, out=tmp)
             np.add(tmp, a, out=a)

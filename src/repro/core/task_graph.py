@@ -24,7 +24,7 @@ from .dependence import DependenceSpec, Interval
 
 if TYPE_CHECKING:  # pragma: no cover
     from . import bufpool
-from .kernels import Kernel
+from .kernels import Kernel, saturating
 from .types import DependenceType, KernelType
 
 DEFAULT_SEED = 12345
@@ -354,17 +354,18 @@ class TaskGraph:
         traced = _trace.enabled
         if traced or kernel.kernel_type is not _EMPTY:
             shared = scratch is None or type(scratch) is np.ndarray
-            for i in range(lo, hi):
-                t0 = _trace.begin() if traced else 0
-                kernel.execute(
-                    t, i, scratch=scratch if shared else scratch[i - lo],
-                    seed=self.seed,
-                )
-                if traced:
-                    _trace.complete(
-                        "task", _trace.CAT_KERNEL, t0,
-                        {"task": (gidx, t, i)},
+            with saturating():
+                for i in range(lo, hi):
+                    t0 = _trace.begin() if traced else 0
+                    kernel.execute(
+                        t, i, scratch=scratch if shared else scratch[i - lo],
+                        seed=self.seed,
                     )
+                    if traced:
+                        _trace.complete(
+                            "task", _trace.CAT_KERNEL, t0,
+                            {"task": (gidx, t, i)},
+                        )
         if out is None and (block := memo.get(
                 (~token, t, lo, hi, gidx, nbytes))) is not None:
             return block.copy()
@@ -417,14 +418,16 @@ class TaskGraph:
         traced = _trace.enabled
         if traced or kernel.kernel_type is not _EMPTY:
             shared = scratch is None or type(scratch) is np.ndarray
-            for t, lo, hi, _, _ in tile.rows():
-                for i in range(lo, hi):
-                    began = _trace.begin() if traced else 0
-                    kernel.execute(t, i, scratch=scratch if shared else scratch[i],
-                                   seed=self.seed)
-                    if traced:
-                        _trace.complete("task", _trace.CAT_KERNEL, began,
-                                        {"task": (gidx, t, i)})
+            with saturating():
+                for t, lo, hi, _, _ in tile.rows():
+                    for i in range(lo, hi):
+                        began = _trace.begin() if traced else 0
+                        kernel.execute(
+                            t, i, scratch=scratch if shared else scratch[i],
+                            seed=self.seed)
+                        if traced:
+                            _trace.complete("task", _trace.CAT_KERNEL, began,
+                                            {"task": (gidx, t, i)})
         return buf
 
     # ------------------------------------------------------------------

@@ -22,12 +22,26 @@ arrive as one C-contiguous array (a row block gathered with one ``take``),
 joined when they arrive as a list; an input too large to be worth joining
 is compared in place through the buffer protocol.  Only a mismatch walks
 small inputs one by one, to name the offending slot.
+
+A block whose inputs are above ``_BULK_BYTES`` has a row form too, its
+**large branch** (:func:`_in_place`): the memo is probed once for each
+distinct producer column of the block, under that producer's own key —
+the arithmetic of ``(seed, graph_index, t - 1, column)``, never taken from
+a buffer under test or from anything the executor hands along — and every
+input is compared with its producer's pattern by one ``memcmp`` of its own,
+where it lies: a buffer read by three consumers is compared three times.
+The block's outputs are written the same way (:func:`task_outputs`): the
+row's patterns probed at once, what misses made under one hold of the lock
+(:func:`_patterns`), each copied into its destination.  Only a mismatch, a
+wrong count or an input with no byte view walks the block task by task.
 ``TaskGraph.execute_row`` does a block's hit inline — one probe, one
 ``memcmp``, one copy of the output block — and comes here for the rest;
 ``TaskGraph.execute_tile`` does the same for a stack of rows at once, and
 :func:`validate_tile` walks a tile's mismatch row by row.
 
-Expected patterns come from one memo bounded in bytes (``_memo``).  The
+Expected patterns come from two memos bounded in bytes, one of blocks
+(``_memo``), kept from one warm run to the next, and one of single columns
+(``_columns``), which holds the rows in flight.  The
 blocks of a row owner are filed under the row plan's token
 (:attr:`~repro.core.fastpath.RowPlan.token`) and ``(t, lo, hi,
 graph_index, nbytes)``: ``token`` for the inputs of columns ``[lo, hi)``
@@ -42,8 +56,9 @@ plan evicted and compiled again never share a key, and ``t`` is in a row's
 key because a plan serves every timestep of its class.  Single columns and
 the inputs of one task — the per-task path, the walk that names an
 offender, payloads above ``_BULK_BYTES`` — are keyed ``(seed, graph_index,
-t, cols, nbytes)``: a column is one packed header tiled, a task's inputs
-their columns' patterns joined (:func:`_expected`).
+t, cols, nbytes)``: a column is one packed header tiled, filed in the
+column memo (:func:`_patterns`), a task's inputs their columns' patterns
+joined, filed with the blocks (:func:`_expected`).
 
 A block is never made alone: the first row that compares or writes it
 misses, and the miss stamps the same block of a **batch** of rows — as many
@@ -88,21 +103,42 @@ _HEADER = struct.Struct("<4q")
 #: selects a path.
 _BULK_BYTES = 1 << 16
 
-#: Byte budget of the pattern memo, and what one entry is charged on top of
-#: its pattern (key, dict slot, object header), so that tiny or empty
-#: patterns are bounded as well.  A pattern is reused only by the row that
-#: consumes it (about 2.7 times on a stencil), so the memo need hold no more
-#: than two rows of large payloads; the budget keeps those within a core's
-#: L2 while every row of a small-payload graph a few thousand steps tall
-#: stays memoised from one warm run to the next.
-_MEMO_BYTES = 1 << 21
+#: What one memo entry is charged on top of its pattern (key, dict slot,
+#: object header), so that tiny or empty patterns are bounded as well.
 _ENTRY_BYTES = 128
 
-#: Oldest first, like the row plans: a graph too tall for it misses on every
-#: row of every pass under any order.  Hits are lock-free probes; inserts
-#: and evictions hold the lock.  An evicted 64 KiB pattern is the allocation
-#: the next one reuses.
+#: Byte budget of the block memo (``_memo``): what a batch stamp files —
+#: the blocks of rows and tiles, each at most ``_BULK_BYTES`` — and the
+#: joined inputs of one task.  Blocks are dear to make (a header store a
+#: batch) and are kept from one warm run to the next: every block of a
+#: small-payload graph 2,000 rows tall, 1.31 MB for the ``dense_random``
+#: shape (``tests/test_fastpath.py``), with the per-task path's joined
+#: inputs of a 250-row graph (350 KB on ``threads``) beside them.
+_MEMO_BYTES = 1 << 21
+
+#: Byte budget of the column memo (``_columns``): one producer's output a
+#: key, what a row above ``_BULK_BYTES`` is written and checked against.
+#: Such a pattern is reused only by the row that consumes it (about 2.7
+#: times on a stencil) and is made again as cheaply as it is copied, so the
+#: memo holds the rows in flight and no more: one large row hand-off — the
+#: patterns row ``t`` writes and row ``t + 1`` validates, eight 64 KiB
+#: columns (``big_payload``), 513 KiB charged — and a column more.  (At 16
+#: bytes, 4,500 columns: every output of a 250-row small graph on the
+#: per-task path.)  More is slower, not safer: FIFO evicts what was touched
+#: longest ago, and that allocation is what the next pattern is made in, so
+#: every row held past the hand-off adds cold lines to each write.  With
+#: ``serial``'s two recycled rows of 64 KiB buffers (1 MiB) the hand-off
+#: stays within a core's 2 MiB of L2 (Xeon, 2 cores), where the 2 MiB memo
+#: that held them before — four such rows — did not: 12.1 against 14.7
+#: us/task on ``big_payload``, pinned.
+_COLUMN_BYTES = 10 << 16
+
+#: Oldest first, like the row plans: a graph too tall for them misses on
+#: every row of every pass under any order.  Hits are lock-free probes;
+#: inserts and evictions hold the one lock.  An evicted 64 KiB pattern is
+#: the allocation the next one reuses.
 _memo = Bounded(_MEMO_BYTES)
+_columns = Bounded(_COLUMN_BYTES)
 _memo_lock = threading.Lock()
 
 
@@ -166,27 +202,47 @@ def _batch_of(graph: "TaskGraph", t: int, row_bytes: int) -> range:
 def _expected(seed: int, graph_index: int, t: int, cols: Sequence[int],
               nbytes: int) -> bytearray:
     """The outputs of producers ``(t, col)`` for ``col`` in ``cols``, laid
-    end to end, from the memo.  Shared — callers must not mutate it.  A
-    ``bytearray`` because that is the type whose ``==`` compares against
-    any contiguous buffer with one ``memcmp``.  The writer of row ``t``
-    leaves here what the validation of row ``t + 1`` looks up.
+    end to end.  Shared — callers must not mutate it.  A ``bytearray``
+    because that is the type whose ``==`` compares against any contiguous
+    buffer with one ``memcmp``.
 
-    A miss on one column packs its header and tiles it; a miss on several —
-    the inputs of one task, where no batch is in sight — joins theirs."""
+    One column is its :func:`_patterns` entry; several — the inputs of one
+    task, where no batch is in sight — are theirs joined, filed as one in
+    the block memo."""
+    if len(cols) == 1:
+        return _patterns(seed, graph_index, t, cols, nbytes)[0]
     key = (seed, graph_index, t, cols, nbytes)
     try:
         return _memo[key]
     except KeyError:
         pass
-    if len(cols) == 1:
-        pattern = bytearray(_HEADER.pack(t, cols[0], graph_index, seed))
-        pattern *= -(-nbytes // HEADER_BYTES)  # ceil division
-        del pattern[nbytes:]
-    else:
-        pattern = bytearray().join(
-            [_expected(seed, graph_index, t, (col,), nbytes) for col in cols])
+    pattern = bytearray().join(_patterns(seed, graph_index, t, cols, nbytes))
     with _memo_lock:
         return _memo.add(key, pattern, len(pattern) + _ENTRY_BYTES)
+
+
+def _patterns(seed: int, graph_index: int, t: int, cols: Sequence[int],
+              nbytes: int) -> List[bytearray]:
+    """The output of producer ``(t, col)`` for each ``col`` of ``cols``, one
+    ``bytearray`` each, filed in the column memo under ``(seed,
+    graph_index, t, (col,), nbytes)``: one probe a column, and what misses
+    is one packed header tiled, all of them filed under one hold of the
+    lock.  Shared — callers must not mutate them.  The writer of row ``t``
+    leaves here what the validation of row ``t + 1`` looks up."""
+    found = [_columns.get((seed, graph_index, t, (col,), nbytes))
+             for col in cols]
+    if None in found:
+        reps = -(-nbytes // HEADER_BYTES)  # ceil division
+        with _memo_lock:
+            for k, col in enumerate(cols):
+                if found[k] is None:
+                    pattern = bytearray(_HEADER.pack(t, col, graph_index, seed))
+                    pattern *= reps
+                    del pattern[nbytes:]
+                    found[k] = _columns.add(
+                        (seed, graph_index, t, (col,), nbytes),
+                        pattern, nbytes + _ENTRY_BYTES)
+    return found
 
 
 def task_output(graph: "TaskGraph", t: int, i: int) -> np.ndarray:
@@ -209,13 +265,7 @@ def write_task_output(graph: "TaskGraph", t: int, i: int, dest: np.ndarray) -> N
     (:mod:`repro.core.bufpool`), a row buffer of ``serial`` — instead of
     allocating a fresh array per task.
     """
-    nbytes = graph.output_bytes_per_task
-    if dest.nbytes != nbytes:
-        raise ValueError(
-            f"destination holds {dest.nbytes} bytes, task output needs {nbytes}"
-        )
-    # One memcpy through the buffer protocol, as the compare is one memcmp.
-    dest.data[:] = _expected(graph.seed, graph.graph_index, t, (i,), nbytes)
+    task_outputs(graph, t, i, i + 1, (dest,))
 
 
 def task_outputs(
@@ -225,35 +275,42 @@ def task_outputs(
     """The outputs of tasks ``(t, lo) .. (t, hi - 1)``, in column order:
     the one output writer behind ``execute_point`` and ``execute_row``.
 
-    With ``out`` (exactly one destination per task, array or pool handle)
-    each pattern is written in place and ``out`` is returned.  Otherwise a
-    block of several tasks and at most ``_BULK_BYTES`` is one fresh
-    ``(hi - lo, nbytes)`` ``uint8`` array — a copy of the block memoised
-    under ``~token`` of row ``t``'s plan, stamped with the same block of the
-    rows after it on a miss — returned as it is: indexing or iterating it
-    yields the per-task views, and only who needs one makes one.  A larger
-    block (where one big copy costs more than it saves) or a single task is
-    a list of a fresh buffer per task.
+    A block of several tasks and at most ``_BULK_BYTES``, with no ``out``,
+    is one fresh ``(hi - lo, nbytes)`` ``uint8`` array — a copy of the
+    block memoised under ``~token`` of row ``t``'s plan, stamped with the
+    same block of the rows after it on a miss — returned as it is: indexing
+    or iterating it yields the per-task views, and only who needs one makes
+    one.  Otherwise each task's pattern — the row's probed at once, its
+    misses filed under one hold of the lock (:func:`_patterns`) — is copied
+    into its destination: into ``out`` (exactly one destination per task,
+    array or pool handle), which is returned, or into a fresh buffer per
+    task, returned as a list.  A copy, never the pattern itself.
     """
-    if out is not None:
-        if len(out) != hi - lo:
-            raise ValueError(
-                f"row {t} block [{lo}, {hi}) of graph {graph.graph_index} has "
-                f"{hi - lo} tasks but {len(out)} output destinations")
-        for i, dest in zip(range(lo, hi), out):
-            write_task_output(
-                graph, t, i, dest if type(dest) is np.ndarray else as_array(dest))
-        return out
     nbytes = graph.output_bytes_per_task
-    if hi - lo > 1 and 0 < (hi - lo) * nbytes <= _BULK_BYTES:
-        gidx, cols = graph.graph_index, range(lo, hi)
-        block = _memo.get((~graph.row_plan(t).token, t, lo, hi, gidx, nbytes))
-        if block is None:
-            block = _stamp(graph.seed, gidx, nbytes, [
-                ((~graph.row_plan(u).token, u, lo, hi, gidx, nbytes), u, cols)
-                for u in _batch_of(graph, t, (hi - lo) * nbytes)], block=True)
-        return block.copy()
-    return [task_output(graph, t, i) for i in range(lo, hi)]
+    if out is None:
+        if hi - lo > 1 and 0 < (hi - lo) * nbytes <= _BULK_BYTES:
+            gidx, cols = graph.graph_index, range(lo, hi)
+            block = _memo.get((~graph.row_plan(t).token, t, lo, hi, gidx, nbytes))
+            if block is None:
+                block = _stamp(graph.seed, gidx, nbytes, [
+                    ((~graph.row_plan(u).token, u, lo, hi, gidx, nbytes), u, cols)
+                    for u in _batch_of(graph, t, (hi - lo) * nbytes)], block=True)
+            return block.copy()
+        out = [np.empty(nbytes, dtype=np.uint8) for _ in range(lo, hi)]
+    elif len(out) != hi - lo:
+        raise ValueError(
+            f"row {t} block [{lo}, {hi}) of graph {graph.graph_index} has "
+            f"{hi - lo} tasks but {len(out)} output destinations")
+    patterns = _patterns(graph.seed, graph.graph_index, t, range(lo, hi), nbytes)
+    for dest, pattern in zip(out, patterns):
+        if type(dest) is not np.ndarray:
+            dest = as_array(dest)
+        if dest.nbytes != nbytes:
+            raise ValueError(f"destination holds {dest.nbytes} bytes, "
+                             f"task output needs {nbytes}")
+        # One memcpy through the buffer protocol, as a compare is one memcmp.
+        dest.data[:] = pattern
+    return out
 
 
 def tile_block(graph: "TaskGraph", tile: "TilePlan") -> np.ndarray:
@@ -407,11 +464,13 @@ def validate_row(
     (against the block filed under ``plan.token`` and ``t``; one the memo
     does not hold is stamped from the table's plans together with the same
     block of the rows after it, as far as a batch goes and the rows hold it).
-    Anything else — a mismatch, a wrong count, a block above
-    ``_BULK_BYTES`` — goes to :func:`validate_inputs` task by task,
-    splitting ``inputs`` at the plan's CSR offsets (the last task takes the
-    tail), so the error names the same task, slot and stale producer as
-    ``execute_point`` would.
+    A block above ``_BULK_BYTES`` whose ``plan`` is the table's own is
+    compared input by input where it lies, against one probe per distinct
+    producer (:func:`_in_place`).  Anything else — a mismatch, a wrong
+    count, an input with no byte view, another plan above ``_BULK_BYTES``
+    — goes to :func:`validate_inputs` task by task, splitting ``inputs`` at
+    the plan's CSR offsets (the last task takes the tail), so the error
+    names the same task, slot and stale producer as ``execute_point`` would.
     Inputs may be pool handles; they are resolved (and their generation
     tags verified) on the way.
     """
@@ -422,15 +481,49 @@ def validate_row(
     if len(inputs) == count:
         if not count:
             return
-        expected = 0 < nbytes * count <= _BULK_BYTES and (
-            _memo.get((plan.token, t, lo, hi, graph.graph_index, nbytes))
-            or _stamp_rows(graph, t, lo, hi, nbytes * count))
-        if expected and expected == _joined(inputs):
-            return
+        if nbytes * count > _BULK_BYTES:
+            if plan is graph.row_plan(t) and _in_place(
+                    graph, t, plan.columns(lo, hi), inputs):
+                return
+        elif nbytes:
+            expected = (
+                _memo.get((plan.token, t, lo, hi, graph.graph_index, nbytes))
+                or _stamp_rows(graph, t, lo, hi, nbytes * count))
+            if expected and expected == _joined(inputs):
+                return
     for i in range(lo, hi):
         k = i - plan.off
         end = starts[k + 1] - first if i < hi - 1 else None
         validate_inputs(graph, t, i, inputs[starts[k] - first:end])
+
+
+def _in_place(graph: "TaskGraph", t: int, cols: Sequence[int],
+              inputs: Sequence["Payload"]) -> bool:
+    """Whether ``inputs`` are the outputs of producers ``(t - 1, col)``,
+    one for each ``col`` of ``cols`` (the table's own columns, never the
+    executor's): the large branch of :func:`validate_row`.  The memo is
+    probed once per distinct producer (:func:`_patterns`), and every input
+    is compared with its producer's pattern by a ``memcmp`` of its own where
+    it lies, however many of them are one buffer.  The pattern's
+    ``bytearray.__eq__`` is called itself, so no input's own ``==``
+    answers; it declines what has no contiguous bytes — a pool handle,
+    resolved then with its generation checked, or a strided view, copied
+    then.  ``False`` on a mismatch or an input with no byte view."""
+    distinct = list(dict.fromkeys(cols))
+    patterns = _patterns(graph.seed, graph.graph_index, t - 1, distinct,
+                         graph.output_bytes_per_task)
+    equal = {col: pattern.__eq__ for col, pattern in zip(distinct, patterns)}
+    for col, buf in zip(cols, inputs):
+        same = equal[col](buf)
+        if same is NotImplemented:
+            try:
+                buf = _as_flat_uint8(buf)
+            except _NO_BYTE_VIEW:
+                return False
+            same = equal[col](buf)
+        if same is not True:
+            return False
+    return True
 
 
 def _stamp_rows(graph: "TaskGraph", t: int, lo: int, hi: int,

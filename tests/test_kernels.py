@@ -1,6 +1,7 @@
 """Unit tests for task kernels (paper §2, Listing 1)."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ import pytest
 from repro.core import (
     FLOPS_PER_ITERATION,
     KERNEL_VECTOR_WIDTH,
+    DependenceType,
     Kernel,
     KernelType,
+    TaskGraph,
 )
 from repro.core.kernels import (
     KernelTimeModel,
@@ -17,6 +20,7 @@ from repro.core.kernels import (
     execute_kernel_compute,
     execute_kernel_compute2,
     execute_kernel_memory,
+    saturating,
 )
 
 
@@ -59,6 +63,44 @@ class TestComputeKernel:
 
         t(64)  # warm up
         assert t(512) > t(32)
+
+
+class TestSaturating:
+    """Overflow is ignored once per row or tile, not once per kernel call,
+    and only while the row or tile runs."""
+
+    def test_a_run_of_kernels_ignores_overflow_and_restores_the_state(self):
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with saturating():
+                assert np.geterr()["over"] == "ignore"
+                with saturating():  # nested: no second state, no early reset
+                    assert np.all(np.isinf(execute_kernel_compute(64)))
+                assert np.geterr()["over"] == "ignore"
+                assert np.all(np.isinf(execute_kernel_compute2(64)))
+            assert np.geterr() == before
+            # Outside one, each call still ignores overflow on its own.
+            assert np.all(np.isinf(execute_kernel_compute(64)))
+        assert np.geterr() == before
+
+    @pytest.mark.parametrize("kind", [KernelType.COMPUTE_BOUND,
+                                      KernelType.COMPUTE_BOUND2])
+    def test_a_row_or_a_tile_enters_errstate_once(self, kind, monkeypatch):
+        errstate, entered = np.errstate, []
+        monkeypatch.setattr(np, "errstate", lambda **kw: (
+            entered.append(kw) or errstate(**kw)))
+        g = TaskGraph(timesteps=4, max_width=4, output_bytes_per_task=16,
+                      dependence=DependenceType.STENCIL_1D,
+                      kernel=Kernel(kernel_type=kind, iterations=64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow would raise here
+            g.execute_row(0, 0, 4, [], scratch=None, validate=True)
+            assert entered == [{"over": "ignore"}]  # a row of four tasks
+            g.execute_tile(g.tile_plan(0), np.empty((0, 16), np.uint8),
+                           scratch=None, validate=True)
+        assert entered == [{"over": "ignore"}] * 2  # and a tile of sixteen
+        assert g.tile_plan(0).t1 == 4
 
 
 class TestMemoryKernel:

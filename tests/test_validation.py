@@ -1,5 +1,6 @@
 """Unit tests for the fully-validating output/input scheme (paper §2)."""
 
+import copy
 import sys
 import threading
 
@@ -7,8 +8,13 @@ import numpy as np
 import pytest
 
 from repro.core import DependenceType, TaskGraph, ValidationError
-from repro.core import validation
-from repro.core.bufpool import HeapSlabPool, as_array
+from repro.core import fastpath, validation
+from repro.core.bufpool import (
+    HeapSlabPool,
+    SharedMemorySlabPool,
+    StaleHandleError,
+    as_array,
+)
 from repro.core.validation import (
     _BULK_BYTES,
     HEADER_BYTES,
@@ -349,33 +355,73 @@ class TestOddShapedBlocks:
             assert (got is None) == passes, got
 
 
-def _charged():
-    """What the pattern memo's values cost, counted from the values: bytes
-    of a ``bytearray`` (a compared pattern), of an array (an output block),
+def _charged(memo):
+    """What a pattern memo's values cost, counted from the values: bytes of
+    a ``bytearray`` (a compared pattern), of an array (an output block),
     plus the per-entry charge."""
     return sum((p.nbytes if isinstance(p, np.ndarray) else len(p))
-               + validation._ENTRY_BYTES for p in validation._memo.values())
+               + validation._ENTRY_BYTES for p in memo.values())
+
+
+#: The block memo and the column memo, with their budgets.
+MEMOS = [("_memo", "_MEMO_BYTES"), ("_columns", "_COLUMN_BYTES")]
 
 
 class TestPatternMemoIsBoundedInBytes:
     def _held_after_serial_run(self, steps, nbytes=1 << 16, seed=12345):
+        """What the block memo and the column memo hold after ``serial``
+        ran a stencil, each memo's own count checked against its values."""
         g = TaskGraph(timesteps=steps, max_width=8, output_bytes_per_task=nbytes,
                       dependence=DependenceType.STENCIL_1D, seed=seed)
         make_executor("serial").run([g], validate=True)
-        held = _charged()
-        assert held == validation._memo.held  # the memo's own counter is exact
-        return held
+        held = []
+        for memo, budget in MEMOS:
+            memo, budget = getattr(validation, memo), getattr(validation, budget)
+            assert _charged(memo) == memo.held <= budget
+            held.append(memo.held)
+        return tuple(held)
 
-    def test_held_bytes_do_not_grow_with_graph_height(self, monkeypatch):
+    @pytest.fixture
+    def fresh_memos(self, monkeypatch):
+        for memo, budget in MEMOS:
+            monkeypatch.setattr(validation, memo, fastpath.Bounded(
+                getattr(validation, budget)))
+
+    def test_held_bytes_do_not_grow_with_graph_height(self, monkeypatch,
+                                                      fresh_memos):
         stamps = []
         stamp = validation._stamp
         monkeypatch.setattr(validation, "_stamp",
                             lambda *a, **k: stamps.append(a) or stamp(*a, **k))
         short = self._held_after_serial_run(100)
         tall = self._held_after_serial_run(400)
-        assert short == tall <= validation._MEMO_BYTES <= 8 << 20
-        # 64 KiB patterns are tiled from one header, never batch-stamped.
+        # 64 KiB patterns are columns, tiled from one header — never a block,
+        # never batch-stamped — and the rows in flight fill the column memo.
+        assert short == tall == (0, tall[1])
+        assert validation._COLUMN_BYTES - (1 << 16) - validation._ENTRY_BYTES < (
+            tall[1]) <= validation._COLUMN_BYTES
         assert not stamps
+
+    def test_clear_forgets_the_queue_and_the_count(self, fresh_memos):
+        """``clear`` empties the queue of keys and the byte count with the
+        dict: left behind, the next eviction would pop a key that is gone (a
+        ``KeyError`` mid-run) and the budget count bytes no longer held."""
+        memo = fastpath.Bounded(300)
+        for k in range(5):
+            memo.add(k, str(k), 100)
+        memo.clear()
+        assert memo.held == 0 and not memo
+        for k in range(5, 10):
+            memo.add(k, str(k), 100)
+        assert list(memo) == [7, 8, 9] and memo.held == 300
+        # The pattern memos themselves, cleared between two serial runs of
+        # 64 KiB (columns) and of 16 bytes (blocks).
+        for nbytes, memo in ((1 << 16, 1), (16, 0)):
+            held = self._held_after_serial_run(20, nbytes)[memo]
+            validation._memo.clear()
+            validation._columns.clear()
+            assert validation._memo.held == validation._columns.held == 0
+            assert self._held_after_serial_run(20, nbytes)[memo] == held
 
     def test_small_blocks_of_both_kinds_are_charged_what_they_hold(
             self, monkeypatch):
@@ -392,7 +438,7 @@ class TestPatternMemoIsBoundedInBytes:
         taller = 8000 + steady.t1 - steady.t0
         held, kinds = [], set()
         for steps in (8000, taller):
-            held.append(self._held_after_serial_run(steps, 16, seed=0xB17E5))
+            held.append(self._held_after_serial_run(steps, 16, seed=0xB17E5)[0])
             kinds.add(frozenset(type(p) for p in validation._memo.values()))
         # Full but for less than one entry: none holds more than a tile's inputs.
         assert held[0] == held[1] <= validation._MEMO_BYTES < (
@@ -411,6 +457,9 @@ class TestPatternMemoIsBoundedInBytes:
                     for nbytes in (40, 1 << 16):
                         want = validation._output_bytes(9, k, t, 5, nbytes)
                         assert validation._expected(9, k, t, (5,), nbytes) == want
+                        # Joined: a block memo entry of two column entries.
+                        assert validation._expected(9, k, t, (4, 5), nbytes) == (
+                            validation._output_bytes(9, k, t, 4, nbytes) + want)
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 
@@ -427,4 +476,165 @@ class TestPatternMemoIsBoundedInBytes:
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in threads)
         assert not errors, errors
-        assert _charged() == validation._memo.held <= validation._MEMO_BYTES
+        for memo, budget in MEMOS:
+            memo, budget = getattr(validation, memo), getattr(validation, budget)
+            assert _charged(memo) == memo.held <= budget
+
+
+class TestLargeRowsKillMutants:
+    """The large branch of ``validate_row`` — a block above ``_BULK_BYTES``
+    checked against one memo probe per producer, one ``memcmp`` per input
+    where it lies — at 64 KiB, through ``validate_row``, ``execute_row`` and
+    ``serial``.  Each mutant dies with the text ``execute_point`` dies with
+    (same task, slot and producer): a corrupted slot among distinct buffers
+    (a compare deduplicated by column or by buffer identity would pass all
+    but one of them), the row before last served as the last, two inputs
+    swapped, and a slab handle of a released slot (its bytes right again)."""
+
+    NBYTES = 1 << 16
+    T = 4  # the row served wrong; it reads the eight outputs of row 3
+
+    def _graph(self):
+        return TaskGraph(timesteps=6, max_width=8, output_bytes_per_task=self.NBYTES,
+                         dependence=DependenceType.STENCIL_1D, seed=0xB16)
+
+    @staticmethod
+    def _point_verdict(g, t, inputs):
+        """The first ``execute_point`` error of row ``t`` fed ``inputs``."""
+        plan = g.row_plan(t)
+        for k in range(plan.width):
+            verdict = _verdict(lambda: g.execute_point(
+                t, plan.off + k, inputs[plan.starts[k]:plan.starts[k + 1]]))
+            if verdict:
+                return verdict
+        return None
+
+    def _via_validate_row(self, g, inputs):
+        validate_row(g, self.T, g.row_plan(self.T), 0, 8, inputs)
+
+    def _via_execute_row(self, g, inputs):
+        out = [np.empty(self.NBYTES, np.uint8) for _ in range(8)]
+        g.execute_row(self.T, 0, 8, inputs, scratch=None, validate=True,
+                      out=out, plan=g.row_plan(self.T))
+
+    def _via_serial(self, g, inputs, monkeypatch):
+        """``serial`` runs the graph, and row ``T`` is handed ``inputs``
+        (a function of what the rows before it returned) instead of its own
+        gather."""
+        rows, execute_row = {}, TaskGraph.execute_row
+
+        def mutant(graph, t, lo, hi, gathered, **kw):
+            if t == self.T:
+                gathered = inputs(rows, gathered)
+                mutant.want = self._point_verdict(graph, t, gathered)
+            rows[t] = execute_row(graph, t, lo, hi, gathered, **kw)
+            return rows[t]
+
+        monkeypatch.setattr(TaskGraph, "execute_row", mutant)
+        make_executor("serial").run([g], validate=True)
+        return mutant.want
+
+    def test_the_right_row_passes_every_way(self, monkeypatch):
+        g = self._graph()
+        cols = g.row_plan(self.T).cols
+        assert len(cols) == 22 and 22 * self.NBYTES > _BULK_BYTES
+        self._via_validate_row(g, [task_output(g, self.T - 1, j) for j in cols])
+        self._via_execute_row(g, [task_output(g, self.T - 1, j) for j in cols])
+        assert self._via_serial(g, lambda rows, got: got, monkeypatch) is None
+
+    @pytest.mark.parametrize("slot", range(22))
+    def test_each_corrupted_slot_is_named(self, slot, monkeypatch):
+        g = self._graph()
+        cols = g.row_plan(self.T).cols
+
+        def corrupted(buffers):
+            distinct = [np.array(as_array(b)) for b in buffers]
+            distinct[slot][-1] ^= 0x01
+            return distinct
+
+        bad = corrupted(task_output(g, self.T - 1, j) for j in cols)
+        want = self._point_verdict(g, self.T, bad)
+        assert want.startswith(f"task (t={self.T}, i=") and (
+            f"should be the output of (t={self.T - 1}, i={cols[slot]})" in want)
+        for via in (self._via_validate_row, self._via_execute_row):
+            assert _verdict(lambda: via(g, bad)) == want
+        with pytest.raises(ValidationError) as got:
+            self._via_serial(g, lambda rows, gathered: corrupted(gathered),
+                             monkeypatch)
+        assert str(got.value) == want
+
+    def test_the_row_before_last_is_caught(self, monkeypatch):
+        """What ``serial`` would hand row ``T`` if it gathered from its spare
+        row — the buffers it is about to write over, still row ``T - 2``."""
+        g = self._graph()
+        plan = g.row_plan(self.T)
+        stale = [task_output(g, self.T - 2, j) for j in plan.cols]
+        want = self._point_verdict(g, self.T, stale)
+        assert want.endswith(f"is the output of graph 0 task (t={self.T - 2}, "
+                             f"i={plan.cols[0]})")
+        for via in (self._via_validate_row, self._via_execute_row):
+            assert _verdict(lambda: via(g, stale)) == want
+        with pytest.raises(ValidationError) as got:
+            self._via_serial(g, lambda rows, gathered: [
+                rows[self.T - 2][j] for j in plan.flat], monkeypatch)
+        assert str(got.value) == want
+
+    def test_two_swapped_inputs_are_caught(self, monkeypatch):
+        """The first inputs of tasks 3 and 4 (columns 2 and 3) swapped: in
+        ``serial``'s gather each is a buffer compared already, at a slot of
+        its own producer, so a compare skipped by buffer or by column would
+        pass them both."""
+        g = self._graph()
+        cols = g.row_plan(self.T).cols
+        a, b = 8, 11
+
+        def swapped(buffers):
+            buffers = list(buffers)
+            buffers[a], buffers[b] = buffers[b], buffers[a]
+            return buffers
+
+        assert cols[a] != cols[b]
+        bad = swapped(task_output(g, self.T - 1, j) for j in cols)
+        want = self._point_verdict(g, self.T, bad)
+        assert f"(t={self.T}, i=3)" in want and "input slot 0" in want
+        for via in (self._via_validate_row, self._via_execute_row):
+            assert _verdict(lambda: via(g, bad)) == want
+        with pytest.raises(ValidationError) as got:
+            self._via_serial(g, lambda rows, gathered: swapped(gathered),
+                             monkeypatch)
+        assert str(got.value) == want
+
+    def test_producers_are_the_tables_not_the_plan_handed_in(self):
+        """A plan the table does not hold — row ``T``'s with one producer
+        moved, the inputs gathered by it — names no producer anything is
+        compared with: the row is walked task by task, and dies."""
+        g = self._graph()
+        fake = copy.copy(g.row_plan(self.T))
+        cols = list(fake.cols)
+        cols[9] = 5  # task 3 reads columns 2, 3, 4
+        fake.cols = tuple(cols)
+        bad = [task_output(g, self.T - 1, j) for j in fake.cols]
+        want = self._point_verdict(g, self.T, bad)
+        assert want.endswith("is the output of graph 0 task (t=3, i=5)")
+        assert _verdict(lambda: validate_row(g, self.T, fake, 0, 8, bad)) == want
+        assert _verdict(lambda: g.execute_row(
+            self.T, 0, 8, bad, scratch=None, validate=True, plan=fake)) == want
+
+    def test_a_stale_slab_handle_is_rejected(self):
+        """A handle whose slot was released and acquired again holds the
+        right bytes, but not its generation: it is refused, not compared."""
+        g = self._graph()
+        cols = g.row_plan(self.T).cols
+        with SharedMemorySlabPool() as pool:
+            refs = [pool.acquire(self.NBYTES) for _ in cols]
+            for ref, j in zip(refs, cols):
+                as_array(ref)[:] = task_output(g, self.T - 1, j)
+            self._via_validate_row(g, refs)  # live handles pass
+            pool.decref(refs[5])
+            again = pool.acquire(self.NBYTES)
+            assert again.slot == refs[5].slot
+            as_array(again)[:] = task_output(g, self.T - 1, cols[5])
+            for via in (self._via_validate_row, self._via_execute_row):
+                with pytest.raises(StaleHandleError):
+                    via(g, refs)
+                via(g, refs[:5] + [again] + refs[6:])
